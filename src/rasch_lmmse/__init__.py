@@ -43,11 +43,9 @@ from .linear_probit import (
     LmmseSolution,
     linearize,
     lmmse_fit,
-    lmmse_fit_sparse,
     lmmse_predicted_mse,
     ls_fit,
     sign_covariance,
-    sparse_cy,
 )
 from .rasch import (
     KnownDifficultyModel,
@@ -59,6 +57,7 @@ from .rasch import (
     rasch_closed_form_mse,
     rasch_design_matrix,
     rasch_fast_lmmse_fit,
+    rasch_lmmse_fit,
     rasch_s,
     split_estimate,
     structured_cy_inverse,
@@ -101,7 +100,6 @@ __all__ = [
     "known_difficulty_predicted_mse",
     "linearize",
     "lmmse_fit",
-    "lmmse_fit_sparse",
     "lmmse_predicted_mse",
     "load_movielens",
     "load_triplets",
@@ -119,13 +117,13 @@ __all__ = [
     "rasch_closed_form_mse",
     "rasch_design_matrix",
     "rasch_fast_lmmse_fit",
+    "rasch_lmmse_fit",
     "rasch_s",
     "run_cross_validation",
     "run_synthetic",
     "save_triplets",
     "sign_covariance",
     "snr_to_sigma2",
-    "sparse_cy",
     "split_estimate",
     "structured_cy_inverse",
 ]

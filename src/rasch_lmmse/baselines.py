@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .linear_probit import GeneralProbitModel
+from .linear_probit import GeneralProbitModel, _check_pm_one
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -60,15 +60,6 @@ class FisherBound:
 
     per_component_bound: np.ndarray
     evaluation_point: np.ndarray
-
-
-def _check_y(y, M):
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape != (M,):
-        raise ValueError(f"y has shape {y.shape}, expected ({M},)")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("y entries must be +1 or -1")
-    return y
 
 
 def _weighted_gram(D, weights):
@@ -119,7 +110,7 @@ def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
         config = MapConfig()
     D = model.D
     M, N = D.shape
-    y = _check_y(y, M)
+    y = _check_pm_one(y, M)
 
     if config.use_prior:
         cf_prior = scipy.linalg.cho_factor(model.C_x)
@@ -222,7 +213,7 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
         config = GibbsConfig()
     D = model.D
     M, N = D.shape
-    y = _check_y(y, M)
+    y = _check_pm_one(y, M)
 
     cf_prior = scipy.linalg.cho_factor(model.C_x)
     prec = scipy.linalg.cho_solve(cf_prior, np.eye(N))
@@ -290,7 +281,7 @@ def _pm_conditional_mean(model, y):
     M, N = D.shape
     if N > 3:
         raise ValueError("pm_exact supports at most 3 parameters")
-    y = _check_y(y, M)
+    y = _check_pm_one(y, M)
 
     Lx = scipy.linalg.cholesky(model.C_x, lower=True)
     base = D @ model.x_mean + model.m

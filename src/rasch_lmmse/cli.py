@@ -29,6 +29,7 @@ from .experiments import (
     CV_ESTIMATORS,
     SCHEMA_VERSION,
     SYNTHETIC_ESTIMATORS,
+    _STEM,
     CvConfig,
     SyntheticConfig,
     fit_response_set,
@@ -257,7 +258,7 @@ def _simulate_table(result):
     for name in estimators:
         if name == "fisher_bound":
             continue
-        stem = {"lmmse": "lmmse", "pm_gibbs": "pm", "map": "map", "ls": "ls"}[name]
+        stem = _STEM[name]
         header += f" {stem + ' mse':>12} {stem + ' se':>10}"
     if "fisher_bound" in estimators:
         header += f" {'fisher':>10}"
@@ -276,7 +277,7 @@ def _simulate_table(result):
         for name in estimators:
             if name == "fisher_bound":
                 continue
-            stem = {"lmmse": "lmmse", "pm_gibbs": "pm", "map": "map", "ls": "ls"}[name]
+            stem = _STEM[name]
             mse = cell.get(f"empirical_{stem}_mse")
             se = cell.get(f"empirical_{stem}_stderr")
             line += f" {mse:>12.6f}" if mse is not None else f" {'':>12}"

@@ -32,7 +32,7 @@ from .baselines import (
     probit_information,
 )
 from .data import ResponseSet
-from .linear_probit import lmmse_fit_sparse, ls_fit
+from .linear_probit import ls_fit
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
@@ -40,6 +40,7 @@ from .rasch import (
     rasch_closed_form_mse,
     rasch_design_matrix,
     rasch_fast_lmmse_fit,
+    rasch_lmmse_fit,
 )
 from .specfun import norm_cdf
 
@@ -487,40 +488,24 @@ def _subset(data, idx):
     )
 
 
-def _fit_estimator(name, design, users, items, responses, gibbs_config):
-    """Fit one estimator on observed triplets; returns (abilities, difficulties)."""
-    subset = ResponseSet(
+def _fit_estimator(name, data, idx, sigma2_x, gibbs_config):
+    """Fit one estimator on data[idx]; returns (abilities, difficulties)."""
+    users, items, responses = _subset(data, idx)
+    train = ResponseSet(
         users=users,
         items=items,
         responses=responses,
-        num_users=design.U,
-        num_items=design.Q,
+        num_users=data.num_users,
+        num_items=data.num_items,
     )
-    model = rasch_design_matrix(design, observed=subset, sparse=True)
-    y = responses
-    if name == "lmmse":
-        est = lmmse_fit_sparse(model, y).estimate
-    elif name == "map":
-        est = map_fit(model, y, MapConfig(link="probit"))
-    elif name == "logit_map":
-        est = map_fit(model, y, MapConfig(link="logit"))
-    elif name == "pm_gibbs":
-        est = pm_gibbs(model, y, gibbs_config)
-    elif name == "ls":
-        dense_model = rasch_design_matrix(design, observed=subset, sparse=False)
-        est = ls_fit(dense_model, y).estimate
-    else:
-        raise ValueError(f"unknown estimator {name!r}")
-    U = design.U
-    abilities = est[:U].copy()
-    difficulties = -est[U:]
-    # Parameters never observed in training stay at the prior mean exactly.
-    seen_u = np.zeros(U, dtype=bool)
-    seen_u[users] = True
-    seen_i = np.zeros(design.Q, dtype=bool)
-    seen_i[items] = True
-    abilities[~seen_u] = 0.0
-    difficulties[~seen_i] = 0.0
+    out = fit_response_set(
+        train, name, sigma2_x=sigma2_x, gibbs_config=gibbs_config
+    )
+    abilities, difficulties = out["abilities"], out["difficulties"]
+    # Parameters never observed in training stay at the prior mean exactly;
+    # pm_gibbs would otherwise return their prior draws' sample mean.
+    abilities[np.bincount(users, minlength=data.num_users) == 0] = 0.0
+    difficulties[np.bincount(items, minlength=data.num_items) == 0] = 0.0
     return abilities, difficulties
 
 
@@ -528,22 +513,16 @@ def _predict(abilities, difficulties, users, items):
     return norm_cdf(abilities[users] - difficulties[items])
 
 
-# Above this parameter count the N conjugate-gradient solves for the
-# predicted MSE get expensive; callers can still force it.
-_FIT_MSE_LIMIT = 600
-
-
 def fit_response_set(
     data: ResponseSet,
     estimator: str = "lmmse",
     sigma2_x: float = 1.0,
     gibbs_config: GibbsConfig | None = None,
-    compute_mse: bool | None = None,
 ) -> dict:
     """Fit abilities and difficulties to an observed ResponseSet.
 
     Returns a dict with `abilities`, `difficulties`, `predicted_mse`
-    (total; None when unavailable for the estimator or too costly),
+    (total; exact for lmmse and ls, None for the other estimators),
     `per_component_mse` when available, and `wall_time_seconds`.
     """
     if estimator not in CV_ESTIMATORS:
@@ -555,30 +534,27 @@ def fit_response_set(
     design = RaschDesign(
         U=data.num_users, Q=data.num_items, sigma2_a=sigma2_x, sigma2_d=sigma2_x
     )
-    model = rasch_design_matrix(design, observed=data, sparse=True)
     y = data.responses
     predicted_mse = None
     per_component = None
     t0 = time.perf_counter()
-    if estimator == "lmmse":
-        if compute_mse is None:
-            compute_mse = design.U + design.Q <= _FIT_MSE_LIMIT
-        sol = lmmse_fit_sparse(model, y, compute_mse=compute_mse)
+    if estimator in ("lmmse", "ls"):
+        sol = (
+            rasch_lmmse_fit(design, data)
+            if estimator == "lmmse"
+            else ls_fit(rasch_design_matrix(design, observed=data), y)
+        )
         est = sol.estimate
         predicted_mse = sol.predicted_mse
         per_component = sol.per_component_mse
-    elif estimator == "map":
-        est = map_fit(model, y, MapConfig(link="probit"))
-    elif estimator == "logit_map":
-        est = map_fit(model, y, MapConfig(link="logit"))
-    elif estimator == "pm_gibbs":
-        est = pm_gibbs(model, y, gibbs_config or GibbsConfig())
-    else:  # ls
-        dense_model = rasch_design_matrix(design, observed=data, sparse=False)
-        sol = ls_fit(dense_model, y)
-        est = sol.estimate
-        predicted_mse = sol.predicted_mse
-        per_component = sol.per_component_mse
+    else:
+        # The sampler and Newton steps need D itself, sparse at this size.
+        model = rasch_design_matrix(design, observed=data, sparse=True)
+        if estimator == "pm_gibbs":
+            est = pm_gibbs(model, y, gibbs_config or GibbsConfig())
+        else:
+            link = "logit" if estimator == "logit_map" else "probit"
+            est = map_fit(model, y, MapConfig(link=link))
     wall = time.perf_counter() - t0
     abilities, difficulties = est[: design.U].copy(), -est[design.U :]
     return {
@@ -655,14 +631,8 @@ def run_cross_validation(
                 scores = []
                 val_u, val_i, val_y = _subset(data, val)
                 for sigma2 in grid:
-                    design = RaschDesign(
-                        U=data.num_users,
-                        Q=data.num_items,
-                        sigma2_a=sigma2,
-                        sigma2_d=sigma2,
-                    )
                     ab, diff = _fit_estimator(
-                        name, design, *_subset(data, tune_train), gibbs_config
+                        name, data, tune_train, sigma2, gibbs_config
                     )
                     pred = _predict(ab, diff, val_u, val_i)
                     scores.append(_score_auc_or_acc(pred, val_y))
@@ -670,15 +640,9 @@ def run_cross_validation(
             else:
                 selected = grid[0]
 
-            design = RaschDesign(
-                U=data.num_users,
-                Q=data.num_items,
-                sigma2_a=selected,
-                sigma2_d=selected,
-            )
             t0 = time.perf_counter()
             ab, diff = _fit_estimator(
-                name, design, *_subset(data, train_all), gibbs_config
+                name, data, train_all, selected, gibbs_config
             )
             pred = _predict(ab, diff, test_u, test_i)
             runtime = time.perf_counter() - t0

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .specfun import binorm_cdf, norm_cdf, norm_pdf
 
@@ -29,8 +28,6 @@ _JITTER_MAX = 1e-6
 
 # W = E^T C_y^{-1} is materialized only when N*M stays below this.
 DEFAULT_WEIGHT_ENTRIES = 10**7
-
-_CG_RTOL = 1e-10
 
 
 def _as_float_array(x, name, ndim):
@@ -125,9 +122,9 @@ class LmmseSolution:
     """Result of a linear fit x_hat = W y + b with its predicted MSE.
 
     predicted_mse is the exact expected squared error summed over
-    components (data-independent); it is None when skipped for cost on the
-    sparse path.  W and b are None when materializing N x M weights was
-    not requested or exceeds the entry budget.
+    components (data-independent); it is None when the caller passed
+    compute_mse=False.  W and b are None when materializing N x M weights
+    was not requested or exceeds the entry budget.
     """
 
     estimate: np.ndarray
@@ -151,7 +148,6 @@ def sign_covariance(c_i, c_j, rho, y_mean_i, y_mean_j):
 
 
 def _arcsine_entry(cz_ij, denom_i, denom_j):
-    # Shared with sparse_cy so dense and sparse entries agree bit for bit.
     # The clip guards rounding pushing |argument| past 1 for near-duplicate rows.
     arg = np.clip(cz_ij / (denom_i * denom_j), -1.0, 1.0)
     return (2.0 / np.pi) * np.arcsin(arg)
@@ -227,13 +223,13 @@ def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
 
     The zero-mean case (x_mean = 0, m = 0) uses the exact arcsine formula
     for C_y; the general case evaluates the bivariate normal CDF per pair.
-    Dense only: C_y is a full M x M matrix.  For sparse designs use
-    sparse_cy / lmmse_fit_sparse.
+    Dense only: C_y is a full M x M matrix.  For Rasch designs of any size
+    use rasch.rasch_lmmse_fit, which never forms C_y.
     """
     if scipy.sparse.issparse(model.D):
         raise ValueError(
-            "linearize needs a dense design matrix; use lmmse_fit_sparse "
-            "or sparse_cy for sparse models"
+            "linearize needs a dense design matrix; fit sparse Rasch designs "
+            "with rasch_lmmse_fit"
         )
     if model.is_zero_mean():
         return _linearize_zero_mean(model)
@@ -373,104 +369,4 @@ def ls_fit(model: GeneralProbitModel, y, *, lin=None) -> LmmseSolution:
         W=G,
         b=np.zeros(N),
         method="ls",
-    )
-
-
-def sparse_cy(model: GeneralProbitModel) -> scipy.sparse.csr_matrix:
-    """Sparse C_y for zero-mean models with diagonal C_x.
-
-    Off-diagonal entries are nonzero only where two rows of D share a
-    nonzero coordinate (same user or same item in the Rasch case); all
-    other correlations are exactly 0 and arcsin(0) = 0.  Stored values
-    match the dense path bit for bit.
-    """
-    if not model.is_zero_mean():
-        raise ValueError("sparse_cy requires x_mean = 0 and m = 0")
-    C_x = model.C_x
-    if np.any(C_x != np.diag(np.diag(C_x))):
-        raise ValueError("sparse_cy requires diagonal C_x")
-    prior_var = np.diag(C_x)
-
-    D = scipy.sparse.csr_matrix(model.D)
-    # C_z off-diagonals restricted to the shared-coordinate pattern.
-    cz = (D.multiply(prior_var[None, :])) @ D.T
-    cz = cz.tocsr()
-    M = D.shape[0]
-    cz_diag = cz.diagonal() + 1.0
-    denom = np.sqrt(model.smoothing_sigma**2 + cz_diag)
-
-    coo = cz.tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
-    off = rows != cols
-    off_part = scipy.sparse.coo_matrix(
-        (
-            _arcsine_entry(vals[off], denom[rows[off]], denom[cols[off]]),
-            (rows[off], cols[off]),
-        ),
-        shape=(M, M),
-    )
-    # The diagonal is set for every row, including rows of D that are all
-    # zero (pure-noise observations with unit sign variance).
-    diag_part = scipy.sparse.diags(
-        _arcsine_diag(cz_diag, model.smoothing_sigma), format="csr"
-    )
-    return (off_part + diag_part).tocsr()
-
-
-def lmmse_fit_sparse(
-    model: GeneralProbitModel,
-    y,
-    *,
-    compute_mse: bool = False,
-) -> LmmseSolution:
-    """L-MMSE fit using the sparse C_y and conjugate gradients.
-
-    Requires the zero-mean, diagonal-prior setting.  predicted_mse is
-    skipped by default: it would take one CG solve per parameter.
-    """
-    M, N = model.D.shape
-    y = _check_pm_one(y, M)
-    C_y = sparse_cy(model)
-    prior_var = np.diag(model.C_x)
-    D = scipy.sparse.csr_matrix(model.D)
-    cz_diag = np.asarray((D.multiply(D)) @ prior_var).ravel() + 1.0
-    denom = np.sqrt(model.smoothing_sigma**2 + cz_diag)
-    # E^T v = sqrt(2/pi) * C_x D^T (v / denom) without forming E densely.
-    scale = np.sqrt(2.0 / np.pi)
-
-    def Et(v):
-        return scale * prior_var * (D.T @ (v / denom))
-
-    v, info = scipy.sparse.linalg.cg(C_y, y, rtol=_CG_RTOL, atol=0.0, maxiter=50 * M)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"conjugate gradients failed to converge (info={info})")
-    estimate = Et(v)
-
-    predicted_mse = per_component = None
-    if compute_mse:
-        # One CG solve per parameter; only sensible for small N.
-        D_csc = D.tocsc()
-        per_component = np.empty(N)
-        for k in range(N):
-            dk = np.zeros(M)
-            col = D_csc[:, k].tocoo()
-            dk[col.row] = col.data
-            ek = scale * prior_var[k] * dk / denom
-            sol, info = scipy.sparse.linalg.cg(
-                C_y, ek, rtol=_CG_RTOL, atol=0.0, maxiter=50 * M
-            )
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"conjugate gradients failed to converge (info={info})"
-                )
-            per_component[k] = prior_var[k] - ek @ sol
-        predicted_mse = float(np.sum(per_component))
-
-    return LmmseSolution(
-        estimate=estimate,
-        predicted_mse=predicted_mse,
-        per_component_mse=per_component,
-        W=None,
-        b=None,
-        method="lmmse_sparse",
     )

@@ -4,7 +4,10 @@ The Rasch (1PL) model observes Y_ui = sign(a_u - d_i + w_ui).  Stacking the
 parameters as x = [a; -d] gives the probit model y = sign(D x + w) with the
 structured design D = [1_Q (x) I_U, I_Q (x) 1_U].  With equal prior
 variances and a full response matrix, the sign covariance C_y has only four
-distinct inverse entries, which yields a closed-form MSE and an O(UQ) fit.
+distinct inverse entries, which yields a closed-form MSE.  For any observed
+subset and any prior variances, C_y is a scaled identity plus a low-rank
+term, so one (U+Q) x (U+Q) Cholesky factorization gives the exact fit and
+its per-component MSE.
 """
 
 from __future__ import annotations
@@ -12,19 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .data import ResponseSet
 from .linear_probit import (
+    _SATURATION_C,
     GeneralProbitModel,
     LmmseSolution,
+    _check_pm_one,
     _solve_spd,
-    lmmse_fit,
     sign_covariance,
 )
 from .specfun import norm_cdf, norm_pdf
-
-_SATURATION_C = 37.0
 
 
 @dataclass(frozen=True)
@@ -247,63 +250,93 @@ def structured_cy_inverse(design: RaschDesign) -> StructuredCyInverse:
     )
 
 
-def _check_responses(Y, U, Q):
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (U, Q):
-        raise ValueError(f"Y has shape {Y.shape}, expected ({U}, {Q})")
-    if not np.all(np.abs(Y) == 1.0):
-        raise ValueError("responses must be +1 or -1")
-    return Y
+def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
+    """Exact L-MMSE fit and per-component MSE for any observed subset.
 
+    Every row of D has two ones, so each latent z_m has variance
+    v = sigma2_a + sigma2_d + 1, and the arcsine law gives exactly
+    C_y = alpha I + D S D^T with S = diag(s_a I_U, s_d I_Q),
+    s_. = (2/pi) arcsin(sigma2_. / v) and alpha = 1 - s_a - s_d > 0.  The
+    Woodbury identity (Hager 1989) turns the M x M solve into one SPD
+    solve with K = alpha S^{-1} + D^T D, of size (U+Q) x (U+Q):
 
-def rasch_fast_lmmse_fit(design: RaschDesign, Y) -> LmmseSolution:
-    """L-MMSE fit of a full U x Q response matrix in O(UQ) time and memory.
+        x_hat = kappa C_x S^{-1} K^{-1} D^T y,
+        mse_k = c_k - kappa^2 c_k^2 (1 - alpha [K^{-1}]_kk / s_k) / s_k,
 
-    Uses the structured inverse of C_y; no UQ x UQ matrix is formed.  With
-    unequal prior variances the structure is unavailable and the call falls
-    back to the dense path (flagged in metadata).
+    with kappa = sqrt(2/pi / v) and c = diag(C_x).  D^T D holds the user
+    and item degrees on its diagonal and the U x Q incidence block off it.
+    A parameter with no responses has a zero row in D^T D, so it decouples:
+    its estimate is the prior mean 0 and its MSE the prior variance, both
+    exactly, and only the observed parameters enter the factorization.
     """
     U, Q = design.U, design.Q
-    Y = _check_responses(Y, U, Q)
-    if not design.equal_variances:
-        model = rasch_design_matrix(design)
-        sol = lmmse_fit(model, Y.flatten(order="F"))
-        sol.metadata["path"] = "dense_fallback"
-        sol.metadata["reason"] = "unequal prior variances"
-        return sol
-
-    sigma2 = design.sigma2_a
-    inv = structured_cy_inverse(design)
-    a, b, c, d = inv.a, inv.b, inv.c, inv.d
-
-    t = Y.sum(axis=1)  # per-user response sums
-    s_i = Y.sum(axis=0)  # per-item response sums
-    S = float(Y.sum())
-
-    kappa = np.sqrt(2.0 / np.pi) * sigma2 / np.sqrt(2.0 * sigma2 + 1.0)
-    # x_hat = kappa * D^T (C_y^{-1} y) with C_y^{-1} = 1 (x) A + I (x) B.
-    ability = kappa * (
-        Q * ((c - d) * t + d * S) + (a - c - b + d) * t + (b - d) * S
+    if (data.num_users, data.num_items) != (U, Q):
+        raise ValueError(
+            f"data is {data.num_users} x {data.num_items}, design is {U} x {Q}"
+        )
+    if len(data) == 0:
+        raise ValueError("observed ResponseSet is empty")
+    v = design.sigma2_a + design.sigma2_d + 1.0
+    s_a, s_d = (2.0 / np.pi) * np.arcsin(
+        np.array([design.sigma2_a, design.sigma2_d]) / v
     )
-    diff_block = kappa * (
-        (c - d) * S + d * U * S + (a - c + (U - 1.0) * (b - d)) * s_i
+    alpha = 1.0 - s_a - s_d
+    kappa = np.sqrt(2.0 / np.pi / v)
+    prior_var = np.concatenate(
+        [np.full(U, design.sigma2_a), np.full(Q, design.sigma2_d)]
     )
-    estimate = np.concatenate([ability, diff_block])
+    cols = np.concatenate([data.users, U + data.items])
+    degree = np.bincount(cols, minlength=U + Q)
+    seen = np.flatnonzero(degree)
+    c = prior_var[seen]
+    s = np.where(seen < U, s_a, s_d)
 
-    scale = (2.0 / np.pi) * sigma2**2 / (2.0 * sigma2 + 1.0)
-    mse_a = sigma2 - scale * Q * (a + (Q - 1.0) * c)
-    mse_d = sigma2 - scale * U * (a + (U - 1.0) * b)
-    per_component = np.concatenate([np.full(U, mse_a), np.full(Q, mse_d)])
+    pos = np.cumsum(degree > 0) - 1
+    ru, ri = pos[data.users], pos[U + data.items]
+    # Users precede items, so ru < ri: this fills the upper triangle, the
+    # only one cho_factor reads.
+    K = np.zeros((seen.size, seen.size))
+    K[ru, ri] = 1.0
+    K[np.diag_indices_from(K)] = alpha / s + degree[seen]
+    factor = scipy.linalg.cho_factor(K, overwrite_a=True, check_finite=False)
 
+    dty = np.bincount(cols, weights=np.tile(data.responses, 2), minlength=U + Q)
+    estimate = np.zeros(U + Q)
+    estimate[seen] = kappa * c / s * scipy.linalg.cho_solve(factor, dty[seen])
+
+    k_inv, info = scipy.linalg.lapack.dpotri(
+        factor[0], lower=factor[1], overwrite_c=True
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
+    per_component = prior_var.copy()
+    per_component[seen] -= (
+        kappa**2 * c**2 * (1.0 - alpha * np.diag(k_inv) / s) / s
+    )
     return LmmseSolution(
         estimate=estimate,
-        predicted_mse=float(U * mse_a + Q * mse_d),
+        predicted_mse=float(np.sum(per_component)),
         per_component_mse=per_component,
         W=None,
         b=None,
-        method="lmmse_kron",
-        metadata={"path": "kron"},
+        metadata={"path": "woodbury"},
     )
+
+
+def rasch_fast_lmmse_fit(design: RaschDesign, Y) -> LmmseSolution:
+    """L-MMSE fit of a full U x Q response matrix via `rasch_lmmse_fit`."""
+    U, Q = design.U, design.Q
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape != (U, Q):
+        raise ValueError(f"Y has shape {Y.shape}, expected ({U}, {Q})")
+    full = ResponseSet(
+        users=np.tile(np.arange(U), Q),
+        items=np.repeat(np.arange(Q), U),
+        responses=Y.flatten(order="F"),
+        num_users=U,
+        num_items=Q,
+    )
+    return rasch_lmmse_fit(design, full)
 
 
 def split_estimate(design: RaschDesign, estimate):
@@ -351,11 +384,7 @@ def known_difficulty_fit(model: KnownDifficultyModel, y):
     (a_hat, predicted_mse); the MSE is data-independent.
     """
     Q = model.d.size
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape != (Q,):
-        raise ValueError(f"y has shape {y.shape}, expected ({Q},)")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("y entries must be +1 or -1")
+    y = _check_pm_one(y, Q)
 
     _, y_mean, e, C_y = _known_difficulty_moments(model)
     rhs = np.column_stack([e, y_mean])

@@ -205,6 +205,28 @@ def test_fit_outputs_and_sign_convention(tmp_path):
     assert sidecar["wall_time_seconds"] >= 0
 
 
+def test_fit_large_set_reports_predicted_mse(tmp_path):
+    # 400 users x 300 items: U + Q = 700 parameters, 3 responses per user
+    # covering every item.  The sidecar must carry the exact MSE at any size.
+    rng = np.random.default_rng(5)
+    lines = ["user,item,response"]
+    for u in range(400):
+        for k in range(3):
+            y = 1 if rng.random() < 0.5 else -1
+            lines.append(f"u{u},q{(3 * u + k) % 300},{y}")
+    data = tmp_path / "large.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "large_fit.csv"
+    assert main(["fit", "--data", str(data), "--output", str(out)]) == 0
+
+    sidecar = json.loads((tmp_path / "large_fit.json").read_text())
+    assert sidecar["num_users"] + sidecar["num_items"] == 700
+    for key in ("predicted_mse", "predicted_mse_ability_mean",
+                "predicted_mse_difficulty_mean"):
+        assert sidecar[key] is not None and sidecar[key] > 0, key
+    assert sidecar["predicted_mse_ability_mean"] < 1.0  # below sigma2 = 1
+
+
 def test_fit_movielens(tmp_path):
     ml = tmp_path / "u.data"
     rows = []

@@ -1,4 +1,4 @@
-"""Linear MMSE / LS estimators: scalar facts, moment oracles, sparse parity."""
+"""Linear MMSE / LS estimators: scalar facts and moment oracles."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from rasch_lmmse.linear_probit import (
     GeneralProbitModel,
     linearize,
     lmmse_fit,
-    lmmse_fit_sparse,
     lmmse_predicted_mse,
     ls_fit,
     sign_covariance,
-    sparse_cy,
 )
 
 from oracles import mc_sign_moments
@@ -153,50 +151,6 @@ def test_saturated_observation_is_handled():
     assert np.all(np.isfinite(sol.estimate))
     # the saturated entry carries no information, the other one does
     assert abs(sol.estimate[1]) > 0.1
-
-
-def test_sparse_cy_matches_dense_bitwise():
-    import scipy.sparse
-
-    rng = np.random.default_rng(4)
-    N, M = 5, 9
-    D_dense = (rng.random((M, N)) < 0.4).astype(float)
-    D_dense[0, 0] = 1.0  # keep at least one entry
-    prior = np.diag(rng.uniform(0.5, 2.0, size=N))
-    model_dense = GeneralProbitModel(
-        D=D_dense, m=np.zeros(M), x_mean=np.zeros(N), C_x=prior
-    )
-    model_sparse = GeneralProbitModel(
-        D=scipy.sparse.csr_matrix(D_dense), m=np.zeros(M),
-        x_mean=np.zeros(N), C_x=prior,
-    )
-    C_y_dense = linearize(model_dense).C_y
-    C_y_sparse = sparse_cy(model_sparse).toarray()
-    assert np.array_equal(C_y_dense, C_y_sparse)
-
-
-def test_sparse_fit_matches_dense():
-    import scipy.sparse
-
-    rng = np.random.default_rng(21)
-    N, M = 6, 14
-    D_dense = (rng.random((M, N)) < 0.5).astype(float)
-    D_dense[np.arange(M), rng.integers(0, N, M)] = 1.0
-    prior = np.diag(rng.uniform(0.5, 2.0, size=N))
-    y = np.sign(rng.normal(size=M))
-    y[y == 0] = 1.0
-    dense = GeneralProbitModel(D=D_dense, m=np.zeros(M), x_mean=np.zeros(N), C_x=prior)
-    sparse = GeneralProbitModel(
-        D=scipy.sparse.csr_matrix(D_dense), m=np.zeros(M),
-        x_mean=np.zeros(N), C_x=prior,
-    )
-    sol_dense = lmmse_fit(dense, y)
-    sol_sparse = lmmse_fit_sparse(sparse, y, compute_mse=True)
-    np.testing.assert_allclose(sol_sparse.estimate, sol_dense.estimate, atol=1e-9)
-    np.testing.assert_allclose(
-        sol_sparse.per_component_mse, sol_dense.per_component_mse, atol=1e-8
-    )
-    assert sol_sparse.method == "lmmse_sparse"
 
 
 def test_zero_design_returns_prior():

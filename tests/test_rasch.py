@@ -1,10 +1,13 @@
-"""Rasch design: closed-form MSE, structured inverse, fast fit, known difficulties."""
+"""Rasch design: closed-form MSE, structured inverse, Woodbury fit, known difficulties."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
     KnownDifficultyModel,
@@ -15,6 +18,7 @@ from rasch_lmmse.rasch import (
     rasch_closed_form_mse,
     rasch_design_matrix,
     rasch_fast_lmmse_fit,
+    rasch_lmmse_fit,
     rasch_s,
     split_estimate,
     structured_cy_inverse,
@@ -189,7 +193,7 @@ def test_fast_fit_matches_dense():
             np.testing.assert_allclose(
                 fast.per_component_mse, dense.per_component_mse, atol=1e-9
             )
-            assert fast.metadata["path"] == "kron"
+            assert fast.metadata["path"] == "woodbury"
             assert fast.W is None and fast.b is None
 
 
@@ -208,10 +212,70 @@ def test_fast_fit_unequal_variances_falls_back():
     design = RaschDesign(U=3, Q=4, sigma2_a=1.0, sigma2_d=2.0)
     Y = random_responses(np.random.default_rng(1), 3, 4)
     sol = rasch_fast_lmmse_fit(design, Y)
-    assert sol.metadata["path"] == "dense_fallback"
+    assert sol.metadata["path"] == "woodbury"
     model = rasch_design_matrix(design)
     dense = lmmse_fit(model, Y.flatten(order="F"))
     np.testing.assert_allclose(sol.estimate, dense.estimate, atol=1e-10)
+
+
+@st.composite
+def masked_instances(draw):
+    U = draw(st.integers(1, 8))
+    Q = draw(st.integers(1, 8))
+    mask = np.array(
+        draw(st.lists(st.booleans(), min_size=U * Q, max_size=U * Q))
+    ).reshape(U, Q)
+    if not mask.any():
+        mask[draw(st.integers(0, U - 1)), draw(st.integers(0, Q - 1))] = True
+    users, items = np.nonzero(mask)
+    signs = draw(
+        st.lists(st.booleans(), min_size=users.size, max_size=users.size)
+    )
+    data = ResponseSet(
+        users=users, items=items, responses=np.where(signs, 1.0, -1.0),
+        num_users=U, num_items=Q,
+    )
+    log_var = st.floats(-2.0, 1.3)
+    sigma2_a, sigma2_d = 10.0 ** draw(log_var), 10.0 ** draw(log_var)
+    return RaschDesign(U=U, Q=Q, sigma2_a=sigma2_a, sigma2_d=sigma2_d), data
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_instances())
+def test_woodbury_fit_matches_dense_on_random_masks(instance):
+    design, data = instance
+    sol = rasch_lmmse_fit(design, data)
+    dense = lmmse_fit(rasch_design_matrix(design, observed=data), data.responses)
+    np.testing.assert_allclose(sol.estimate, dense.estimate, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        sol.per_component_mse, dense.per_component_mse, rtol=0, atol=1e-12
+    )
+    assert sol.predicted_mse == pytest.approx(dense.predicted_mse, abs=1e-11)
+    assert sol.metadata["path"] == "woodbury"
+
+    # Users and items without responses keep exactly the prior.
+    U = design.U
+    unseen = np.concatenate([
+        np.bincount(data.users, minlength=U) == 0,
+        np.bincount(data.items, minlength=design.Q) == 0,
+    ])
+    prior = np.concatenate([
+        np.full(U, design.sigma2_a), np.full(design.Q, design.sigma2_d)
+    ])
+    assert np.all(sol.estimate[unseen] == 0.0)
+    assert np.all(sol.per_component_mse[unseen] == prior[unseen])
+
+
+def test_woodbury_fit_validation():
+    design = RaschDesign(U=2, Q=2, sigma2_a=1.0, sigma2_d=1.0)
+    other = ResponseSet(users=[0], items=[0], responses=[1.0],
+                        num_users=3, num_items=2)
+    with pytest.raises(ValueError, match="design is 2 x 2"):
+        rasch_lmmse_fit(design, other)
+    empty = ResponseSet(users=[], items=[], responses=[],
+                        num_users=2, num_items=2)
+    with pytest.raises(ValueError, match="empty"):
+        rasch_lmmse_fit(design, empty)
 
 
 def test_fast_fit_response_validation():
