@@ -16,7 +16,9 @@ import scipy.linalg
 import scipy.sparse
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
+from .data import ResponseSet
 from .linear_probit import GeneralProbitModel, _check_pm_one
+from .rasch import RaschDesign, _check_observed
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -94,60 +96,67 @@ def _lik_weights(t, link):
     return sig_neg, sig_neg * (1.0 - sig_neg)
 
 
-def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
-    """MAP (or ML when use_prior is false) estimate by damped Newton.
+@dataclass(frozen=True)
+class MapSolution:
+    """Result of a damped-Newton MAP fit with its solver diagnostics.
 
-    Minimizes -sum log g(y_m (d_m^T x + m_m)) plus the Gaussian prior
-    penalty; the objective is smooth and convex, so Newton with Armijo
-    backtracking reaches the global optimum.  Stops when the gradient norm
-    falls below gradient_tolerance, or, once the objective is flat to
-    machine precision, when the gradient norm stops improving (the
-    gradient-norm floor of an instance can sit above any fixed tolerance).
-    ML on separable data diverges and is reported as an error once the
-    iterate norm passes 1e3.
+    iterations counts the Newton systems solved; gradient_norm is the norm
+    of the gradient at the returned estimate; at_floor is true when the
+    solver stopped at the machine-precision floor (the objective could no
+    longer decrease measurably and the gradient norm had stalled above the
+    tolerance) and returned the best iterate seen.
     """
-    if config is None:
-        config = MapConfig()
-    D = model.D
-    M, N = D.shape
-    y = _check_pm_one(y, M)
 
-    if config.use_prior:
-        cf_prior = scipy.linalg.cho_factor(model.C_x)
-        prec = scipy.linalg.cho_solve(cf_prior, np.eye(N))
-    else:
-        prec = np.zeros((N, N))
+    estimate: np.ndarray
+    iterations: int
+    gradient_norm: float
+    at_floor: bool
+
+
+def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, config):
+    """Damped Newton on -sum log g(y_m ((D x)_m + m_m)) + prior penalty.
+
+    The design enters only through forward(x) = D x and adjoint(r) = D^T r;
+    precision(dx) applies C_x^{-1} (None for ML), and
+    newton_step(omega, grad) solves (D^T diag(omega) D + C_x^{-1}) s = -grad.
+    The objective is smooth and convex, so Newton with Armijo backtracking
+    reaches the global optimum.  Stops when the gradient norm falls below
+    gradient_tolerance, or, once the objective is flat to machine
+    precision, when the gradient norm stops improving (the gradient-norm
+    floor of an instance can sit above any fixed tolerance).  ML on
+    separable data diverges and is reported as an error once the iterate
+    norm passes 1e3.
+    """
 
     def objective(x):
-        t = y * (D @ x + model.m)
+        t = y * (forward(x) + m)
         val = float(np.sum(_neg_log_lik_terms(t, config.link)))
-        if config.use_prior:
-            dx = x - model.x_mean
-            val += 0.5 * float(dx @ (prec @ dx))
+        if precision is not None:
+            dx = x - x_mean
+            val += 0.5 * float(dx @ precision(dx))
         return val
 
-    x = model.x_mean.copy()
+    def gradient(x):
+        t = y * (forward(x) + m)
+        lam, omega = _lik_weights(t, config.link)
+        grad = -adjoint(y * lam)
+        if precision is not None:
+            grad += precision(x - x_mean)
+        return grad, omega
+
+    x = x_mean.copy()
     f = objective(x)
     best_x, best_gnorm = x, np.inf
     stalled = 0
-    for _ in range(config.max_iterations):
-        t = y * (D @ x + model.m)
-        lam, omega = _lik_weights(t, config.link)
-        grad = -(D.T @ (y * lam)) + prec @ (x - model.x_mean)
+    for it in range(config.max_iterations):
+        grad, omega = gradient(x)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.gradient_tolerance:
-            return x
+            return MapSolution(x, it, gnorm, False)
         made_progress = gnorm < 0.9 * best_gnorm
         if gnorm < best_gnorm:
             best_x, best_gnorm = x, gnorm
-        H = _weighted_gram(D, omega) + prec
-        try:
-            cf = scipy.linalg.cho_factor(H)
-        except scipy.linalg.LinAlgError:
-            # Singular Hessian can occur for ML with a rank-deficient
-            # effective design; a tiny ridge restores a descent direction.
-            cf = scipy.linalg.cho_factor(H + 1e-10 * np.eye(N))
-        step = -scipy.linalg.cho_solve(cf, grad)
+        step = newton_step(omega, grad)
 
         # Armijo backtracking on the Newton direction.
         slope = float(grad @ step)
@@ -167,22 +176,139 @@ def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
         at_floor = -slope <= np.finfo(np.float64).eps * (1.0 + abs(f))
         stalled = stalled + 1 if at_floor and not made_progress else 0
         if at_floor and (stalled >= 3 or np.array_equal(x_new, x)):
-            return best_x
+            return MapSolution(best_x, it + 1, best_gnorm, True)
         x, f = x_new, f_new
-        if not config.use_prior and np.linalg.norm(x) > 1e3:
+        if precision is None and np.linalg.norm(x) > 1e3:
             raise RuntimeError(
                 "ML estimate diverged (separable data?): parameter norm "
                 "exceeded 1e3"
             )
-    t = y * (D @ x + model.m)
-    lam, _ = _lik_weights(t, config.link)
-    grad = -(D.T @ (y * lam)) + prec @ (x - model.x_mean)
+    grad, _ = gradient(x)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= config.gradient_tolerance:
-        return x
+        return MapSolution(x, config.max_iterations, gnorm, False)
     raise RuntimeError(
         f"MAP did not converge in {config.max_iterations} iterations "
         f"(gradient norm {gnorm:.3e})"
+    )
+
+
+def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
+    """MAP (or ML when use_prior is false) estimate by damped Newton.
+
+    Minimizes -sum log g(y_m (d_m^T x + m_m)) plus the Gaussian prior
+    penalty, with the stopping rules of the shared Newton loop (gradient
+    tolerance, machine-precision floor, ML divergence guard).  This is the
+    general-model path: each iteration factors the dense N x N Hessian
+    D^T diag(omega) D + C_x^{-1}.  Rasch data take `rasch_map_fit`, which
+    runs the same loop on structured algebra.
+    """
+    if config is None:
+        config = MapConfig()
+    D = model.D
+    M, N = D.shape
+    y = _check_pm_one(y, M)
+
+    if config.use_prior:
+        cf_prior = scipy.linalg.cho_factor(model.C_x)
+        prec = scipy.linalg.cho_solve(cf_prior, np.eye(N))
+    else:
+        prec = np.zeros((N, N))
+
+    def newton_step(omega, grad):
+        H = _weighted_gram(D, omega) + prec
+        try:
+            cf = scipy.linalg.cho_factor(H)
+        except scipy.linalg.LinAlgError:
+            # Singular Hessian can occur for ML with a rank-deficient
+            # effective design; a tiny ridge restores a descent direction.
+            cf = scipy.linalg.cho_factor(H + 1e-10 * np.eye(N))
+        return -scipy.linalg.cho_solve(cf, grad)
+
+    return _damped_newton(
+        model.x_mean, y, model.m, lambda x: D @ x, lambda r: D.T @ r,
+        (lambda dx: prec @ dx) if config.use_prior else None,
+        newton_step, config,
+    ).estimate
+
+
+def rasch_map_fit(
+    design: RaschDesign, data: ResponseSet, config: MapConfig | None = None
+) -> MapSolution:
+    """MAP estimate of x = [a; -d] from observed Rasch responses.
+
+    Runs the Newton loop of `map_fit` on the Rasch structure, without a
+    design matrix: D x is x[user] + x[U + item] per response, D^T r is
+    two bincounts, the prior precision is diagonal, and the Hessian
+    H = diag(h) + [[0, B], [B^T, 0]] has the U x Q weight matrix B with one
+    entry omega_m per response.  The Newton system is solved through the
+    Schur complement onto the smaller of the observed user and item blocks,
+
+        (diag(h_s) - B diag(h_b)^{-1} B^T) s_s = r_s - B diag(h_b)^{-1} r_b,
+        s_b = diag(h_b)^{-1} (r_b - B^T s_s),
+
+    with the product formed as a sparse matrix (nnz(B) = M) and one dense
+    min(U, Q)^2 Cholesky factorization per iteration; nothing of size
+    (U+Q)^2 or U Q is formed.  Users and items with no responses decouple
+    and stay at exactly 0.0.  The prior is required: the Rasch likelihood
+    is flat along [1_U; -1_Q], so the ML estimate is not unique.
+    """
+    if config is None:
+        config = MapConfig()
+    if not config.use_prior:
+        raise ValueError(
+            "rasch_map_fit needs the prior: the Rasch likelihood is flat "
+            "along [1_U; -1_Q], so the ML estimate is not unique"
+        )
+    _check_observed(design, data)
+    U, Q = design.U, design.Q
+    N = U + Q
+    users, params_i = data.users, U + data.items
+    inv_var = np.concatenate(
+        [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
+    )
+
+    def forward(x):
+        return x[users] + x[params_i]
+
+    def adjoint(r):
+        return np.concatenate([
+            np.bincount(data.users, weights=r, minlength=U),
+            np.bincount(data.items, weights=r, minlength=Q),
+        ])
+
+    # Keep the side with fewer observed parameters: per response, small_of
+    # and big_of hold its parameter on the kept and the eliminated side.
+    seen_u, seen_i = np.unique(users), np.unique(params_i)
+    small, small_of, big_of = (
+        (seen_u, users, params_i)
+        if seen_u.size <= seen_i.size
+        else (seen_i, params_i, users)
+    )
+    rows = np.searchsorted(small, small_of)
+    shape = (small.size, N)
+
+    def newton_step(omega, grad):
+        h = adjoint(omega) + inv_var
+        B = scipy.sparse.csr_matrix((omega, (rows, big_of)), shape=shape)
+        B_scaled = scipy.sparse.csr_matrix(
+            (omega / h[big_of], (rows, big_of)), shape=shape
+        )
+        schur = -(B_scaled @ B.T).toarray()
+        schur[np.diag_indices_from(schur)] += h[small]
+        r = -grad
+        step_small = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(schur, overwrite_a=True, check_finite=False),
+            r[small] - B @ (r / h),
+            check_finite=False,
+        )
+        step = (r - B.T @ step_small) / h
+        step[small] = step_small
+        return step
+
+    return _damped_newton(
+        np.zeros(N), data.responses, 0.0, forward, adjoint,
+        lambda dx: inv_var * dx, newton_step, config,
     )
 
 

@@ -391,6 +391,7 @@ def _cmd_fit(args):
             if per_comp is None
             else float(np.mean(per_comp[data.num_users :]))
         ),
+        "solver": out["solver"],
         "wall_time_seconds": out["wall_time_seconds"],
     }
     sidecar_path = os.path.splitext(path)[0] + ".json"

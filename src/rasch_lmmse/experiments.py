@@ -27,15 +27,16 @@ from .baselines import (
     GibbsConfig,
     MapConfig,
     fisher_rasch_ability_bound,
-    map_fit,
     pm_gibbs,
     probit_information,
+    rasch_map_fit,
 )
 from .data import ResponseSet
 from .linear_probit import ls_fit
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _full_response_set,
     known_difficulty_fit,
     rasch_closed_form_mse,
     rasch_design_matrix,
@@ -196,7 +197,7 @@ def _run_standard_cell(config, cell_idx, U, Q, snr_db):
     design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2)
     mse_a, mse_d = rasch_closed_form_mse(design)
 
-    needs_dense = {"map", "ls", "pm_gibbs"} & set(config.estimators)
+    needs_dense = {"ls", "pm_gibbs"} & set(config.estimators)
     model = rasch_design_matrix(design) if needs_dense else None
 
     point_estimators = [e for e in config.estimators if e != "fisher_bound"]
@@ -216,7 +217,7 @@ def _run_standard_cell(config, cell_idx, U, Q, snr_db):
             if name == "lmmse":
                 est = rasch_fast_lmmse_fit(design, Y).estimate
             elif name == "map":
-                est = map_fit(model, y_flat)
+                est = rasch_map_fit(design, _full_response_set(design, Y)).estimate
             elif name == "ls":
                 est = ls_fit(model, y_flat).estimate
             elif name == "pm_gibbs":
@@ -521,9 +522,17 @@ def fit_response_set(
 ) -> dict:
     """Fit abilities and difficulties to an observed ResponseSet.
 
+    lmmse runs the exact Woodbury solver (`rasch_lmmse_fit`); map and
+    logit_map run the structured Newton solver (`rasch_map_fit`, probit or
+    logit link); pm_gibbs samples on the sparse design matrix.  ls always
+    raises `np.linalg.LinAlgError`: every Rasch design maps [1_U; -1_Q] to
+    zero, so the least-squares fit is undefined.
+
     Returns a dict with `abilities`, `difficulties`, `predicted_mse`
-    (total; exact for lmmse and ls, None for the other estimators),
-    `per_component_mse` when available, and `wall_time_seconds`.
+    (total; exact for lmmse, None for the other estimators),
+    `per_component_mse` when available, `solver` (the solver path and,
+    for MAP, its Newton iterations, final gradient norm and whether it
+    stopped at the machine-precision floor) and `wall_time_seconds`.
     """
     if estimator not in CV_ESTIMATORS:
         raise ValueError(
@@ -531,30 +540,39 @@ def fit_response_set(
         )
     if len(data) == 0:
         raise ValueError("data is empty")
+    if estimator == "ls":
+        # Raised before D (M x N) and C_y (M x M) are built: at the
+        # MovieLens shape those alone would take tens of GB.
+        raise np.linalg.LinAlgError(
+            "the Rasch design is rank deficient (D [1_U; -1_Q] = 0); "
+            "LS fit undefined"
+        )
     design = RaschDesign(
         U=data.num_users, Q=data.num_items, sigma2_a=sigma2_x, sigma2_d=sigma2_x
     )
-    y = data.responses
     predicted_mse = None
     per_component = None
     t0 = time.perf_counter()
-    if estimator in ("lmmse", "ls"):
-        sol = (
-            rasch_lmmse_fit(design, data)
-            if estimator == "lmmse"
-            else ls_fit(rasch_design_matrix(design, observed=data), y)
-        )
+    if estimator == "lmmse":
+        sol = rasch_lmmse_fit(design, data)
         est = sol.estimate
         predicted_mse = sol.predicted_mse
         per_component = sol.per_component_mse
-    else:
-        # The sampler and Newton steps need D itself, sparse at this size.
+        solver = dict(sol.metadata)
+    elif estimator == "pm_gibbs":
         model = rasch_design_matrix(design, observed=data, sparse=True)
-        if estimator == "pm_gibbs":
-            est = pm_gibbs(model, y, gibbs_config or GibbsConfig())
-        else:
-            link = "logit" if estimator == "logit_map" else "probit"
-            est = map_fit(model, y, MapConfig(link=link))
+        est = pm_gibbs(model, data.responses, gibbs_config or GibbsConfig())
+        solver = {"path": "gibbs"}
+    else:
+        link = "logit" if estimator == "logit_map" else "probit"
+        sol = rasch_map_fit(design, data, MapConfig(link=link))
+        est = sol.estimate
+        solver = {
+            "path": "rasch_newton",
+            "iterations": sol.iterations,
+            "gradient_norm": sol.gradient_norm,
+            "at_floor": sol.at_floor,
+        }
     wall = time.perf_counter() - t0
     abilities, difficulties = est[: design.U].copy(), -est[design.U :]
     return {
@@ -562,6 +580,7 @@ def fit_response_set(
         "difficulties": difficulties,
         "predicted_mse": predicted_mse,
         "per_component_mse": per_component,
+        "solver": solver,
         "wall_time_seconds": wall,
     }
 

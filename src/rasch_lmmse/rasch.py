@@ -250,6 +250,17 @@ def structured_cy_inverse(design: RaschDesign) -> StructuredCyInverse:
     )
 
 
+def _check_observed(design: RaschDesign, data: ResponseSet):
+    """Reject a ResponseSet that is empty or sized for another design."""
+    if (data.num_users, data.num_items) != (design.U, design.Q):
+        raise ValueError(
+            f"data is {data.num_users} x {data.num_items}, "
+            f"design is {design.U} x {design.Q}"
+        )
+    if len(data) == 0:
+        raise ValueError("observed ResponseSet is empty")
+
+
 def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     """Exact L-MMSE fit and per-component MSE for any observed subset.
 
@@ -269,13 +280,8 @@ def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     its estimate is the prior mean 0 and its MSE the prior variance, both
     exactly, and only the observed parameters enter the factorization.
     """
+    _check_observed(design, data)
     U, Q = design.U, design.Q
-    if (data.num_users, data.num_items) != (U, Q):
-        raise ValueError(
-            f"data is {data.num_users} x {data.num_items}, design is {U} x {Q}"
-        )
-    if len(data) == 0:
-        raise ValueError("observed ResponseSet is empty")
     v = design.sigma2_a + design.sigma2_d + 1.0
     s_a, s_d = (2.0 / np.pi) * np.arcsin(
         np.array([design.sigma2_a, design.sigma2_d]) / v
@@ -323,20 +329,24 @@ def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     )
 
 
-def rasch_fast_lmmse_fit(design: RaschDesign, Y) -> LmmseSolution:
-    """L-MMSE fit of a full U x Q response matrix via `rasch_lmmse_fit`."""
+def _full_response_set(design: RaschDesign, Y) -> ResponseSet:
+    """A full U x Q response matrix as a ResponseSet, in column-major order."""
     U, Q = design.U, design.Q
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != (U, Q):
         raise ValueError(f"Y has shape {Y.shape}, expected ({U}, {Q})")
-    full = ResponseSet(
+    return ResponseSet(
         users=np.tile(np.arange(U), Q),
         items=np.repeat(np.arange(Q), U),
         responses=Y.flatten(order="F"),
         num_users=U,
         num_items=Q,
     )
-    return rasch_lmmse_fit(design, full)
+
+
+def rasch_fast_lmmse_fit(design: RaschDesign, Y) -> LmmseSolution:
+    """L-MMSE fit of a full U x Q response matrix via `rasch_lmmse_fit`."""
+    return rasch_lmmse_fit(design, _full_response_set(design, Y))
 
 
 def split_estimate(design: RaschDesign, estimate):

@@ -1,6 +1,7 @@
 """CLI behavior: flags, exit codes, file outputs, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ def test_fit_large_set_reports_predicted_mse(tmp_path):
                 "predicted_mse_difficulty_mean"):
         assert sidecar[key] is not None and sidecar[key] > 0, key
     assert sidecar["predicted_mse_ability_mean"] < 1.0  # below sigma2 = 1
+
+
+def test_fit_sidecar_reports_solver(tmp_path):
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    for estimator in ("lmmse", "map"):
+        out = tmp_path / f"{estimator}.csv"
+        assert main(["fit", "--data", str(responses), "--estimator", estimator,
+                     "--output", str(out)]) == 0
+        solver = json.loads((tmp_path / f"{estimator}.json").read_text())["solver"]
+        if estimator == "lmmse":
+            assert solver == {"path": "woodbury"}
+        else:
+            assert solver["path"] == "rasch_newton"
+            assert solver["iterations"] >= 1
+            assert solver["gradient_norm"] >= 0.0
+            assert isinstance(solver["at_floor"], bool)
+            if not solver["at_floor"]:
+                assert solver["gradient_norm"] <= 1e-8
 
 
 def test_fit_movielens(tmp_path):

@@ -1,10 +1,12 @@
 """Synthetic grid study, scoring metrics, and cross-validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rasch_lmmse import experiments
 from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.experiments import (
     CvConfig,
@@ -240,3 +242,33 @@ def test_fit_response_set():
         fit_response_set(data, estimator="ridge")
     with pytest.raises(np.linalg.LinAlgError):
         fit_response_set(data, estimator="ls")  # full design is rank deficient
+
+
+def test_fit_response_set_ls_fails_before_building_the_design(monkeypatch):
+    # Every Rasch design maps [1_U; -1_Q] to zero, so LS is undefined at any
+    # size; building D and C_y first would need O(M N) + O(M^2) memory.
+    def no_design(*args, **kwargs):
+        raise AssertionError("rasch_design_matrix must not be called for ls")
+
+    monkeypatch.setattr(experiments, "rasch_design_matrix", no_design)
+    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+        fit_response_set(simulate_response_set(8, 5, seed=4), estimator="ls")
+
+
+def test_fit_response_set_map_memory_below_dense_precision():
+    # U + Q = 2000 parameters: a dense N x N precision, Hessian or C_x alone
+    # would take (U + Q)^2 * 8 = 32 MB.
+    U, Q = 600, 1400
+    rng = np.random.default_rng(8)
+    pairs = rng.choice(U * Q, size=20_000, replace=False)
+    data = ResponseSet(
+        users=pairs // Q, items=pairs % Q,
+        responses=np.where(rng.random(pairs.size) < 0.5, 1.0, -1.0),
+        num_users=U, num_items=Q,
+    )
+    tracemalloc.start()
+    out = fit_response_set(data, estimator="map")
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < (U + Q) ** 2 * 8
+    assert out["solver"]["path"] == "rasch_newton"

@@ -1,4 +1,5 @@
-"""Rasch design: closed-form MSE, structured inverse, Woodbury fit, known difficulties."""
+"""Rasch design: closed-form MSE, structured inverse, Woodbury fit, structured MAP,
+known difficulties."""
 
 import tracemalloc
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, log_ndtr
 
+from rasch_lmmse.baselines import MapConfig, map_fit, rasch_map_fit
 from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
@@ -276,6 +279,57 @@ def test_woodbury_fit_validation():
                         num_users=2, num_items=2)
     with pytest.raises(ValueError, match="empty"):
         rasch_lmmse_fit(design, empty)
+
+
+def dense_map_gradient(model, y, x, link):
+    """Gradient of the negative log posterior, from the dense design."""
+    t = y * (model.D @ x)
+    if link == "probit":
+        lam = np.exp(-0.5 * t * t - 0.5 * np.log(2.0 * np.pi) - log_ndtr(t))
+    else:
+        lam = expit(-t)
+    return -(model.D.T @ (y * lam)) + x / np.diag(model.C_x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_instances(), st.sampled_from(["probit", "logit"]))
+def test_structured_map_matches_dense_on_random_masks(instance, link):
+    # U, Q in 1..8 on both sides of each other with random masks, so the
+    # Schur complement runs onto users and onto items.
+    design, data = instance
+    config = MapConfig(link=link)
+    sol = rasch_map_fit(design, data, config)
+    model = rasch_design_matrix(design, observed=data)
+    dense = map_fit(model, data.responses, config)
+
+    # The Hessian D^T diag(omega) D + C_x^{-1} is at least I / max(sigma2)
+    # everywhere, so a point with gradient g lies within |g| max(sigma2) of
+    # the optimum, and the two estimates within (|g_s| + |g_d|) max(sigma2)
+    # of each other.  The stopping rule gives |g| <= 1e-8 (a solver stopped
+    # at the machine-precision floor reports its stalled norm instead), so
+    # the tolerance is at most 2e-8 max(sigma2) when both stop on it; 1e-12
+    # covers rounding in evaluating the gradients.
+    g_dense = np.linalg.norm(dense_map_gradient(model, data.responses, dense, link))
+    assert sol.at_floor or sol.gradient_norm <= config.gradient_tolerance
+    atol = (sol.gradient_norm + g_dense) * max(design.sigma2_a, design.sigma2_d)
+    np.testing.assert_allclose(sol.estimate, dense, rtol=0, atol=atol + 1e-12)
+
+    # Users and items without responses stay exactly at the prior mean.
+    unseen = np.concatenate([
+        np.bincount(data.users, minlength=design.U) == 0,
+        np.bincount(data.items, minlength=design.Q) == 0,
+    ])
+    assert np.all(sol.estimate[unseen] == 0.0)
+    assert np.all(dense[unseen] == 0.0)
+
+
+def test_structured_map_needs_prior():
+    # The Rasch likelihood is flat along [1_U; -1_Q]: ML is not unique.
+    design = RaschDesign(U=2, Q=2, sigma2_a=1.0, sigma2_d=1.0)
+    data = ResponseSet(users=[0, 1], items=[0, 1], responses=[1.0, -1.0],
+                       num_users=2, num_items=2)
+    with pytest.raises(ValueError, match="not unique"):
+        rasch_map_fit(design, data, MapConfig(use_prior=False))
 
 
 def test_fast_fit_response_validation():
