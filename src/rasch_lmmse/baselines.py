@@ -347,6 +347,8 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
     L = scipy.linalg.cholesky(A, lower=True)
     prior_pull = prec @ model.x_mean
 
+    # A sparse D builds a new transpose object on every D.T access.
+    Dt = D.T
     rng = np.random.default_rng(config.seed)
     x = model.x_mean.copy()
     total = np.zeros(N)
@@ -355,10 +357,13 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
         u = 1.0 - rng.random(M)  # in (0, 1], keeps the log branch finite
         eps = _truncated_std_normal(-y * mu, u)
         z = mu + y * eps
-        rhs = D.T @ (z - model.m) + prior_pull
-        mean = scipy.linalg.cho_solve((L, True), rhs)
+        rhs = Dt @ (z - model.m) + prior_pull
         xi = rng.standard_normal(N)
-        x = mean + scipy.linalg.solve_triangular(L.T, xi, lower=False)
+        # x = A^{-1} rhs + L^{-T} xi = L^{-T} (L^{-1} rhs + xi), A = L L^T.
+        w = scipy.linalg.solve_triangular(L, rhs, lower=True, check_finite=False)
+        x = scipy.linalg.solve_triangular(
+            L, w + xi, lower=True, trans="T", check_finite=False
+        )
         if it >= config.burn_in:
             total += x
     return total / config.samples

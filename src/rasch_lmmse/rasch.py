@@ -7,7 +7,9 @@ variances and a full response matrix, the sign covariance C_y has only four
 distinct inverse entries, which yields a closed-form MSE.  For any observed
 subset and any prior variances, C_y is a scaled identity plus a low-rank
 term, so one (U+Q) x (U+Q) Cholesky factorization gives the exact fit and
-its per-component MSE.
+its per-component MSE.  With known difficulties, each user's ability is
+fitted as the general probit model with one column, D = 1_Q, and offset
+m = -d.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ import scipy.sparse
 
 from .data import ResponseSet
 from .linear_probit import (
-    _SATURATION_C,
     GeneralProbitModel,
     LmmseSolution,
-    _check_pm_one,
-    _solve_spd,
-    sign_covariance,
+    lmmse_fit,
+    lmmse_predicted_mse,
 )
-from .specfun import norm_cdf, norm_pdf
 
 
 @dataclass(frozen=True)
@@ -361,52 +360,27 @@ def split_estimate(design: RaschDesign, estimate):
     return estimate[: design.U].copy(), -estimate[design.U :]
 
 
-def _known_difficulty_moments(model: KnownDifficultyModel):
-    """Sign moments (c, y_mean, e, C_y) for one user with known difficulties."""
-    d, x_bar, sigma2 = model.d, model.x_bar, model.sigma2_x
-    Q = d.size
-    sz = np.sqrt(sigma2 + 1.0)
-    cvec = (x_bar - d) / sz
-    y_mean = norm_cdf(cvec) - norm_cdf(-cvec)
-    saturated = np.abs(cvec) > _SATURATION_C
-    y_mean = np.where(saturated, np.sign(cvec) * (1.0 - 1e-16), y_mean)
-    e = 2.0 * (sigma2 / sz) * norm_pdf(cvec)
-
-    rho = sigma2 / (sigma2 + 1.0)
-    C_y = np.empty((Q, Q))
-    if Q > 1:
-        iu, ju = np.triu_indices(Q, k=1)
-        off = sign_covariance(cvec[iu], cvec[ju], rho, y_mean[iu], y_mean[ju])
-        C_y[iu, ju] = off
-        C_y[ju, iu] = off
-    if np.any(saturated):
-        C_y[saturated, :] = 0.0
-        C_y[:, saturated] = 0.0
-    np.fill_diagonal(C_y, 1.0 - y_mean**2)
-    return cvec, y_mean, e, C_y
+def _one_column_model(model: KnownDifficultyModel) -> GeneralProbitModel:
+    """The equivalent general model: D = 1_Q, m = -d, x ~ N(x_bar, sigma2_x)."""
+    return GeneralProbitModel(
+        D=np.ones((model.d.size, 1)),
+        m=-model.d,
+        x_mean=np.array([model.x_bar]),
+        C_x=np.array([[model.sigma2_x]]),
+    )
 
 
 def known_difficulty_fit(model: KnownDifficultyModel, y):
     """L-MMSE ability estimate for one user against known item difficulties.
 
-    Observes y_i = sign(a - d_i + w_i) with a ~ N(x_bar, sigma2_x).  All
-    latent correlations equal sigma2_x / (sigma2_x + 1).  Returns
-    (a_hat, predicted_mse); the MSE is data-independent.
+    Observes y_i = sign(a - d_i + w_i) with a ~ N(x_bar, sigma2_x): the
+    general probit L-MMSE (`lmmse_fit`) on the one-column model D = 1_Q,
+    m = -d.  Returns (a_hat, predicted_mse); the MSE is data-independent.
     """
-    Q = model.d.size
-    y = _check_pm_one(y, Q)
-
-    _, y_mean, e, C_y = _known_difficulty_moments(model)
-    rhs = np.column_stack([e, y_mean])
-    X, _ = _solve_spd(C_y, rhs)
-    w = X[:, 0]
-    a_hat = float(w @ y + (model.x_bar - w @ y_mean))
-    predicted_mse = float(model.sigma2_x - e @ w)
-    return a_hat, predicted_mse
+    sol = lmmse_fit(_one_column_model(model), y)
+    return float(sol.estimate[0]), sol.predicted_mse
 
 
 def known_difficulty_predicted_mse(model: KnownDifficultyModel) -> float:
     """Data-independent MSE of the known-difficulty L-MMSE ability estimate."""
-    _, _, e, C_y = _known_difficulty_moments(model)
-    X, _ = _solve_spd(C_y, e[:, None])
-    return float(model.sigma2_x - e @ X[:, 0])
+    return lmmse_predicted_mse(_one_column_model(model))[0]

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rasch_lmmse import experiments
+from rasch_lmmse import experiments, linear_probit
+from rasch_lmmse.baselines import GibbsConfig, pm_gibbs
 from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.experiments import (
     CvConfig,
@@ -18,7 +19,14 @@ from rasch_lmmse.experiments import (
     run_synthetic,
     snr_to_sigma2,
 )
-from rasch_lmmse.rasch import RaschDesign, rasch_closed_form_mse
+from rasch_lmmse.linear_probit import lmmse_fit
+from rasch_lmmse.rasch import (
+    KnownDifficultyModel,
+    RaschDesign,
+    known_difficulty_predicted_mse,
+    rasch_closed_form_mse,
+    rasch_design_matrix,
+)
 
 
 def simulate_response_set(U, Q, seed, drop=()):
@@ -150,6 +158,83 @@ def test_error_cells_recorded_not_raised():
     # serialization still works with the empirical columns absent
     csv_text = result.to_csv()
     assert csv_text.splitlines()[0].split(",")[-1] == "error"
+
+
+def test_standard_cell_matches_dense_references():
+    # Simulate fits each trial as a ResponseSet; the dense design orders its
+    # rows the same way (column-major), so the Gibbs chain sees the same
+    # uniform draw per response.  U != Q so a transposed order would show.
+    U, Q, sigma2 = 4, 3, snr_to_sigma2(0.0)
+    config = SyntheticConfig(
+        users_grid=(U,), items_grid=(Q,), snr_db_grid=(0.0,), trials=3,
+        estimators=("lmmse", "pm_gibbs"), gibbs_burn_in=50, gibbs_samples=100,
+        seed=7,
+    )
+    cell = run_synthetic(config).cells[0]
+    assert cell["error"] is None
+
+    model = rasch_design_matrix(RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2))
+    errs = {"lmmse": [], "pm": []}
+    for trial in range(config.trials):
+        rng = experiments._trial_rng(config.seed, 0, trial)
+        a = rng.normal(scale=np.sqrt(sigma2), size=U)
+        d = rng.normal(scale=np.sqrt(sigma2), size=Q)
+        w = rng.standard_normal((U, Q))
+        y = np.where(a[:, None] - d[None, :] + w >= 0, 1.0, -1.0).flatten(order="F")
+        gibbs = GibbsConfig(
+            burn_in=50, samples=100,
+            seed=experiments._gibbs_seed(config.seed, 0, trial),
+        )
+        errs["lmmse"].append(np.mean((lmmse_fit(model, y).estimate[:U] - a) ** 2))
+        errs["pm"].append(np.mean((pm_gibbs(model, y, gibbs)[:U] - a) ** 2))
+    for stem, e in errs.items():
+        assert cell[f"empirical_{stem}_mse"] == pytest.approx(np.mean(e), abs=1e-9)
+
+
+def test_synthetic_ls_fails_before_building_the_design(monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("rasch_design_matrix must not be called for ls")
+
+    monkeypatch.setattr(experiments, "rasch_design_matrix", no_design)
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(2,), snr_db_grid=(0.0,), trials=2,
+        estimators=("ls",),
+    )
+    (cell,) = run_synthetic(config).cells
+    assert cell["error"].startswith("LinAlgError")
+
+
+def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
+    linearize = linear_probit.linearize
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return linearize(model)
+
+    monkeypatch.setattr(linear_probit, "linearize", counting)
+    monkeypatch.setattr(experiments, "linearize", counting, raising=False)
+    U, Q, snr_db = 6, 5, 0.0
+    config = SyntheticConfig(
+        users_grid=(U,), items_grid=(Q,), snr_db_grid=(snr_db,), trials=3,
+        known_difficulties=True, seed=4,
+    )
+    cell = run_synthetic(config).cells[0]
+    assert cell["error"] is None
+    assert len(calls) == config.trials
+    monkeypatch.undo()
+
+    predicted = [
+        known_difficulty_predicted_mse(
+            KnownDifficultyModel(
+                d=experiments._trial_rng(config.seed, 0, trial).standard_normal(Q),
+                x_bar=0.0,
+                sigma2_x=snr_to_sigma2(snr_db),
+            )
+        )
+        for trial in range(config.trials)
+    ]
+    assert cell["analytical_lmmse_mse"] == pytest.approx(np.mean(predicted), abs=1e-12)
 
 
 def test_result_serialization():
