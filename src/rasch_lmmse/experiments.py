@@ -32,7 +32,7 @@ from .baselines import (
     rasch_map_fit,
 )
 from .data import ResponseSet
-from .linear_probit import linearize, lmmse_fit
+from .linear_probit import lmmse_fit
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
@@ -41,6 +41,7 @@ from .rasch import (
     rasch_closed_form_mse,
     rasch_design_matrix,
     rasch_lmmse_fit,
+    split_estimate,
 )
 from .specfun import norm_cdf
 
@@ -252,8 +253,8 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     """Known-difficulty variant: d ~ N(0,1) treated as known, abilities estimated.
 
     Each user's ability is the general L-MMSE fit on the one-column model
-    D = 1_Q, m = -d; its moments are computed once per trial and shared by
-    all U users.
+    D = 1_Q, m = -d.  The fit is linear, a_hat = W y + b, and (W, b) depend
+    only on d, so one fit per trial gives the weights for all U users.
     """
     sigma2 = snr_to_sigma2(snr_db)
     point_estimators = [e for e in config.estimators if e != "fisher_bound"]
@@ -275,13 +276,10 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
             KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
         )
         t0 = time.perf_counter()
-        lin = linearize(model)
-        sq = np.empty(U)
-        for u in range(U):
-            sol = lmmse_fit(model, Y[u], lin=lin)
-            sq[u] = (sol.estimate[0] - a[u]) ** 2
+        sol = lmmse_fit(model, Y[0])
+        a_hat = Y @ sol.W[0] + sol.b[0]
         t_lmmse += time.perf_counter() - t0
-        errs[trial] = float(np.mean(sq))
+        errs[trial] = float(np.mean((a_hat - a) ** 2))
         predicted[trial] = sol.predicted_mse
         if "fisher_bound" in config.estimators:
             lam = probit_information(-d)
@@ -571,7 +569,7 @@ def fit_response_set(
             "at_floor": sol.at_floor,
         }
     wall = time.perf_counter() - t0
-    abilities, difficulties = est[: design.U].copy(), -est[design.U :]
+    abilities, difficulties = split_estimate(design, est)
     return {
         "abilities": abilities,
         "difficulties": difficulties,

@@ -26,9 +26,6 @@ _SATURATION_C = 37.0
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
 
-# W = E^T C_y^{-1} is materialized only when N*M stays below this.
-DEFAULT_WEIGHT_ENTRIES = 10**7
-
 
 def _as_float_array(x, name, ndim):
     arr = np.asarray(x, dtype=np.float64)
@@ -100,18 +97,12 @@ class GeneralProbitModel:
 
 @dataclass(frozen=True)
 class LinearizedQuantities:
-    """First and second moments of (y, x) under the probit sign model.
+    """The three moments of (y, x) that define the linear estimators.
 
-    z_mean, C_z describe the latent z = D x + m + w; c is the per-entry
-    normalized mean, R the correlation matrix of z, y_mean and C_y the
-    moments of the sign vector, and E the cross-covariance factor with
-    E[ (y - y_mean) (x - x_mean)^T ] = E.
+    y_mean = E[y] and C_y = Cov(y) are the moments of the sign vector, and
+    E = E[(y - y_mean)(x - x_mean)^T] is its cross-covariance with x.
     """
 
-    z_mean: np.ndarray
-    C_z: np.ndarray
-    c: np.ndarray
-    R: np.ndarray
     y_mean: np.ndarray
     C_y: np.ndarray
     E: np.ndarray
@@ -121,15 +112,15 @@ class LinearizedQuantities:
 class LmmseSolution:
     """Result of a linear fit x_hat = W y + b with its predicted MSE.
 
-    predicted_mse is the exact expected squared error summed over
-    components (data-independent); it is None when the caller passed
-    compute_mse=False.  W and b are None when materializing N x M weights
-    was not requested or exceeds the entry budget.
+    predicted_mse (the exact expected squared error summed over
+    components) and per_component_mse are data-independent and always
+    set.  W and b are None only from rasch.rasch_lmmse_fit, which never
+    forms the N x M weights.  metadata["path"] names the solver.
     """
 
     estimate: np.ndarray
-    predicted_mse: float | None
-    per_component_mse: np.ndarray | None
+    predicted_mse: float
+    per_component_mse: np.ndarray
     W: np.ndarray | None
     b: np.ndarray | None
     method: str = "lmmse"
@@ -137,20 +128,14 @@ class LmmseSolution:
     metadata: dict = field(default_factory=dict)
 
 
-def sign_covariance(c_i, c_j, rho, y_mean_i, y_mean_j):
+def sign_covariance(c_i, c_j, rho):
     """Covariance of sign(z_i), sign(z_j) for standardized means c and corr rho.
 
-    Entry formula 2*(Phi2(c_i, c_j; rho) + Phi2(-c_i, -c_j; rho)) - 1
-    - y_mean_i * y_mean_j, vectorized over broadcast inputs.
+    4 * (Phi2(c_i, c_j; rho) - Phi(c_i) Phi(c_j)): the sign is 2 1{z > 0} - 1
+    and P(z_i > 0, z_j > 0) = Phi2(c_i, c_j; rho).  One bivariate CDF
+    evaluation per entry, vectorized over broadcast inputs.
     """
-    joint = binorm_cdf(c_i, c_j, rho) + binorm_cdf(-c_i, -c_j, rho)
-    return 2.0 * joint - 1.0 - y_mean_i * y_mean_j
-
-
-def _arcsine_entry(cz_ij, denom_i, denom_j):
-    # The clip guards rounding pushing |argument| past 1 for near-duplicate rows.
-    arg = np.clip(cz_ij / (denom_i * denom_j), -1.0, 1.0)
-    return (2.0 / np.pi) * np.arcsin(arg)
+    return 4.0 * (binorm_cdf(c_i, c_j, rho) - norm_cdf(c_i) * norm_cdf(c_j))
 
 
 def _arcsine_diag(cz_diag, sigma):
@@ -169,20 +154,19 @@ def _symmetrized_cz(D, C_x):
 
 def _linearize_zero_mean(model):
     D, C_x = model.D, model.C_x
-    M = D.shape[0]
-    C_z = _symmetrized_cz(D, C_x)
-    cz_diag = np.diag(C_z).copy()
-    sz = np.sqrt(cz_diag)
-    R = C_z / np.outer(sz, sz)
-    np.fill_diagonal(R, 1.0)
+    # C_z is scaled in place into the arcsine argument, which becomes C_y.
+    C_y = _symmetrized_cz(D, C_x)
+    cz_diag = np.diag(C_y).copy()
     denom = np.sqrt(model.smoothing_sigma**2 + cz_diag)
-    C_y = _arcsine_entry(C_z, denom[:, None], denom[None, :])
+    C_y /= denom[:, None]
+    C_y /= denom[None, :]
+    # The clip guards rounding pushing |argument| past 1 for near-duplicate rows.
+    np.clip(C_y, -1.0, 1.0, out=C_y)
+    np.arcsin(C_y, out=C_y)
+    C_y *= 2.0 / np.pi
     np.fill_diagonal(C_y, _arcsine_diag(cz_diag, model.smoothing_sigma))
     E = np.sqrt(2.0 / np.pi) * (D @ C_x) / denom[:, None]
-    zeros = np.zeros(M)
-    return LinearizedQuantities(
-        z_mean=zeros, C_z=C_z, c=zeros, R=R, y_mean=zeros.copy(), C_y=C_y, E=E
-    )
+    return LinearizedQuantities(y_mean=np.zeros(D.shape[0]), C_y=C_y, E=E)
 
 
 def _linearize_general(model):
@@ -192,8 +176,6 @@ def _linearize_general(model):
     C_z = _symmetrized_cz(D, C_x)
     sz = np.sqrt(np.diag(C_z))
     c = z_mean / sz
-    R = C_z / np.outer(sz, sz)
-    np.fill_diagonal(R, 1.0)
 
     y_mean = norm_cdf(c) - norm_cdf(-c)
     saturated = np.abs(c) > _SATURATION_C
@@ -204,8 +186,8 @@ def _linearize_general(model):
     C_y = np.empty((M, M))
     if M > 1:
         iu, ju = np.triu_indices(M, k=1)
-        rho = np.clip(R[iu, ju], -1.0, 1.0)
-        off = sign_covariance(c[iu], c[ju], rho, y_mean[iu], y_mean[ju])
+        rho = np.clip(C_z[iu, ju] / (sz[iu] * sz[ju]), -1.0, 1.0)
+        off = sign_covariance(c[iu], c[ju], rho)
         C_y[iu, ju] = off
         C_y[ju, iu] = off
     # Saturated entries are near-deterministic: covariance with anything is 0.
@@ -213,18 +195,19 @@ def _linearize_general(model):
         C_y[saturated, :] = 0.0
         C_y[:, saturated] = 0.0
     np.fill_diagonal(C_y, 1.0 - y_mean**2)
-    return LinearizedQuantities(
-        z_mean=z_mean, C_z=C_z, c=c, R=R, y_mean=y_mean, C_y=C_y, E=E
-    )
+    return LinearizedQuantities(y_mean=y_mean, C_y=C_y, E=E)
 
 
 def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
-    """Compute the moment quantities that define the linear estimators.
+    """Compute y_mean, C_y and E, the moments that define the linear estimators.
 
-    The zero-mean case (x_mean = 0, m = 0) uses the exact arcsine formula
-    for C_y; the general case evaluates the bivariate normal CDF per pair.
-    Dense only: C_y is a full M x M matrix.  For Rasch designs of any size
-    use rasch.rasch_lmmse_fit, which never forms C_y.
+    Both cases form the latent covariance C_z = D C_x D^T + I.  The
+    zero-mean case (x_mean = 0, m = 0) uses the exact arcsine formula for
+    C_y; the general case evaluates the bivariate normal CDF once per
+    off-diagonal pair (`sign_covariance`), with the correlation taken on
+    the upper triangle only.  Dense only: C_y is a full M x M matrix.  For
+    Rasch designs of any size use rasch.rasch_lmmse_fit, which never forms
+    C_y.
     """
     if scipy.sparse.issparse(model.D):
         raise ValueError(
@@ -269,67 +252,57 @@ def _check_pm_one(y, M):
     return y
 
 
+def _lmmse_solve(model, lin):
+    """One solve C_y X = E: X, the per-component MSE and the jitter used.
+
+    The per-component MSE is diag(C_x - E^T C_y^{-1} E) = diag(C_x - E^T X).
+    """
+    X, jitter = _solve_spd(lin.C_y, lin.E)
+    per_component = np.diag(model.C_x) - np.einsum("mk,mk->k", lin.E, X)
+    return X, per_component, jitter
+
+
 def lmmse_fit(
     model: GeneralProbitModel,
     y,
     *,
     lin: LinearizedQuantities | None = None,
-    compute_mse: bool = True,
-    materialize_weights: bool | None = None,
-    weight_entry_budget: int = DEFAULT_WEIGHT_ENTRIES,
 ) -> LmmseSolution:
-    """L-MMSE estimate x_hat = E^T C_y^{-1} (y - y_mean) + x_mean.
+    """L-MMSE estimate x_hat = W y + b with W = E^T C_y^{-1}, b = x_mean - W y_mean.
 
-    Exact among linear estimators of x from the sign vector y.  Pass a
-    precomputed `lin` to amortize the moment computation over repeated
-    fits of the same model.
+    Exact among linear estimators of x from the sign vector y.  One solve
+    C_y X = E gives the weights W = X^T and the exact MSE together; W and b
+    serve every response vector of the model.  Pass a precomputed `lin`
+    to amortize the moment computation over repeated fits of the same
+    model.
     """
-    M, N = model.D.shape
-    y = _check_pm_one(y, M)
+    y = _check_pm_one(y, model.num_observations)
     if lin is None:
         lin = linearize(model)
-
-    if materialize_weights is None:
-        materialize_weights = N * M <= weight_entry_budget
-
-    W = b = None
-    jitter = 0.0
-    if materialize_weights:
-        X, jitter = _solve_spd(lin.C_y, lin.E)  # X = C_y^{-1} E, M x N
-        W = X.T
-        b = model.x_mean - W @ lin.y_mean
-        estimate = W @ y + b
-    else:
-        v, jitter = _solve_spd(lin.C_y, y - lin.y_mean)
-        estimate = lin.E.T @ v + model.x_mean
-
-    predicted_mse = per_component = None
-    if compute_mse:
-        if not materialize_weights:
-            X, jitter = _solve_spd(lin.C_y, lin.E)
-        per_component = np.diag(model.C_x) - np.einsum("mk,mk->k", lin.E, X)
-        predicted_mse = float(np.sum(per_component))
-
+    X, per_component, jitter = _lmmse_solve(model, lin)
+    W = X.T
+    b = model.x_mean - W @ lin.y_mean
     return LmmseSolution(
-        estimate=estimate,
-        predicted_mse=predicted_mse,
+        estimate=W @ y + b,
+        predicted_mse=float(np.sum(per_component)),
         per_component_mse=per_component,
         W=W,
         b=b,
         method="lmmse",
         jitter=jitter,
+        metadata={"path": "dense"},
     )
 
 
 def lmmse_predicted_mse(model: GeneralProbitModel, *, lin=None):
     """Exact MSE of the L-MMSE estimator: trace(C_x - E^T C_y^{-1} E).
 
-    Data-independent.  Returns (total, per_component).
+    Data-independent; the same solve as `lmmse_fit`.  Returns (total,
+    per_component).
     """
     if lin is None:
         lin = linearize(model)
-    X, _ = _solve_spd(lin.C_y, lin.E)
-    per_component = np.diag(model.C_x) - np.einsum("mk,mk->k", lin.E, X)
+    per_component = _lmmse_solve(model, lin)[1]
     return float(np.sum(per_component)), per_component
 
 
@@ -369,4 +342,5 @@ def ls_fit(model: GeneralProbitModel, y, *, lin=None) -> LmmseSolution:
         W=G,
         b=np.zeros(N),
         method="ls",
+        metadata={"path": "dense"},
     )

@@ -106,7 +106,8 @@ def rasch_design_matrix(
     Full response by default: row m corresponds to (user m % U, item m // U),
     matching Y.flatten(order="F") for a U x Q response matrix.  With an
     observed ResponseSet, rows are restricted to its (user, item) pairs in
-    order.  Row (u, i) has ones at columns u and U + i; the second parameter
+    order; `ResponseSet` itself rejects out-of-range indices and duplicate
+    pairs.  Row (u, i) has ones at columns u and U + i; the second parameter
     block carries -d, so the row computes a_u - d_i.
     """
     U, Q = design.U, design.Q
@@ -114,17 +115,8 @@ def rasch_design_matrix(
         users = np.tile(np.arange(U), Q)
         items = np.repeat(np.arange(Q), U)
     else:
-        users = np.asarray(observed.users, dtype=np.int64)
-        items = np.asarray(observed.items, dtype=np.int64)
-        if len(users) == 0:
-            raise ValueError("observed ResponseSet is empty")
-        if users.min() < 0 or users.max() >= U:
-            raise ValueError("user index out of range for design")
-        if items.min() < 0 or items.max() >= Q:
-            raise ValueError("item index out of range for design")
-        pairs = users * Q + items
-        if len(np.unique(pairs)) != len(pairs):
-            raise ValueError("duplicate (user, item) pairs in observed data")
+        _check_observed(design, observed)
+        users, items = observed.users, observed.items
     M, N = len(users), U + Q
     if sparse:
         rows = np.repeat(np.arange(M), 2)

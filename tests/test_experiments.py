@@ -23,6 +23,7 @@ from rasch_lmmse.linear_probit import lmmse_fit
 from rasch_lmmse.rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    known_difficulty_fit,
     known_difficulty_predicted_mse,
     rasch_closed_form_mse,
     rasch_design_matrix,
@@ -206,14 +207,20 @@ def test_synthetic_ls_fails_before_building_the_design(monkeypatch):
 
 def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
     linearize = linear_probit.linearize
-    calls = []
+    fit = experiments.lmmse_fit
+    calls, fits = [], []
 
     def counting(model):
         calls.append(model)
         return linearize(model)
 
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
     monkeypatch.setattr(linear_probit, "linearize", counting)
     monkeypatch.setattr(experiments, "linearize", counting, raising=False)
+    monkeypatch.setattr(experiments, "lmmse_fit", counting_fit)
     U, Q, snr_db = 6, 5, 0.0
     config = SyntheticConfig(
         users_grid=(U,), items_grid=(Q,), snr_db_grid=(snr_db,), trials=3,
@@ -222,19 +229,23 @@ def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
     cell = run_synthetic(config).cells[0]
     assert cell["error"] is None
     assert len(calls) == config.trials
+    assert len(fits) == config.trials
     monkeypatch.undo()
 
-    predicted = [
-        known_difficulty_predicted_mse(
-            KnownDifficultyModel(
-                d=experiments._trial_rng(config.seed, 0, trial).standard_normal(Q),
-                x_bar=0.0,
-                sigma2_x=snr_to_sigma2(snr_db),
-            )
-        )
-        for trial in range(config.trials)
-    ]
+    sigma2 = snr_to_sigma2(snr_db)
+    predicted, errs = [], []
+    for trial in range(config.trials):
+        # The same draws as the cell: d, then a, then the noise.
+        rng = experiments._trial_rng(config.seed, 0, trial)
+        d = rng.standard_normal(Q)
+        a = rng.normal(scale=np.sqrt(sigma2), size=U)
+        Y = np.where(a[:, None] - d[None, :] + rng.standard_normal((U, Q)) >= 0, 1.0, -1.0)
+        model = KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
+        predicted.append(known_difficulty_predicted_mse(model))
+        a_hat = [known_difficulty_fit(model, Y[u])[0] for u in range(U)]
+        errs.append(np.mean((np.array(a_hat) - a) ** 2))
     assert cell["analytical_lmmse_mse"] == pytest.approx(np.mean(predicted), abs=1e-12)
+    assert cell["empirical_lmmse_mse"] == pytest.approx(np.mean(errs), abs=1e-12)
 
 
 def test_result_serialization():

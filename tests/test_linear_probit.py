@@ -125,19 +125,45 @@ def test_smoothing_requires_zero_mean():
         )
 
 
-def test_weight_materialization_paths_agree():
+def test_lmmse_weights_and_mse_match_direct_solve():
+    # One solve gives W, b and the MSE; check them against an independent
+    # dense solve of C_y, on random models with nonzero means.
     rng = np.random.default_rng(8)
-    model = random_model(rng, M=6, N=3)
-    y = np.sign(rng.normal(size=6))
-    y[y == 0] = 1.0
-    sol_mat = lmmse_fit(model, y, materialize_weights=True)
-    sol_solve = lmmse_fit(model, y, materialize_weights=False)
-    np.testing.assert_allclose(sol_mat.estimate, sol_solve.estimate, atol=1e-12)
-    assert sol_mat.W is not None and sol_solve.W is None
-    # b completes the affine map: estimate = W y + b
-    np.testing.assert_allclose(
-        sol_mat.W @ y + sol_mat.b, sol_mat.estimate, atol=1e-12
-    )
+    for M, N in [(6, 3), (9, 4), (4, 5), (1, 2)]:
+        model = random_model(rng, M=M, N=N)
+        y = np.sign(rng.normal(size=M))
+        y[y == 0] = 1.0
+        lin = linearize(model)
+        sol = lmmse_fit(model, y, lin=lin)
+        assert sol.metadata == {"path": "dense"}
+        estimate = model.x_mean + lin.E.T @ np.linalg.solve(lin.C_y, y - lin.y_mean)
+        per_component = np.diag(model.C_x) - np.diag(
+            lin.E.T @ np.linalg.solve(lin.C_y, lin.E)
+        )
+        np.testing.assert_allclose(sol.W @ y + sol.b, estimate, atol=1e-12)
+        np.testing.assert_allclose(sol.estimate, estimate, atol=1e-12)
+        np.testing.assert_allclose(sol.per_component_mse, per_component, atol=1e-12)
+        assert sol.predicted_mse == pytest.approx(per_component.sum(), abs=1e-12)
+        total, per_comp = lmmse_predicted_mse(model, lin=lin)
+        np.testing.assert_array_equal(per_comp, sol.per_component_mse)
+        assert total == sol.predicted_mse
+
+
+def test_general_linearize_evaluates_one_bivariate_cdf_per_pair(monkeypatch):
+    from rasch_lmmse import linear_probit
+
+    binorm_cdf = linear_probit.binorm_cdf
+    evals = []
+
+    def counting(x, y, rho):
+        out = binorm_cdf(x, y, rho)
+        evals.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(linear_probit, "binorm_cdf", counting)
+    M = 7
+    linearize(random_model(np.random.default_rng(4), M=M, N=3))
+    assert sum(evals) == M * (M - 1) // 2
 
 
 def test_saturated_observation_is_handled():
@@ -198,9 +224,13 @@ def test_sign_covariance_matches_direct_formula():
     from rasch_lmmse.specfun import binorm_cdf, norm_cdf
 
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        ci, cj = rng.normal(size=2)
-        rho = rng.uniform(-0.95, 0.95)
+    c = rng.uniform(-6.0, 6.0, size=(60, 2))
+    rho = rng.uniform(-1.0, 1.0, size=60)
+    # |rho| > 0.925 takes the bivariate CDF's separate expansion.
+    rho[40:] = rng.choice([-1.0, 1.0], 20) * rng.uniform(0.925, 1.0, 20)
+    samples = [(ci, cj, r) for (ci, cj), r in zip(c, rho)]
+    samples += [(0.3, -1.2, 1.0), (0.3, -1.2, -1.0), (6.0, -6.0, 0.5), (0.0, 0.0, 0.0)]
+    for ci, cj, rho in samples:
         yi = norm_cdf(ci) - norm_cdf(-ci)
         yj = norm_cdf(cj) - norm_cdf(-cj)
         expected = (
@@ -208,10 +238,7 @@ def test_sign_covariance_matches_direct_formula():
             - 1.0
             - yi * yj
         )
-        assert sign_covariance(ci, cj, rho, yi, yj) == pytest.approx(
-            expected, abs=1e-14
-        )
+        got = sign_covariance(ci, cj, rho)
+        assert got == pytest.approx(expected, abs=1e-14)
         # valid covariance of +-1 variables
-        assert abs(sign_covariance(ci, cj, rho, yi, yj)) <= np.sqrt(
-            (1 - yi**2) * (1 - yj**2)
-        ) + 1e-12
+        assert abs(got) <= np.sqrt((1 - yi**2) * (1 - yj**2)) + 1e-12
