@@ -18,7 +18,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data import ResponseSet
 from .linear_probit import GeneralProbitModel, _check_pm_one
-from .rasch import RaschDesign, _check_observed
+from .rasch import RaschDesign, _BipartiteSchur, _check_observed
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -241,14 +241,10 @@ def rasch_map_fit(
     design matrix: D x is x[user] + x[U + item] per response, D^T r is
     two bincounts, the prior precision is diagonal, and the Hessian
     H = diag(h) + [[0, B], [B^T, 0]] has the U x Q weight matrix B with one
-    entry omega_m per response.  The Newton system is solved through the
-    Schur complement onto the smaller of the observed user and item blocks,
-
-        (diag(h_s) - B diag(h_b)^{-1} B^T) s_s = r_s - B diag(h_b)^{-1} r_b,
-        s_b = diag(h_b)^{-1} (r_b - B^T s_s),
-
-    with the product formed as a sparse matrix (nnz(B) = M) and one dense
-    min(U, Q)^2 Cholesky factorization per iteration; nothing of size
+    entry omega_m per response.  Each Newton system is solved by
+    `rasch._BipartiteSchur`: block elimination onto the smaller of the
+    observed user and item blocks, a sparse product (nnz(B) = M) and one
+    dense min(U, Q)^2 Cholesky factorization per iteration; nothing of size
     (U+Q)^2 or U Q is formed.  Users and items with no responses decouple
     and stay at exactly 0.0.  The prior is required: the Rasch likelihood
     is flat along [1_U; -1_Q], so the ML estimate is not unique.
@@ -262,8 +258,8 @@ def rasch_map_fit(
         )
     _check_observed(design, data)
     U, Q = design.U, design.Q
-    N = U + Q
     users, params_i = data.users, U + data.items
+    cols = np.concatenate([users, params_i])
     inv_var = np.concatenate(
         [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
     )
@@ -272,42 +268,13 @@ def rasch_map_fit(
         return x[users] + x[params_i]
 
     def adjoint(r):
-        return np.concatenate([
-            np.bincount(data.users, weights=r, minlength=U),
-            np.bincount(data.items, weights=r, minlength=Q),
-        ])
-
-    # Keep the side with fewer observed parameters: per response, small_of
-    # and big_of hold its parameter on the kept and the eliminated side.
-    seen_u, seen_i = np.unique(users), np.unique(params_i)
-    small, small_of, big_of = (
-        (seen_u, users, params_i)
-        if seen_u.size <= seen_i.size
-        else (seen_i, params_i, users)
-    )
-    rows = np.searchsorted(small, small_of)
-    shape = (small.size, N)
+        return np.bincount(cols, weights=np.tile(r, 2), minlength=U + Q)
 
     def newton_step(omega, grad):
-        h = adjoint(omega) + inv_var
-        B = scipy.sparse.csr_matrix((omega, (rows, big_of)), shape=shape)
-        B_scaled = scipy.sparse.csr_matrix(
-            (omega / h[big_of], (rows, big_of)), shape=shape
-        )
-        schur = -(B_scaled @ B.T).toarray()
-        schur[np.diag_indices_from(schur)] += h[small]
-        r = -grad
-        step_small = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(schur, overwrite_a=True, check_finite=False),
-            r[small] - B @ (r / h),
-            check_finite=False,
-        )
-        step = (r - B.T @ step_small) / h
-        step[small] = step_small
-        return step
+        return _BipartiteSchur(adjoint(omega) + inv_var, data, omega).solve(-grad)
 
     return _damped_newton(
-        np.zeros(N), data.responses, 0.0, forward, adjoint,
+        np.zeros(U + Q), data.responses, 0.0, forward, adjoint,
         lambda dx: inv_var * dx, newton_step, config,
     )
 

@@ -525,9 +525,10 @@ def fit_response_set(
 
     Returns a dict with `abilities`, `difficulties`, `predicted_mse`
     (total; exact for lmmse, None for the other estimators),
-    `per_component_mse` when available, `solver` (the solver path and,
-    for MAP, its Newton iterations, final gradient norm and whether it
-    stopped at the machine-precision floor) and `wall_time_seconds`.
+    `per_component_mse` when available, `solver` (the solver path; for
+    lmmse the side kept by its Schur complement and that side's size; for
+    MAP its Newton iterations, final gradient norm and whether it stopped
+    at the machine-precision floor) and `wall_time_seconds`.
     """
     if estimator not in CV_ESTIMATORS:
         raise ValueError(

@@ -229,11 +229,10 @@ def _solve_spd(A, B):
     scale = float(np.mean(np.diag(A)))
     if scale <= 0:
         scale = 1.0
-    jitter = 0.0
+    jitter, A_jit = 0.0, A
     while True:
         try:
-            cf = scipy.linalg.cho_factor(A + jitter * scale * np.eye(A.shape[0]))
-            return scipy.linalg.cho_solve(cf, B), jitter
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_jit), B), jitter
         except scipy.linalg.LinAlgError:
             jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_MAX:
@@ -241,6 +240,8 @@ def _solve_spd(A, B):
                     "covariance factorization failed even with jitter "
                     f"{_JITTER_MAX:g} * mean(diag)"
                 )
+            A_jit = A.copy()
+            A_jit[np.diag_indices_from(A_jit)] += jitter * scale
 
 
 def _check_pm_one(y, M):

@@ -6,10 +6,10 @@ structured design D = [1_Q (x) I_U, I_Q (x) 1_U].  With equal prior
 variances and a full response matrix, the sign covariance C_y has only four
 distinct inverse entries, which yields a closed-form MSE.  For any observed
 subset and any prior variances, C_y is a scaled identity plus a low-rank
-term, so one (U+Q) x (U+Q) Cholesky factorization gives the exact fit and
-its per-component MSE.  With known difficulties, each user's ability is
-fitted as the general probit model with one column, D = 1_Q, and offset
-m = -d.
+term, so one min(U, Q) Cholesky factorization of a Schur complement
+(`_BipartiteSchur`) gives the exact fit and its per-component MSE.  With
+known difficulties, each user's ability is fitted as the general probit
+model with one column, D = 1_Q, and offset m = -d.
 """
 
 from __future__ import annotations
@@ -252,6 +252,63 @@ def _check_observed(design: RaschDesign, data: ResponseSet):
         raise ValueError("observed ResponseSet is empty")
 
 
+_ROW_BLOCK = 256  # rows of B^T S^{-1} held at once by diag_inverse
+
+
+class _BipartiteSchur:
+    """H = diag(h) + [[0, B], [B^T, 0]], factored once by block elimination.
+
+    h holds users then items; B is U x Q with weights[m] at the m-th
+    (user, item) pair of `data`.  The kept side s is the observed users or
+    items, whichever are fewer; all other parameters are eliminated, which
+    leaves S = diag(h_s) - B diag(h_b)^{-1} B^T, of size min(U, Q).
+    """
+
+    def __init__(self, h, data: ResponseSet, weights):
+        kept_of, elim_of, self.side = data.users, data.num_users + data.items, "users"
+        n_seen = [np.count_nonzero(np.bincount(i)) for i in (data.users, data.items)]
+        if n_seen[0] > n_seen[1]:
+            kept_of, elim_of, self.side = elim_of, kept_of, "items"
+        seen = np.bincount(kept_of, minlength=h.size) > 0
+        self.kept = np.flatnonzero(seen)
+        rows = (np.cumsum(seen) - 1)[kept_of]
+        self._h, self._B = h, scipy.sparse.csr_matrix(
+            (weights, (rows, elim_of)), shape=(self.kept.size, h.size)
+        )
+        B_scaled = self._B.copy()
+        B_scaled.data /= h[B_scaled.indices]
+        schur = -(B_scaled @ self._B.T).toarray()
+        schur[np.diag_indices_from(schur)] += h[self.kept]
+        self._factor = scipy.linalg.cho_factor(
+            schur, overwrite_a=True, check_finite=False
+        )
+
+    def solve(self, r):
+        """H^{-1} r: x_s = S^{-1}(r_s - B r_b / h_b), x_b = (r_b - B^T x_s) / h_b."""
+        x_kept = scipy.linalg.cho_solve(
+            self._factor, r[self.kept] - self._B @ (r / self._h), check_finite=False
+        )
+        x = (r - self._B.T @ x_kept) / self._h
+        x[self.kept] = x_kept
+        return x
+
+    def diag_inverse(self):
+        """diag(H^{-1}) exactly (formulas in `rasch_lmmse_fit`), no N x N array."""
+        # dpotri fills the upper triangle of S^{-1} (cho_factor's default).
+        inv, info = scipy.linalg.lapack.dpotri(self._factor[0])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
+        inv = np.triu(inv)
+        inv += np.triu(inv, 1).T
+        out, Bt = 1.0 / self._h, self._B.T.tocsr()
+        for start in range(0, out.size, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            quad = Bt[block].multiply(Bt[block] @ inv).sum(axis=1)
+            out[block] += np.asarray(quad).ravel() / self._h[block] ** 2
+        out[self.kept] = np.diag(inv)
+        return out
+
+
 def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     """Exact L-MMSE fit and per-component MSE for any observed subset.
 
@@ -260,63 +317,44 @@ def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     C_y = alpha I + D S D^T with S = diag(s_a I_U, s_d I_Q),
     s_. = (2/pi) arcsin(sigma2_. / v) and alpha = 1 - s_a - s_d > 0.  The
     Woodbury identity (Hager 1989) turns the M x M solve into one SPD
-    solve with K = alpha S^{-1} + D^T D, of size (U+Q) x (U+Q):
+    solve with K = alpha S^{-1} + D^T D:
 
         x_hat = kappa C_x S^{-1} K^{-1} D^T y,
         mse_k = c_k - kappa^2 c_k^2 (1 - alpha [K^{-1}]_kk / s_k) / s_k,
 
-    with kappa = sqrt(2/pi / v) and c = diag(C_x).  D^T D holds the user
-    and item degrees on its diagonal and the U x Q incidence block off it.
-    A parameter with no responses has a zero row in D^T D, so it decouples:
-    its estimate is the prior mean 0 and its MSE the prior variance, both
-    exactly, and only the observed parameters enter the factorization.
+    with kappa = sqrt(2/pi / v) and c = diag(C_x).  K = diag(h) +
+    [[0, B], [B^T, 0]] with h = alpha / s + degree and B the U x Q
+    incidence block; `_BipartiteSchur` factors it through the Schur
+    complement S_K onto the smaller observed side, so diag(K^{-1}) is
+    diag(S_K^{-1}) there and 1/h_j + b_j^T S_K^{-1} b_j / h_j^2 on the
+    other side (b_j column j of B), and nothing of size (U+Q)^2 is formed.
+    A parameter with no responses decouples: its estimate is the prior
+    mean 0 and its MSE the prior variance, both exactly.  metadata names
+    the kept side and its size.
     """
     _check_observed(design, data)
     U, Q = design.U, design.Q
     v = design.sigma2_a + design.sigma2_d + 1.0
-    s_a, s_d = (2.0 / np.pi) * np.arcsin(
-        np.array([design.sigma2_a, design.sigma2_d]) / v
-    )
-    alpha = 1.0 - s_a - s_d
     kappa = np.sqrt(2.0 / np.pi / v)
-    prior_var = np.concatenate(
-        [np.full(U, design.sigma2_a), np.full(Q, design.sigma2_d)]
-    )
+    c = np.concatenate([np.full(U, design.sigma2_a), np.full(Q, design.sigma2_d)])
+    s = (2.0 / np.pi) * np.arcsin(c / v)
+    alpha = 1.0 - s[0] - s[-1]  # 1 - s_a - s_d
     cols = np.concatenate([data.users, U + data.items])
     degree = np.bincount(cols, minlength=U + Q)
-    seen = np.flatnonzero(degree)
-    c = prior_var[seen]
-    s = np.where(seen < U, s_a, s_d)
-
-    pos = np.cumsum(degree > 0) - 1
-    ru, ri = pos[data.users], pos[U + data.items]
-    # Users precede items, so ru < ri: this fills the upper triangle, the
-    # only one cho_factor reads.
-    K = np.zeros((seen.size, seen.size))
-    K[ru, ri] = 1.0
-    K[np.diag_indices_from(K)] = alpha / s + degree[seen]
-    factor = scipy.linalg.cho_factor(K, overwrite_a=True, check_finite=False)
-
+    schur = _BipartiteSchur(alpha / s + degree, data, np.ones(len(data)))
     dty = np.bincount(cols, weights=np.tile(data.responses, 2), minlength=U + Q)
-    estimate = np.zeros(U + Q)
-    estimate[seen] = kappa * c / s * scipy.linalg.cho_solve(factor, dty[seen])
-
-    k_inv, info = scipy.linalg.lapack.dpotri(
-        factor[0], lower=factor[1], overwrite_c=True
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
-    per_component = prior_var.copy()
-    per_component[seen] -= (
-        kappa**2 * c**2 * (1.0 - alpha * np.diag(k_inv) / s) / s
-    )
+    # (degree > 0) keeps unobserved parameters at exactly the prior variance.
+    per_component = c - (degree > 0) * kappa**2 * c**2 * (
+        1.0 - alpha * schur.diag_inverse() / s
+    ) / s
     return LmmseSolution(
-        estimate=estimate,
+        estimate=kappa * c / s * schur.solve(dty),
         predicted_mse=float(np.sum(per_component)),
         per_component_mse=per_component,
         W=None,
         b=None,
-        metadata={"path": "woodbury"},
+        metadata={"path": "woodbury", "schur_side": schur.side,
+                  "schur_size": int(schur.kept.size)},
     )
 
 

@@ -236,7 +236,9 @@ def test_fit_sidecar_reports_solver(tmp_path):
                      "--output", str(out)]) == 0
         solver = json.loads((tmp_path / f"{estimator}.json").read_text())["solver"]
         if estimator == "lmmse":
-            assert solver == {"path": "woodbury"}
+            # 30 users and 12 items, all observed: eliminate the users.
+            assert solver == {"path": "woodbury", "schur_side": "items",
+                              "schur_size": 12}
         else:
             assert solver["path"] == "rasch_newton"
             assert solver["iterations"] >= 1

@@ -269,6 +269,54 @@ def test_woodbury_fit_matches_dense_on_random_masks(instance):
     assert np.all(sol.per_component_mse[unseen] == prior[unseen])
 
 
+@pytest.mark.parametrize("U, Q, side", [(40, 3, "items"), (3, 40, "users")])
+def test_woodbury_fit_eliminates_the_larger_side(U, Q, side):
+    # One side far larger than the other, so the Schur complement keeps
+    # the smaller one; a few users and items have no responses at all.
+    rng = np.random.default_rng(U * 100 + Q)
+    for sigma2_a, sigma2_d in ((0.3, 4.0), (2.5, 0.5)):
+        design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2_a, sigma2_d=sigma2_d)
+        mask = rng.random((U, Q)) < 0.6
+        mask[rng.integers(U)] = False
+        mask[:, rng.integers(Q)] = False
+        users, items = np.nonzero(mask)
+        data = ResponseSet(
+            users=users, items=items,
+            responses=np.where(rng.random(users.size) < 0.5, 1.0, -1.0),
+            num_users=U, num_items=Q,
+        )
+        sol = rasch_lmmse_fit(design, data)
+        dense = lmmse_fit(rasch_design_matrix(design, observed=data), data.responses)
+        np.testing.assert_allclose(sol.estimate, dense.estimate, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            sol.per_component_mse, dense.per_component_mse, rtol=0, atol=1e-12
+        )
+        kept = np.unique(users if side == "users" else items)
+        assert sol.metadata == {
+            "path": "woodbury", "schur_side": side, "schur_size": kept.size,
+        }
+
+
+def test_rasch_lmmse_fit_memory_below_dense_k():
+    # U + Q = 2000 parameters: the dense K = alpha S^{-1} + D^T D alone
+    # would take (U + Q)^2 * 8 = 32 MB.
+    U, Q = 600, 1400
+    rng = np.random.default_rng(8)
+    pairs = rng.choice(U * Q, size=20_000, replace=False)
+    data = ResponseSet(
+        users=pairs // Q, items=pairs % Q,
+        responses=np.where(rng.random(pairs.size) < 0.5, 1.0, -1.0),
+        num_users=U, num_items=Q,
+    )
+    design = RaschDesign(U=U, Q=Q, sigma2_a=1.0, sigma2_d=1.0)
+    tracemalloc.start()
+    sol = rasch_lmmse_fit(design, data)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < (U + Q) ** 2 * 8
+    assert sol.metadata["schur_side"] == "users"
+
+
 def test_woodbury_fit_validation():
     design = RaschDesign(U=2, Q=2, sigma2_a=1.0, sigma2_d=1.0)
     other = ResponseSet(users=[0], items=[0], responses=[1.0],

@@ -1,10 +1,13 @@
 """Normal special functions: frozen values, identities, and oracle sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rasch_lmmse import specfun
 from rasch_lmmse.specfun import (
     Correlation,
     binorm_cdf,
@@ -124,6 +127,53 @@ def test_binorm_vectorized():
     assert out.shape == (3,)
     for k in range(3):
         assert out[k] == pytest.approx(binorm_cdf(x[k], y[k], rho[k]), abs=1e-16)
+
+
+def mixed_binorm_inputs(n, seed):
+    """n pairs mixing +-inf sentinels, |rho| <= 0.925, |rho| > 0.925, rho = +-1."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=2.0, size=n)
+    y = rng.normal(scale=2.0, size=n)
+    rho = rng.uniform(-0.925, 0.925, size=n)
+    near = rng.random(n) < 0.4
+    rho[near] = rng.choice([-1.0, 1.0], near.sum()) * (
+        1.0 - 10.0 ** rng.uniform(-4.0, np.log10(0.075), near.sum())
+    )
+    rho[rng.random(n) < 0.05] = 1.0
+    rho[rng.random(n) < 0.05] = -1.0
+    for arr, frac in ((x, 0.03), (y, 0.03)):
+        arr[rng.random(n) < frac] = np.inf
+        arr[rng.random(n) < frac] = -np.inf
+    return x, y, rho
+
+
+def test_binorm_blocks_do_not_change_values():
+    # About three blocks plus 7 pairs in one call, against the same pairs
+    # cut into pieces that fall on other block boundaries, and one pair at
+    # a time: every value must be bitwise equal.
+    n = 3 * specfun._BLOCK + 7
+    x, y, rho = mixed_binorm_inputs(n, 11)
+    whole = binorm_cdf(x, y, rho)
+    cuts = [0, 1, 8, 1000, specfun._BLOCK + 3, 2 * specfun._BLOCK + 500, n]
+    pieces = np.concatenate([
+        binorm_cdf(x[a:b], y[a:b], rho[a:b]) for a, b in zip(cuts, cuts[1:])
+    ])
+    assert np.array_equal(whole, pieces)
+    for k in range(0, n, 409):
+        assert whole[k] == binorm_cdf(x[k], y[k], rho[k])
+    assert np.isin(rho, [-1.0, 1.0]).any() and np.isinf(x).any()
+    assert ((np.abs(rho) > 0.925) & (np.abs(rho) < 1.0)).any()
+
+
+def test_binorm_memory_is_bounded():
+    # One unblocked pass over these 200k pairs peaked near 1 GB; blocks of
+    # specfun._BLOCK pairs keep the peak near the inputs and outputs.
+    x, y, rho = mixed_binorm_inputs(200_000, 12)
+    tracemalloc.start()
+    binorm_cdf(x, y, rho)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_binorm_against_quadrature_sweep():
