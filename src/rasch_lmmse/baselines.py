@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data import ResponseSet
@@ -65,10 +64,7 @@ class FisherBound:
 
 
 def _weighted_gram(D, weights):
-    """D^T diag(weights) D as a dense N x N array, for dense or sparse D."""
-    if scipy.sparse.issparse(D):
-        gram = D.multiply(weights[:, None]).T @ D
-        return np.asarray(gram.todense())
+    """D^T diag(weights) D as a dense N x N array."""
     return (D * weights[:, None]).T @ D
 
 
@@ -283,10 +279,13 @@ def _truncated_std_normal(lower, u):
     """Standard normal truncated to (lower, inf), via inverse CDF.
 
     u is uniform on (0, 1].  The far-tail branch (lower > 8) works in log
-    space to keep the quantile finite.
+    space to keep the quantile finite; without far-tail entries the
+    direct formula runs on the whole array, with no masked gathers.
     """
-    out = np.empty_like(lower)
     tail = lower > 8.0
+    if not tail.any():
+        return -ndtri(u * ndtr(-lower))
+    out = np.empty_like(lower)
     easy = ~tail
     if np.any(easy):
         out[easy] = -ndtri(u[easy] * ndtr(-lower[easy]))
@@ -299,8 +298,11 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
     """Posterior mean by data-augmentation Gibbs sampling (probit link).
 
     Alternates z | x, y (truncated normals on the side given by y) and
-    x | z (Gaussian with fixed covariance (D^T D + C_x^{-1})^{-1}).
-    Returns the post-burn-in sample mean; fully reproducible from the seed.
+    x | z (Gaussian with fixed covariance (D^T D + C_x^{-1})^{-1}, drawn
+    through its dense Cholesky factor).  Returns the post-burn-in sample
+    mean; fully reproducible from the seed.  Each step draws M uniforms,
+    then N standard normals.  This is the general dense sampler and the
+    reference for `rasch_pm_gibbs`, which Rasch data take.
     """
     if config is None:
         config = GibbsConfig()
@@ -314,8 +316,6 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
     L = scipy.linalg.cholesky(A, lower=True)
     prior_pull = prec @ model.x_mean
 
-    # A sparse D builds a new transpose object on every D.T access.
-    Dt = D.T
     rng = np.random.default_rng(config.seed)
     x = model.x_mean.copy()
     total = np.zeros(N)
@@ -324,7 +324,7 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
         u = 1.0 - rng.random(M)  # in (0, 1], keeps the log branch finite
         eps = _truncated_std_normal(-y * mu, u)
         z = mu + y * eps
-        rhs = Dt @ (z - model.m) + prior_pull
+        rhs = D.T @ (z - model.m) + prior_pull
         xi = rng.standard_normal(N)
         # x = A^{-1} rhs + L^{-T} xi = L^{-T} (L^{-1} rhs + xi), A = L L^T.
         w = scipy.linalg.solve_triangular(L, rhs, lower=True, check_finite=False)
@@ -333,6 +333,51 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
         )
         if it >= config.burn_in:
             total += x
+    return total / config.samples
+
+
+def rasch_pm_gibbs(
+    design: RaschDesign, data: ResponseSet, config: GibbsConfig | None = None
+):
+    """Posterior mean of x = [a; -d] from observed Rasch responses, by Gibbs.
+
+    The sampler of `pm_gibbs` (Albert & Chib 1993) on the Rasch structure,
+    without a design matrix: D x is x[user] + x[U + item] per response,
+    D^T z is two bincounts, and the fixed x | z precision
+    H = diag(degree + 1/sigma2) + [[0, B], [B^T, 0]] (B the U x Q incidence
+    block) is factored once per chain by `rasch._BipartiteSchur`, whose
+    `sample` draws x | z.  Each step draws M uniforms, then U + Q standard
+    normals, as `pm_gibbs` does; when the items are the kept side of the
+    factor the chain is `pm_gibbs`'s on the dense design, up to rounding.
+    Users and items with no responses return exactly the prior mean 0.
+    """
+    if config is None:
+        config = GibbsConfig()
+    _check_observed(design, data)
+    U, Q = design.U, design.Q
+    users, items, y = data.users, data.items, data.responses
+    params_i = U + items
+    degree = np.bincount(np.concatenate([users, params_i]), minlength=U + Q)
+    inv_var = np.concatenate(
+        [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
+    )
+    schur = _BipartiteSchur(degree + inv_var, data, np.ones(len(data)))
+
+    rng = np.random.default_rng(config.seed)
+    x = np.zeros(U + Q)
+    total = np.zeros(U + Q)
+    for it in range(config.burn_in + config.samples):
+        mu = x[users] + x[params_i]
+        u = 1.0 - rng.random(len(y))  # in (0, 1], keeps the log branch finite
+        z = mu + y * _truncated_std_normal(-y * mu, u)
+        rhs = np.concatenate([
+            np.bincount(users, weights=z, minlength=U),
+            np.bincount(items, weights=z, minlength=Q),
+        ])
+        x = schur.sample(rhs, rng.standard_normal(U + Q))
+        if it >= config.burn_in:
+            total += x
+    total[degree == 0] = 0.0
     return total / config.samples
 
 
@@ -354,13 +399,6 @@ _GRID_CHUNK = 65536
 _PATTERN_CHUNK = 256
 
 
-def _dense_D(model):
-    D = model.D
-    if scipy.sparse.issparse(D):
-        return np.asarray(D.todense())
-    return D
-
-
 def pm_exact(model: GeneralProbitModel, y):
     """Exact posterior mean for tiny parameter dimension (N <= 3).
 
@@ -375,7 +413,7 @@ def pm_exact(model: GeneralProbitModel, y):
 
 
 def _pm_conditional_mean(model, y):
-    D = _dense_D(model)
+    D = model.D
     M, N = D.shape
     if N > 3:
         raise ValueError("pm_exact supports at most 3 parameters")
@@ -413,7 +451,7 @@ def pm_exact_mse(model: GeneralProbitModel):
     trace(C_x) + ||x_mean||^2, enumerating all 2^M response patterns.
     Requires N <= 3 and M <= 12.
     """
-    D = _dense_D(model)
+    D = model.D
     M, N = D.shape
     if N > 3:
         raise ValueError("pm_exact supports at most 3 parameters")

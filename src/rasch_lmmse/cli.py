@@ -56,11 +56,14 @@ ANALYZE_COLUMNS = [
     "fisher_bound",
 ]
 
-# Calibrated per-iteration Gibbs cost model for the runtime warning:
-# seconds/iteration = base + slope_m * M + slope_n2 * N^2.
-_GIBBS_ITER_BASE = 6.5e-5
-_GIBBS_ITER_PER_OBS = 8e-8
-_GIBBS_ITER_PER_N2 = 2e-9
+# Per-step cost of `rasch_pm_gibbs` for the runtime warning:
+# seconds/step = base + per_obs * M + per_kept2 * min(U, Q)^2, the M
+# truncated-normal draws plus the two mat-vecs with the min(U, Q) inverse
+# Cholesky factor.  Fitted (relative least squares) to single-threaded
+# timings of full designs from 2 x 2 to 200 x 200 on a 2-vCPU x86 VM.
+_GIBBS_ITER_BASE = 4e-5
+_GIBBS_ITER_PER_OBS = 6e-8
+_GIBBS_ITER_PER_KEPT2 = 1.5e-9
 _GIBBS_WARN_SECONDS = 60.0
 
 
@@ -226,11 +229,10 @@ def _projected_gibbs_seconds(cfg):
     total = 0.0
     for U in cfg.users_grid:
         for Q in cfg.items_grid:
-            M, N = U * Q, U + Q
             per_iter = (
                 _GIBBS_ITER_BASE
-                + _GIBBS_ITER_PER_OBS * M
-                + _GIBBS_ITER_PER_N2 * N * N
+                + _GIBBS_ITER_PER_OBS * U * Q
+                + _GIBBS_ITER_PER_KEPT2 * min(U, Q) ** 2
             )
             total += len(cfg.snr_db_grid) * cfg.trials * iters * per_iter
     return total

@@ -27,9 +27,9 @@ from .baselines import (
     GibbsConfig,
     MapConfig,
     fisher_rasch_ability_bound,
-    pm_gibbs,
     probit_information,
     rasch_map_fit,
+    rasch_pm_gibbs,
 )
 from .data import ResponseSet
 from .linear_probit import lmmse_fit
@@ -39,7 +39,6 @@ from .rasch import (
     _full_response_set,
     _one_column_model,
     rasch_closed_form_mse,
-    rasch_design_matrix,
     rasch_lmmse_fit,
     split_estimate,
 )
@@ -496,12 +495,7 @@ def _fit_estimator(name, data, idx, sigma2_x, gibbs_config):
     out = fit_response_set(
         train, name, sigma2_x=sigma2_x, gibbs_config=gibbs_config
     )
-    abilities, difficulties = out["abilities"], out["difficulties"]
-    # Parameters never observed in training stay at the prior mean exactly;
-    # pm_gibbs would otherwise return their prior draws' sample mean.
-    abilities[np.bincount(users, minlength=data.num_users) == 0] = 0.0
-    difficulties[np.bincount(items, minlength=data.num_items) == 0] = 0.0
-    return abilities, difficulties
+    return out["abilities"], out["difficulties"]
 
 
 def _predict(abilities, difficulties, users, items):
@@ -519,9 +513,12 @@ def fit_response_set(
     The one estimator dispatch of `fit`, `crossval` and `simulate`.  lmmse
     runs the exact Woodbury solver (`rasch_lmmse_fit`); map and
     logit_map run the structured Newton solver (`rasch_map_fit`, probit or
-    logit link); pm_gibbs samples on the sparse design matrix.  ls always
-    raises `np.linalg.LinAlgError`: every Rasch design maps [1_U; -1_Q] to
-    zero, so the least-squares fit is undefined.
+    logit link); pm_gibbs runs the structured Gibbs sampler
+    (`rasch_pm_gibbs`).  None of them builds a design matrix, and each
+    returns exactly the prior mean 0 for users and items with no
+    responses.  ls always raises `np.linalg.LinAlgError`: every Rasch
+    design maps [1_U; -1_Q] to zero, so the least-squares fit is
+    undefined.
 
     Returns a dict with `abilities`, `difficulties`, `predicted_mse`
     (total; exact for lmmse, None for the other estimators),
@@ -556,9 +553,8 @@ def fit_response_set(
         per_component = sol.per_component_mse
         solver = dict(sol.metadata)
     elif estimator == "pm_gibbs":
-        model = rasch_design_matrix(design, observed=data, sparse=True)
-        est = pm_gibbs(model, data.responses, gibbs_config or GibbsConfig())
-        solver = {"path": "gibbs"}
+        est = rasch_pm_gibbs(design, data, gibbs_config)
+        solver = {"path": "rasch_gibbs"}
     else:
         link = "logit" if estimator == "logit_map" else "probit"
         sol = rasch_map_fit(design, data, MapConfig(link=link))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .specfun import binorm_cdf, norm_cdf, norm_pdf
 
@@ -50,10 +49,7 @@ class GeneralProbitModel:
     smoothing_sigma: float = 0.0
 
     def __post_init__(self):
-        if scipy.sparse.issparse(self.D):
-            D = scipy.sparse.csr_matrix(self.D, dtype=np.float64)
-        else:
-            D = _as_float_array(self.D, "D", 2)
+        D = _as_float_array(self.D, "D", 2)
         M, N = D.shape
         m = _as_float_array(self.m, "m", 1)
         x_mean = _as_float_array(self.x_mean, "x_mean", 1)
@@ -205,15 +201,9 @@ def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
     zero-mean case (x_mean = 0, m = 0) uses the exact arcsine formula for
     C_y; the general case evaluates the bivariate normal CDF once per
     off-diagonal pair (`sign_covariance`), with the correlation taken on
-    the upper triangle only.  Dense only: C_y is a full M x M matrix.  For
-    Rasch designs of any size use rasch.rasch_lmmse_fit, which never forms
-    C_y.
+    the upper triangle only.  C_y is a full M x M matrix; for Rasch
+    designs of any size use rasch.rasch_lmmse_fit, which never forms C_y.
     """
-    if scipy.sparse.issparse(model.D):
-        raise ValueError(
-            "linearize needs a dense design matrix; fit sparse Rasch designs "
-            "with rasch_lmmse_fit"
-        )
     if model.is_zero_mean():
         return _linearize_zero_mean(model)
     return _linearize_general(model)

@@ -109,7 +109,16 @@ def rasch_design_matrix(
     order; `ResponseSet` itself rejects out-of-range indices and duplicate
     pairs.  Row (u, i) has ones at columns u and U + i; the second parameter
     block carries -d, so the row computes a_u - d_i.
+
+    The model is dense (M x N D, N x N C_x): it is the reference for the
+    structured solvers, which never build it.  sparse=True raises.
     """
+    if sparse:
+        raise ValueError(
+            "sparse Rasch design matrices are not supported; fit Rasch data "
+            "with rasch_lmmse_fit, baselines.rasch_map_fit or "
+            "baselines.rasch_pm_gibbs"
+        )
     U, Q = design.U, design.Q
     if observed is None:
         users = np.tile(np.arange(U), Q)
@@ -118,16 +127,9 @@ def rasch_design_matrix(
         _check_observed(design, observed)
         users, items = observed.users, observed.items
     M, N = len(users), U + Q
-    if sparse:
-        rows = np.repeat(np.arange(M), 2)
-        cols = np.column_stack([users, U + items]).ravel()
-        D = scipy.sparse.csr_matrix(
-            (np.ones(2 * M), (rows, cols)), shape=(M, N)
-        )
-    else:
-        D = np.zeros((M, N))
-        D[np.arange(M), users] = 1.0
-        D[np.arange(M), U + items] = 1.0
+    D = np.zeros((M, N))
+    D[np.arange(M), users] = 1.0
+    D[np.arange(M), U + items] = 1.0
     prior_var = np.concatenate(
         [np.full(U, design.sigma2_a), np.full(Q, design.sigma2_d)]
     )
@@ -261,7 +263,10 @@ class _BipartiteSchur:
     h holds users then items; B is U x Q with weights[m] at the m-th
     (user, item) pair of `data`.  The kept side s is the observed users or
     items, whichever are fewer; all other parameters are eliminated, which
-    leaves S = diag(h_s) - B diag(h_b)^{-1} B^T, of size min(U, Q).
+    leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C (C upper triangular),
+    of size min(U, Q).  One factor serves `solve` (MAP Newton steps, the
+    L-MMSE estimate), `diag_inverse` (the exact L-MMSE MSE) and `sample`
+    (the Gibbs x | z draw).
     """
 
     def __init__(self, h, data: ResponseSet, weights):
@@ -282,6 +287,7 @@ class _BipartiteSchur:
         self._factor = scipy.linalg.cho_factor(
             schur, overwrite_a=True, check_finite=False
         )
+        self._sampler = None
 
     def solve(self, r):
         """H^{-1} r: x_s = S^{-1}(r_s - B r_b / h_b), x_b = (r_b - B^T x_s) / h_b."""
@@ -289,6 +295,31 @@ class _BipartiteSchur:
             self._factor, r[self.kept] - self._B @ (r / self._h), check_finite=False
         )
         x = (r - self._B.T @ x_kept) / self._h
+        x[self.kept] = x_kept
+        return x
+
+    def sample(self, r, xi):
+        """A draw from N(H^{-1} r, H^{-1}) given standard normals xi, one per parameter.
+
+        x_s = S^{-1} r~ + C^{-1} xi_s with r~ = r_s - B r_b / h_b, then
+        x_b = (r_b - B^T x_s) / h_b + xi_b / sqrt(h_b).  C^{-1} is formed
+        once (LAPACK dtrtri) on the first call, so a draw costs two dense
+        min(U, Q) mat-vecs and two sparse products.  With the items kept
+        this is the draw L^{-T}(L^{-1} r + xi) of the users-first Cholesky
+        factor H = L L^T.
+        """
+        if self._sampler is None:
+            c_inv, info = scipy.linalg.lapack.dtrtri(self._factor[0])
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
+            # dtrtri leaves cho_factor's unused lower triangle in place.
+            self._sampler = (
+                np.triu(c_inv), self._B.T.tocsr(), 1.0 / np.sqrt(self._h)
+            )
+        c_inv, Bt, inv_sqrt_h = self._sampler
+        r_kept = r[self.kept] - self._B @ (r / self._h)
+        x_kept = c_inv @ (c_inv.T @ r_kept + xi[self.kept])
+        x = (r - Bt @ x_kept) / self._h + inv_sqrt_h * xi
         x[self.kept] = x_kept
         return x
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import expit
+from scipy.special import expit, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from rasch_lmmse.baselines import (
     FisherBound,
     GibbsConfig,
     MapConfig,
+    _truncated_std_normal,
     fisher_lower_bound,
     fisher_rasch_ability_bound,
     map_fit,
@@ -16,7 +17,9 @@ from rasch_lmmse.baselines import (
     pm_exact_mse,
     pm_gibbs,
     probit_information,
+    rasch_pm_gibbs,
 )
+from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.linear_probit import (
     GeneralProbitModel,
     lmmse_fit,
@@ -191,6 +194,96 @@ def test_gibbs_matches_exact_posterior_mean():
     exact, _ = pm_exact(model, y)
     est = pm_gibbs(model, y, GibbsConfig(burn_in=2000, samples=50_000, seed=7))
     assert np.max(np.abs(est - exact)) < 0.02
+
+
+def test_truncated_normal_fast_path_is_bitwise_equal():
+    # Without far-tail entries (lower > 8) the draw skips the masked
+    # gathers; it must equal the masked evaluation bit for bit.
+    rng = np.random.default_rng(21)
+    u = 1.0 - rng.random(1000)
+    for lower in (rng.normal(scale=3.0, size=1000).clip(max=8.0),
+                  rng.normal(scale=6.0, size=1000)):
+        tail = lower > 8.0
+        masked = np.empty_like(lower)
+        masked[~tail] = -ndtri(u[~tail] * ndtr(-lower[~tail]))
+        masked[tail] = -ndtri_exp(np.log(u[tail]) + log_ndtr(-lower[tail]))
+        assert np.array_equal(_truncated_std_normal(lower, u), masked)
+        assert np.all(np.isfinite(masked)) and np.all(masked > lower)
+
+
+def random_rasch_responses(rng, U, Q, p_observed):
+    """A masked Rasch response set with one empty user row and item column."""
+    mask = rng.random((U, Q)) < p_observed
+    mask[rng.integers(U)] = False
+    mask[:, rng.integers(Q)] = False
+    users, items = np.nonzero(mask)
+    return ResponseSet(
+        users=users, items=items,
+        responses=np.where(rng.random(users.size) < 0.5, 1.0, -1.0),
+        num_users=U, num_items=Q,
+    )
+
+
+def test_rasch_gibbs_matches_dense_chain():
+    # More observed users than items: the factor keeps the items, which is
+    # the dense sampler's users-first Cholesky, so both chains see the same
+    # draws and agree to rounding.
+    rng = np.random.default_rng(77)
+    checked = 0
+    while checked < 12:
+        U = int(rng.integers(4, 16))
+        data = random_rasch_responses(rng, U, int(rng.integers(2, U // 2 + 2)), 0.6)
+        if len(data) == 0:
+            continue
+        design = RaschDesign(U=U, Q=data.num_items,
+                             sigma2_a=float(rng.uniform(0.2, 3.0)),
+                             sigma2_d=float(rng.uniform(0.2, 3.0)))
+        if np.unique(data.users).size <= np.unique(data.items).size:
+            continue  # the factor would keep the users
+        config = GibbsConfig(burn_in=30, samples=70, seed=checked)
+        est = rasch_pm_gibbs(design, data, config)
+        dense = pm_gibbs(rasch_design_matrix(design, observed=data),
+                         data.responses, config)
+        seen = np.concatenate([
+            np.bincount(data.users, minlength=U) > 0,
+            np.bincount(data.items, minlength=design.Q) > 0,
+        ])
+        np.testing.assert_allclose(est[seen], dense[seen], rtol=0, atol=1e-12)
+        assert np.all(est[~seen] == 0.0)
+        checked += 1
+
+
+def test_rasch_gibbs_matches_exact_posterior_mean_on_tiny_instances():
+    # U + Q <= 3, so pm_exact applies; a multi-chain mean within 3 Monte
+    # Carlo standard errors, as acceptance criterion 8 checks pm_gibbs.
+    # Each instance has no more observed users than items, so the factor
+    # keeps the users and the chain is not the dense sampler's (the
+    # items-kept case is pinned to it exactly above); the last has a user
+    # with no responses.
+    rng = np.random.default_rng(303)
+    chains = 10
+    instances = [(1, 1, [0], [0]), (1, 2, [0, 0], [0, 1]), (2, 1, [1], [0])]
+    for k, (U, Q, users, items) in enumerate(instances):
+        design = RaschDesign(U=U, Q=Q, sigma2_a=float(rng.uniform(0.3, 3.0)),
+                             sigma2_d=float(rng.uniform(0.3, 3.0)))
+        data = ResponseSet(
+            users=users, items=items,
+            responses=np.where(rng.random(len(users)) < 0.5, 1.0, -1.0),
+            num_users=U, num_items=Q,
+        )
+        exact, _ = pm_exact(rasch_design_matrix(design, observed=data),
+                            data.responses)
+        means = np.array([
+            rasch_pm_gibbs(design, data, GibbsConfig(
+                burn_in=200, samples=5_000, seed=100 * k + c))
+            for c in range(chains)
+        ])
+        seen = np.concatenate([np.isin(np.arange(U), users),
+                               np.isin(np.arange(Q), items)])
+        grand = means.mean(axis=0)[seen]
+        se = means.std(axis=0, ddof=1)[seen] / np.sqrt(chains)
+        assert np.all(np.abs(grand - exact[seen]) <= 3.0 * se)
+        assert np.all(means[:, ~seen] == 0.0)
 
 
 def test_gibbs_config_validation():

@@ -230,15 +230,18 @@ def test_fit_large_set_reports_predicted_mse(tmp_path):
 
 def test_fit_sidecar_reports_solver(tmp_path):
     responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
-    for estimator in ("lmmse", "map"):
+    for estimator in ("lmmse", "map", "pm_gibbs"):
         out = tmp_path / f"{estimator}.csv"
         assert main(["fit", "--data", str(responses), "--estimator", estimator,
+                     "--gibbs-burnin", "20", "--gibbs-samples", "50",
                      "--output", str(out)]) == 0
         solver = json.loads((tmp_path / f"{estimator}.json").read_text())["solver"]
         if estimator == "lmmse":
             # 30 users and 12 items, all observed: eliminate the users.
             assert solver == {"path": "woodbury", "schur_side": "items",
                               "schur_size": 12}
+        elif estimator == "pm_gibbs":
+            assert solver == {"path": "rasch_gibbs"}
         else:
             assert solver["path"] == "rasch_newton"
             assert solver["iterations"] >= 1

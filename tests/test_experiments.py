@@ -94,8 +94,10 @@ def test_run_synthetic_deterministic_across_threads():
         items_grid=(2,),
         snr_db_grid=(0.0, 10.0),
         trials=20,
-        estimators=("lmmse", "map"),
+        estimators=("lmmse", "map", "pm_gibbs"),
         seed=3,
+        gibbs_burn_in=20,
+        gibbs_samples=50,
     )
     r1 = run_synthetic(config, threads=1)
     r4 = run_synthetic(config, threads=4)
@@ -196,7 +198,7 @@ def test_synthetic_ls_fails_before_building_the_design(monkeypatch):
     def no_design(*args, **kwargs):
         raise AssertionError("rasch_design_matrix must not be called for ls")
 
-    monkeypatch.setattr(experiments, "rasch_design_matrix", no_design)
+    monkeypatch.setattr("rasch_lmmse.rasch.rasch_design_matrix", no_design)
     config = SyntheticConfig(
         users_grid=(3,), items_grid=(2,), snr_db_grid=(0.0,), trials=2,
         estimators=("ls",),
@@ -292,7 +294,8 @@ def test_accuracy_and_auc():
 def test_cross_validation_runs_and_is_deterministic():
     data = simulate_response_set(10, 6, seed=11)
     config = CvConfig(folds=3, seed=5, prior_variance_grid=(1.0,),
-                      estimators=("lmmse", "map"))
+                      estimators=("lmmse", "map", "pm_gibbs"),
+                      gibbs_burn_in=20, gibbs_samples=50)
     r1 = run_cross_validation(data, config, threads=1)
     r3 = run_cross_validation(data, config, threads=3)
     assert r1.to_csv() == r3.to_csv()
@@ -302,7 +305,7 @@ def test_cross_validation_runs_and_is_deterministic():
         assert rec["selected_sigma2_x"] == [1.0, 1.0, 1.0]
     assert len(r1.fallback_counts) == 3
     table = r1.summary_table()
-    assert "lmmse" in table and "map" in table
+    assert "lmmse" in table and "map" in table and "pm_gibbs" in table
 
 
 def test_cross_validation_tuning_and_fallback():
@@ -346,7 +349,7 @@ def test_fit_response_set_ls_fails_before_building_the_design(monkeypatch):
     def no_design(*args, **kwargs):
         raise AssertionError("rasch_design_matrix must not be called for ls")
 
-    monkeypatch.setattr(experiments, "rasch_design_matrix", no_design)
+    monkeypatch.setattr("rasch_lmmse.rasch.rasch_design_matrix", no_design)
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         fit_response_set(simulate_response_set(8, 5, seed=4), estimator="ls")
 

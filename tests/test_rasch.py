@@ -15,6 +15,7 @@ from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _BipartiteSchur,
     known_difficulty_fit,
     known_difficulty_predicted_mse,
     rasch_asymptotic_mse,
@@ -77,6 +78,9 @@ def test_design_matrix_observed_subset_and_validation():
     )
     with pytest.raises(ValueError):
         rasch_design_matrix(design, observed=bad)
+    # Rasch fits never build a sparse design; the dense one is the reference.
+    with pytest.raises(ValueError, match="rasch_pm_gibbs"):
+        rasch_design_matrix(design, observed=obs, sparse=True)
 
 
 def test_design_validation():
@@ -295,6 +299,31 @@ def test_woodbury_fit_eliminates_the_larger_side(U, Q, side):
         assert sol.metadata == {
             "path": "woodbury", "schur_side": side, "schur_size": kept.size,
         }
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_instances(), st.integers(0, 2**32 - 1))
+def test_bipartite_sample_matches_dense_cholesky_draw(instance, seed):
+    # H = diag(h) + [[0, B], [B^T, 0]] with positive weights, as in a MAP
+    # Newton step.  Ordering the eliminated parameters first, the dense draw
+    # L^{-T}(L^{-1} r + xi) with H = L L^T is exactly the structured one.
+    design, data = instance
+    U, N = design.U, design.U + design.Q
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 2.0, size=len(data))
+    cols = np.concatenate([data.users, U + data.items])
+    h = np.bincount(cols, weights=np.tile(weights, 2), minlength=N) + 0.5
+    schur = _BipartiteSchur(h, data, weights)
+    H = np.diag(h)
+    H[data.users, U + data.items] = weights
+    H[U + data.items, data.users] = weights
+    r, xi = rng.standard_normal(N), rng.standard_normal(N)
+
+    order = np.concatenate([np.setdiff1d(np.arange(N), schur.kept), schur.kept])
+    L = np.linalg.cholesky(H[np.ix_(order, order)])
+    dense = np.empty(N)
+    dense[order] = np.linalg.solve(L.T, np.linalg.solve(L, r[order]) + xi[order])
+    np.testing.assert_allclose(schur.sample(r, xi), dense, rtol=0, atol=1e-10)
 
 
 def test_rasch_lmmse_fit_memory_below_dense_k():
