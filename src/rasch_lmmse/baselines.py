@@ -278,20 +278,28 @@ def rasch_map_fit(
 def _truncated_std_normal(lower, u):
     """Standard normal truncated to (lower, inf), via inverse CDF.
 
-    u is uniform on (0, 1].  The far-tail branch (lower > 8) works in log
-    space to keep the quantile finite; without far-tail entries the
-    direct formula runs on the whole array, with no masked gathers.
+    u is uniform on (0, 1].  The far-tail entries (lower > 8) are drawn in
+    log space to keep the quantile finite; `_draw_latent` calls this only
+    when some entry is that far out.
     """
     tail = lower > 8.0
-    if not tail.any():
-        return -ndtri(u * ndtr(-lower))
     out = np.empty_like(lower)
-    easy = ~tail
-    if np.any(easy):
-        out[easy] = -ndtri(u[easy] * ndtr(-lower[easy]))
-    if np.any(tail):
-        out[tail] = -ndtri_exp(np.log(u[tail]) + log_ndtr(-lower[tail]))
+    out[~tail] = -ndtri(u[~tail] * ndtr(-lower[~tail]))
+    out[tail] = -ndtri_exp(np.log(u[tail]) + log_ndtr(-lower[tail]))
     return out
+
+
+def _draw_latent(mu, y, u):
+    """z ~ N(mu, 1) truncated to sign(z) = y: z = mu - y ndtri(u ndtr(y mu)).
+
+    u is uniform on (0, 1].  When some y mu < -8 (the far tail), the draw
+    takes `_truncated_std_normal`'s log-space branch instead; both forms
+    give the same bits where both are finite.
+    """
+    t = y * mu
+    if (t < -8.0).any():
+        return mu + y * _truncated_std_normal(-t, u)
+    return mu - y * ndtri(u * ndtr(t))
 
 
 def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
@@ -322,8 +330,7 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
     for it in range(config.burn_in + config.samples):
         mu = D @ x + model.m
         u = 1.0 - rng.random(M)  # in (0, 1], keeps the log branch finite
-        eps = _truncated_std_normal(-y * mu, u)
-        z = mu + y * eps
+        z = _draw_latent(mu, y, u)
         rhs = D.T @ (z - model.m) + prior_pull
         xi = rng.standard_normal(N)
         # x = A^{-1} rhs + L^{-T} xi = L^{-T} (L^{-1} rhs + xi), A = L L^T.
@@ -343,7 +350,8 @@ def rasch_pm_gibbs(
 
     The sampler of `pm_gibbs` (Albert & Chib 1993) on the Rasch structure,
     without a design matrix: D x is x[user] + x[U + item] per response,
-    D^T z is two bincounts, and the fixed x | z precision
+    D^T z is one bincount over the stacked parameter indices, and the
+    fixed x | z precision
     H = diag(degree + 1/sigma2) + [[0, B], [B^T, 0]] (B the U x Q incidence
     block) is factored once per chain by `rasch._BipartiteSchur`, whose
     `sample` draws x | z.  Each step draws M uniforms, then U + Q standard
@@ -357,7 +365,8 @@ def rasch_pm_gibbs(
     U, Q = design.U, design.Q
     users, items, y = data.users, data.items, data.responses
     params_i = U + items
-    degree = np.bincount(np.concatenate([users, params_i]), minlength=U + Q)
+    cols = np.concatenate([users, params_i])
+    degree = np.bincount(cols, minlength=U + Q)
     inv_var = np.concatenate(
         [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
     )
@@ -369,11 +378,8 @@ def rasch_pm_gibbs(
     for it in range(config.burn_in + config.samples):
         mu = x[users] + x[params_i]
         u = 1.0 - rng.random(len(y))  # in (0, 1], keeps the log branch finite
-        z = mu + y * _truncated_std_normal(-y * mu, u)
-        rhs = np.concatenate([
-            np.bincount(users, weights=z, minlength=U),
-            np.bincount(items, weights=z, minlength=Q),
-        ])
+        z = _draw_latent(mu, y, u)
+        rhs = np.bincount(cols, weights=np.concatenate((z, z)), minlength=U + Q)
         x = schur.sample(rhs, rng.standard_normal(U + Q))
         if it >= config.burn_in:
             total += x

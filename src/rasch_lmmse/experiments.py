@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.stats
 
 from .baselines import (
     GibbsConfig,
@@ -368,7 +367,13 @@ def auc(predictions, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes present")
-    ranks = scipy.stats.rankdata(predictions)
+    if np.isnan(predictions).any():
+        return float("nan")  # no ranking; as scipy.stats.rankdata's NaN ranks
+    # Average ranks of tied values (as scipy.stats.rankdata), 1-based.
+    _, tie_group, counts = np.unique(
+        predictions, return_inverse=True, return_counts=True
+    )
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_group]
     return float(
         (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     )

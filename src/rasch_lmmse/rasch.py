@@ -254,7 +254,7 @@ def _check_observed(design: RaschDesign, data: ResponseSet):
         raise ValueError("observed ResponseSet is empty")
 
 
-_ROW_BLOCK = 256  # rows of B^T S^{-1} held at once by diag_inverse
+_ROW_BLOCK = 256  # rows of B^T C^{-1} held at once by diag_inverse
 
 
 class _BipartiteSchur:
@@ -264,9 +264,10 @@ class _BipartiteSchur:
     (user, item) pair of `data`.  The kept side s is the observed users or
     items, whichever are fewer; all other parameters are eliminated, which
     leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C (C upper triangular),
-    of size min(U, Q).  One factor serves `solve` (MAP Newton steps, the
-    L-MMSE estimate), `diag_inverse` (the exact L-MMSE MSE) and `sample`
-    (the Gibbs x | z draw).
+    of size min(U, Q).  `solve` (MAP Newton steps, the L-MMSE estimate)
+    runs on the Cholesky factor C; `diag_inverse` (the exact L-MMSE MSE)
+    and `sample` (the Gibbs x | z draw) run on its inverse C^{-1}, formed by
+    LAPACK dtrtri, since S^{-1} = C^{-1} C^{-T}.
     """
 
     def __init__(self, h, data: ResponseSet, weights):
@@ -289,6 +290,14 @@ class _BipartiteSchur:
         )
         self._sampler = None
 
+    def _inverse_factor(self):
+        """C^{-1}, upper triangular, by LAPACK dtrtri on the Cholesky factor."""
+        c_inv, info = scipy.linalg.lapack.dtrtri(self._factor[0])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
+        # dtrtri leaves cho_factor's unused lower triangle in place.
+        return np.triu(c_inv)
+
     def solve(self, r):
         """H^{-1} r: x_s = S^{-1}(r_s - B r_b / h_b), x_b = (r_b - B^T x_s) / h_b."""
         x_kept = scipy.linalg.cho_solve(
@@ -303,18 +312,16 @@ class _BipartiteSchur:
 
         x_s = S^{-1} r~ + C^{-1} xi_s with r~ = r_s - B r_b / h_b, then
         x_b = (r_b - B^T x_s) / h_b + xi_b / sqrt(h_b).  C^{-1} is formed
-        once (LAPACK dtrtri) on the first call, so a draw costs two dense
-        min(U, Q) mat-vecs and two sparse products.  With the items kept
-        this is the draw L^{-T}(L^{-1} r + xi) of the users-first Cholesky
-        factor H = L L^T.
+        on the first call, so a draw costs two dense min(U, Q) mat-vecs and
+        the two sparse products of `solve`.  (A gather plus a bincount per
+        product saves about 10 % of a Gibbs step at 400 responses but costs
+        9 % at 100k, where SciPy's one-pass CSR mat-vec wins.)  With the
+        items kept this is the draw L^{-T}(L^{-1} r + xi) of the users-first
+        Cholesky factor H = L L^T.
         """
         if self._sampler is None:
-            c_inv, info = scipy.linalg.lapack.dtrtri(self._factor[0])
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
-            # dtrtri leaves cho_factor's unused lower triangle in place.
             self._sampler = (
-                np.triu(c_inv), self._B.T.tocsr(), 1.0 / np.sqrt(self._h)
+                self._inverse_factor(), self._B.T.tocsr(), 1.0 / np.sqrt(self._h)
             )
         c_inv, Bt, inv_sqrt_h = self._sampler
         r_kept = r[self.kept] - self._B @ (r / self._h)
@@ -324,19 +331,19 @@ class _BipartiteSchur:
         return x
 
     def diag_inverse(self):
-        """diag(H^{-1}) exactly (formulas in `rasch_lmmse_fit`), no N x N array."""
-        # dpotri fills the upper triangle of S^{-1} (cho_factor's default).
-        inv, info = scipy.linalg.lapack.dpotri(self._factor[0])
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
-        inv = np.triu(inv)
-        inv += np.triu(inv, 1).T
+        """diag(H^{-1}) exactly (formulas in `rasch_lmmse_fit`), no N x N array.
+
+        With S^{-1} = C^{-1} C^{-T}, diag(S^{-1}) is the row sums of
+        C^{-1} * C^{-1}, and b_j^T S^{-1} b_j = ||b_j^T C^{-1}||^2 over the
+        rows of B^T C^{-1}.
+        """
+        c_inv = self._inverse_factor()
         out, Bt = 1.0 / self._h, self._B.T.tocsr()
         for start in range(0, out.size, _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
-            quad = Bt[block].multiply(Bt[block] @ inv).sum(axis=1)
-            out[block] += np.asarray(quad).ravel() / self._h[block] ** 2
-        out[self.kept] = np.diag(inv)
+            rows = Bt[block] @ c_inv
+            out[block] += np.einsum("ij,ij->i", rows, rows) / self._h[block] ** 2
+        out[self.kept] = np.einsum("ij,ij->i", c_inv, c_inv)
         return out
 
 
@@ -358,7 +365,9 @@ def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     incidence block; `_BipartiteSchur` factors it through the Schur
     complement S_K onto the smaller observed side, so diag(K^{-1}) is
     diag(S_K^{-1}) there and 1/h_j + b_j^T S_K^{-1} b_j / h_j^2 on the
-    other side (b_j column j of B), and nothing of size (U+Q)^2 is formed.
+    other side (b_j column j of B).  With S_K = C^T C, both terms are
+    squared row norms, of C^{-1} and of B^T C^{-1}, from one triangular
+    inverse; nothing of size (U+Q)^2 is formed.
     A parameter with no responses decouples: its estimate is the prior
     mean 0 and its MSE the prior variance, both exactly.  metadata names
     the kept side and its size.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 from scipy.special import expit, log_ndtr, ndtr, ndtri, ndtri_exp
 
@@ -9,6 +10,7 @@ from rasch_lmmse.baselines import (
     FisherBound,
     GibbsConfig,
     MapConfig,
+    _draw_latent,
     _truncated_std_normal,
     fisher_lower_bound,
     fisher_rasch_ability_bound,
@@ -25,7 +27,7 @@ from rasch_lmmse.linear_probit import (
     lmmse_fit,
     lmmse_predicted_mse,
 )
-from rasch_lmmse.rasch import RaschDesign, rasch_design_matrix
+from rasch_lmmse.rasch import RaschDesign, _BipartiteSchur, rasch_design_matrix
 
 from oracles import MAP_SCALAR_ROOT, PM_SCALAR_ESTIMATE, numeric_gradient
 
@@ -251,6 +253,61 @@ def test_rasch_gibbs_matches_dense_chain():
         np.testing.assert_allclose(est[seen], dense[seen], rtol=0, atol=1e-12)
         assert np.all(est[~seen] == 0.0)
         checked += 1
+
+
+def sparse_reference_rasch_chain(design, data, config):
+    """`rasch_pm_gibbs`'s chain with two bincounts for D^T z and the latent
+    drawn as mu + y eps by `_truncated_std_normal`."""
+    U, Q = design.U, design.Q
+    users, items, y = data.users, data.items, data.responses
+    degree = np.bincount(np.concatenate([users, U + items]), minlength=U + Q)
+    inv_var = np.concatenate(
+        [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
+    )
+    schur = _BipartiteSchur(degree + inv_var, data, np.ones(len(data)))
+    h, kept, B = schur._h, schur.kept, schur._B
+    c_inv = np.triu(scipy.linalg.lapack.dtrtri(schur._factor[0])[0])
+    Bt, inv_sqrt_h = B.T.tocsr(), 1.0 / np.sqrt(h)
+
+    rng = np.random.default_rng(config.seed)
+    x = np.zeros(U + Q)
+    total = np.zeros(U + Q)
+    for it in range(config.burn_in + config.samples):
+        mu = x[users] + x[U + items]
+        u = 1.0 - rng.random(len(y))
+        z = mu + y * _truncated_std_normal(-y * mu, u)
+        r = np.concatenate([
+            np.bincount(users, weights=z, minlength=U),
+            np.bincount(items, weights=z, minlength=Q),
+        ])
+        xi = rng.standard_normal(U + Q)
+        x_kept = c_inv @ (c_inv.T @ (r[kept] - B @ (r / h)) + xi[kept])
+        x = (r - Bt @ x_kept) / h + inv_sqrt_h * xi
+        x[kept] = x_kept
+        if it >= config.burn_in:
+            total += x
+    total[degree == 0] = 0.0
+    return total / config.samples
+
+
+def test_rasch_gibbs_chain_is_bitwise_the_sparse_reference():
+    # Fewer observed users than items, so the factor keeps the users (the
+    # case no dense chain pins), with an empty user row and item column.
+    rng = np.random.default_rng(2024)
+    data = random_rasch_responses(rng, 7, 19, 0.5)
+    design = RaschDesign(U=7, Q=19, sigma2_a=0.7, sigma2_d=2.3)
+    assert np.unique(data.users).size < np.unique(data.items).size
+    config = GibbsConfig(burn_in=50, samples=150, seed=5)
+    assert np.array_equal(rasch_pm_gibbs(design, data, config),
+                          sparse_reference_rasch_chain(design, data, config))
+
+    # The latent draw, with and without far-tail entries (y mu < -8).
+    for scale in (2.0, 6.0):
+        mu = rng.normal(scale=scale, size=2000)
+        y = np.where(rng.random(2000) < 0.5, 1.0, -1.0)
+        u = 1.0 - rng.random(2000)
+        assert np.array_equal(_draw_latent(mu, y, u),
+                              mu + y * _truncated_std_normal(-y * mu, u))
 
 
 def test_rasch_gibbs_matches_exact_posterior_mean_on_tiny_instances():

@@ -1,11 +1,15 @@
 """CLI behavior: flags, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rasch_lmmse
 from rasch_lmmse.baselines import probit_information
 from rasch_lmmse.cli import (
     ANALYZE_COLUMNS,
@@ -328,3 +332,15 @@ def test_output_directory_handling(tmp_path, capsys):
                  "--output", str(blocker / "x.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of CPU to import, paid by every
+    # CLI run; the package needs none of it.
+    src = str(Path(rasch_lmmse.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rasch_lmmse.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

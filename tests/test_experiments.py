@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from rasch_lmmse import experiments, linear_probit
 from rasch_lmmse.baselines import GibbsConfig, pm_gibbs
@@ -285,6 +286,19 @@ def test_accuracy_and_auc():
     assert auc([0.1, 0.9], [1, -1]) == 0.0
     # ties get midranks
     assert auc([0.5, 0.5, 0.2, 0.8], [1, -1, -1, 1]) == 0.875
+    # heavy ties: exactly the Mann-Whitney statistic on scipy's midranks
+    rng = np.random.default_rng(13)
+    for n in (10, 1000, 100_000):
+        predictions = np.round(rng.random(n), 2)
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        labels[:2] = (1.0, -1.0)
+        pos = labels > 0
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        ranks = scipy.stats.rankdata(predictions)
+        expected = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auc(predictions, labels) == expected
+    # a NaN prediction (a diverged estimate) has no rank: the AUC is NaN
+    assert np.isnan(auc([0.2, np.nan, 0.8], [1, -1, 1]))
     with pytest.raises(ValueError, match="both classes"):
         auc([0.5, 0.6], [1, 1])
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr
@@ -274,9 +275,15 @@ def test_woodbury_fit_matches_dense_on_random_masks(instance):
 
 
 @pytest.mark.parametrize("U, Q, side", [(40, 3, "items"), (3, 40, "users")])
-def test_woodbury_fit_eliminates_the_larger_side(U, Q, side):
+def test_woodbury_fit_eliminates_the_larger_side(U, Q, side, monkeypatch):
     # One side far larger than the other, so the Schur complement keeps
-    # the smaller one; a few users and items have no responses at all.
+    # the smaller one; a few users and items have no responses at all.  The
+    # MSE comes from the inverse Cholesky factor alone: LAPACK's dpotri
+    # (which wakes an OpenBLAS worker thread even at n = 20) is never called.
+    def no_dpotri(*args, **kwargs):
+        raise AssertionError("dpotri called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotri", no_dpotri)
     rng = np.random.default_rng(U * 100 + Q)
     for sigma2_a, sigma2_d in ((0.3, 4.0), (2.5, 0.5)):
         design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2_a, sigma2_d=sigma2_d)
