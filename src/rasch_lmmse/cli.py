@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -32,6 +33,7 @@ from .experiments import (
     _STEM,
     CvConfig,
     SyntheticConfig,
+    _format_cell_value,
     fit_response_set,
     run_cross_validation,
     run_synthetic,
@@ -108,14 +110,6 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 def _load_difficulties(path):
@@ -217,7 +211,7 @@ def _cmd_analyze(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ANALYZE_COLUMNS)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in ANALYZE_COLUMNS])
+        writer.writerow([_format_cell_value(row[c]) for c in ANALYZE_COLUMNS])
     path = _resolve_output(args.output)
     _atomic_write(path, buf.getvalue())
     print(f"wrote {path} ({len(rows)} rows)")
@@ -238,19 +232,41 @@ def _projected_gibbs_seconds(cfg):
     return total
 
 
-def _load_config_file(path, flag_values, flag_names):
-    if any(v is not None for v in flag_values):
-        raise UsageError(
-            f"--config is mutually exclusive with {', '.join(flag_names)}"
-        )
-    with open(path) as handle:
+def _study_config(args, cls):
+    """Build the study config `cls` from its flags or from --config, never both.
+
+    Each config flag's dest is a field of `cls` and defaults to None, so the
+    flags given are the ones not None, and `cls` supplies every default and
+    every check.  `args.config_flags` maps those dests to flag names.
+    """
+    given = {
+        dest: getattr(args, dest)
+        for dest in args.config_flags
+        if getattr(args, dest) is not None
+    }
+    if args.config is None:
+        missing = [
+            args.config_flags[f.name]
+            for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.name not in given
+        ]
+        if missing:
+            raise UsageError(f"missing required flags: {', '.join(missing)}")
+        return cls(**given)
+    if given:
+        flags = ", ".join(args.config_flags[dest] for dest in given)
+        raise UsageError(f"--config is mutually exclusive with {flags}")
+    with open(args.config) as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON ({err})")
+            raise ValueError(f"{args.config}: invalid JSON ({err})")
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return payload
+        raise ValueError(f"{args.config}: expected a JSON object")
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{args.config}: {err}")
 
 
 def _simulate_table(result):
@@ -291,36 +307,7 @@ def _simulate_table(result):
 
 
 def _cmd_simulate(args):
-    if args.config is not None:
-        payload = _load_config_file(
-            args.config,
-            [args.users, args.items, args.snr_db],
-            ["--users", "--items", "--snr-db"],
-        )
-        cfg = SyntheticConfig(**payload)
-    else:
-        missing = [
-            flag
-            for flag, v in (
-                ("--users", args.users),
-                ("--items", args.items),
-                ("--snr-db", args.snr_db),
-            )
-            if v is None
-        ]
-        if missing:
-            raise UsageError(f"missing required flags: {', '.join(missing)}")
-        cfg = SyntheticConfig(
-            users_grid=args.users,
-            items_grid=args.items,
-            snr_db_grid=args.snr_db,
-            trials=args.trials,
-            estimators=args.estimators,
-            seed=args.seed,
-            known_difficulties=args.known_difficulties,
-            gibbs_burn_in=args.gibbs_burnin,
-            gibbs_samples=args.gibbs_samples,
-        )
+    cfg = _study_config(args, SyntheticConfig)
 
     if "pm_gibbs" in cfg.estimators:
         projected = _projected_gibbs_seconds(cfg)
@@ -366,9 +353,9 @@ def _cmd_fit(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "id", "estimate"])
     for u in range(data.num_users):
-        writer.writerow(["ability", user_ids[u], _fmt(float(out["abilities"][u]))])
+        writer.writerow(["ability", user_ids[u], _format_cell_value(out["abilities"][u])])
     for i in range(data.num_items):
-        writer.writerow(["difficulty", item_ids[i], _fmt(float(out["difficulties"][i]))])
+        writer.writerow(["difficulty", item_ids[i], _format_cell_value(out["difficulties"][i])])
     path = _resolve_output(args.output)
     _atomic_write(path, buf.getvalue())
 
@@ -411,18 +398,7 @@ def _cmd_fit(args):
 
 def _cmd_crossval(args):
     data = _load_dataset(args)
-    if args.config is not None:
-        payload = _load_config_file(args.config, [], [])
-        cfg = CvConfig(**payload)
-    else:
-        cfg = CvConfig(
-            folds=args.folds,
-            seed=args.seed,
-            prior_variance_grid=args.sigma2_grid,
-            estimators=args.estimators,
-            gibbs_burn_in=args.gibbs_burnin,
-            gibbs_samples=args.gibbs_samples,
-        )
+    cfg = _study_config(args, CvConfig)
     threads = args.threads if args.threads is not None else os.cpu_count()
     result = run_cross_validation(data, cfg, threads=threads)
     print(result.summary_table())
@@ -480,23 +456,24 @@ def build_parser():
     p_sim = sub.add_parser(
         "simulate", help="synthetic MSE study over a (users, items, SNR) grid"
     )
-    p_sim.add_argument("--users", type=_int_list)
-    p_sim.add_argument("--items", type=_int_list)
-    p_sim.add_argument("--snr-db", type=_float_list)
-    p_sim.add_argument("--trials", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--estimators", type=_estimator_list, default=("lmmse",),
+    p_sim.add_argument("--users", dest="users_grid", type=_int_list)
+    p_sim.add_argument("--items", dest="items_grid", type=_int_list)
+    p_sim.add_argument("--snr-db", dest="snr_db_grid", type=_float_list)
+    p_sim.add_argument("--trials", type=int)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--estimators", type=_estimator_list,
                        help=f"comma-separated from: {', '.join(SYNTHETIC_ESTIMATORS)}")
-    p_sim.add_argument("--gibbs-burnin", type=int, default=10_000)
-    p_sim.add_argument("--gibbs-samples", type=int, default=20_000)
-    p_sim.add_argument("--known-difficulties", action="store_true")
+    p_sim.add_argument("--gibbs-burnin", dest="gibbs_burn_in", type=int)
+    p_sim.add_argument("--gibbs-samples", type=int)
+    p_sim.add_argument("--known-difficulties", action="store_true", default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--output", default=None)
     p_sim.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: machine parallelism); "
                             "results are identical for any value")
     p_sim.add_argument("--config",
-                       help="JSON file with the full config (replaces grid flags)")
+                       help="JSON file with SyntheticConfig's fields "
+                            "(conflicts with every config flag)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit abilities/difficulties to a dataset")
@@ -520,21 +497,26 @@ def build_parser():
     p_cv.add_argument("--movielens", help="MovieLens u.data style ratings file")
     p_cv.add_argument("--label-convention", choices=("pm_one", "zero_one"),
                       default="pm_one")
-    p_cv.add_argument("--folds", type=int, default=10)
-    p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--estimators", type=_estimator_list, default=("lmmse",),
+    p_cv.add_argument("--folds", type=int)
+    p_cv.add_argument("--seed", type=int)
+    p_cv.add_argument("--estimators", type=_estimator_list,
                       help=f"comma-separated from: {', '.join(CV_ESTIMATORS)}")
-    p_cv.add_argument("--sigma2-grid", type=_float_list,
-                      default=(0.1, 0.25, 0.5, 1.0, 2.0))
-    p_cv.add_argument("--gibbs-burnin", type=int, default=10_000)
-    p_cv.add_argument("--gibbs-samples", type=int, default=20_000)
+    p_cv.add_argument("--sigma2-grid", dest="prior_variance_grid", type=_float_list)
+    p_cv.add_argument("--gibbs-burnin", dest="gibbs_burn_in", type=int)
+    p_cv.add_argument("--gibbs-samples", type=int)
     p_cv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_cv.add_argument("--output", default=None)
     p_cv.add_argument("--threads", type=int, default=None)
     p_cv.add_argument("--config",
-                      help="JSON file with the full config (replaces tuning flags)")
+                      help="JSON file with CvConfig's fields "
+                           "(conflicts with every config flag)")
     p_cv.set_defaults(func=_cmd_crossval)
 
+    for p, cls in ((p_sim, SyntheticConfig), (p_cv, CvConfig)):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        p.set_defaults(config_flags={
+            a.dest: a.option_strings[0] for a in p._actions if a.dest in fields
+        })
     for p in (parser, p_analyze, p_sim, p_fit, p_cv):
         p._negative_number_matcher = _NEGATIVE_LIST
     return parser

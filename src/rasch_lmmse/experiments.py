@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -45,11 +46,11 @@ from .specfun import norm_cdf
 
 SCHEMA_VERSION = 1
 
-SYNTHETIC_ESTIMATORS = ("lmmse", "pm_gibbs", "map", "fisher_bound", "ls")
-CV_ESTIMATORS = ("lmmse", "pm_gibbs", "map", "logit_map", "ls")
+SYNTHETIC_ESTIMATORS = ("lmmse", "pm_gibbs", "map", "fisher_bound")
+CV_ESTIMATORS = ("lmmse", "pm_gibbs", "map", "logit_map")
 
 # Column name stem per estimator in result records.
-_STEM = {"lmmse": "lmmse", "pm_gibbs": "pm", "map": "map", "ls": "ls"}
+_STEM = {"lmmse": "lmmse", "pm_gibbs": "pm", "map": "map"}
 
 
 def snr_to_sigma2(snr_db) -> float:
@@ -59,6 +60,16 @@ def snr_to_sigma2(snr_db) -> float:
     against unit noise power, so sigma2_x = 10^(snr_db/10) / 2.
     """
     return 10.0 ** (float(snr_db) / 10.0) / 2.0
+
+
+def _check_types(config, ints, bools=()):
+    """Replace each field in `ints` by its exact int value and require each
+    field in `bools` to be a bool; TypeError otherwise."""
+    for name in ints:
+        object.__setattr__(config, name, operator.index(getattr(config, name)))
+    for name in bools:
+        if not isinstance(getattr(config, name), bool):
+            raise TypeError(f"{name} must be true or false")
 
 
 def _normalize_estimators(estimators, allowed):
@@ -75,12 +86,21 @@ def _normalize_estimators(estimators, allowed):
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Grid configuration for the synthetic MSE study."""
+    """Grid configuration for the synthetic MSE study.
+
+    The one place that holds the study's defaults and checks: the CLI
+    builds it from its flags or from a JSON config file with these field
+    names, and every setting is checked here, so no cell fails because of
+    one.  Integer settings must be integers and flags bools (TypeError
+    otherwise).  The Gibbs settings are checked as `GibbsConfig` checks
+    them, whichever estimators are selected.  `known_difficulties` runs the
+    lmmse estimator (and `fisher_bound`) only.
+    """
 
     users_grid: tuple
     items_grid: tuple
     snr_db_grid: tuple
-    trials: int = 1000
+    trials: int = 100
     estimators: tuple = ("lmmse",)
     seed: int = 0
     known_difficulties: bool = False
@@ -89,10 +109,17 @@ class SyntheticConfig:
     include_difficulty_mse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "users_grid", tuple(int(u) for u in self.users_grid))
-        object.__setattr__(self, "items_grid", tuple(int(q) for q in self.items_grid))
+        for name in ("users_grid", "items_grid"):
+            object.__setattr__(
+                self, name, tuple(operator.index(v) for v in getattr(self, name))
+            )
         object.__setattr__(
             self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid)
+        )
+        _check_types(
+            self,
+            ("trials", "seed", "gibbs_burn_in", "gibbs_samples"),
+            ("known_difficulties", "include_difficulty_mse"),
         )
         if not (self.users_grid and self.items_grid and self.snr_db_grid):
             raise ValueError("grids must be nonempty")
@@ -105,20 +132,11 @@ class SyntheticConfig:
             "estimators",
             _normalize_estimators(self.estimators, SYNTHETIC_ESTIMATORS),
         )
-
-    def echo(self):
-        return {
-            "users_grid": list(self.users_grid),
-            "items_grid": list(self.items_grid),
-            "snr_db_grid": list(self.snr_db_grid),
-            "trials": self.trials,
-            "estimators": list(self.estimators),
-            "seed": self.seed,
-            "known_difficulties": self.known_difficulties,
-            "gibbs_burn_in": self.gibbs_burn_in,
-            "gibbs_samples": self.gibbs_samples,
-            "include_difficulty_mse": self.include_difficulty_mse,
-        }
+        GibbsConfig(burn_in=self.gibbs_burn_in, samples=self.gibbs_samples)
+        if self.known_difficulties and set(self.estimators) - {"lmmse", "fisher_bound"}:
+            raise ValueError(
+                "known_difficulties mode supports the lmmse estimator only"
+            )
 
 
 @dataclass
@@ -255,11 +273,6 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     only on d, so one fit per trial gives the weights for all U users.
     """
     sigma2 = snr_to_sigma2(snr_db)
-    point_estimators = [e for e in config.estimators if e != "fisher_bound"]
-    if set(point_estimators) - {"lmmse"}:
-        raise ValueError(
-            "known_difficulties mode supports the lmmse estimator only"
-        )
     errs = np.empty(config.trials)
     predicted = np.empty(config.trials)
     fisher = np.empty(config.trials)
@@ -339,7 +352,7 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
             cells = list(pool.map(run_cell, indexed))
     else:
         cells = [run_cell(item) for item in indexed]
-    return ExperimentResult(config=config.echo(), cells=cells)
+    return ExperimentResult(config=asdict(config), cells=cells)
 
 
 def accuracy(predictions, labels) -> float:
@@ -381,7 +394,13 @@ def auc(predictions, labels) -> float:
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Configuration for k-fold cross-validation over response pairs."""
+    """Configuration for k-fold cross-validation over response pairs.
+
+    Like `SyntheticConfig`, the one place that holds the study's defaults
+    and checks, built by the CLI from its flags or from a JSON config file.
+    Integer settings must be integers, and the Gibbs settings are checked
+    as `GibbsConfig` checks them, so no fold fails because of a setting.
+    """
 
     folds: int = 10
     seed: int = 0
@@ -391,6 +410,7 @@ class CvConfig:
     gibbs_samples: int = 20_000
 
     def __post_init__(self):
+        _check_types(self, ("folds", "seed", "gibbs_burn_in", "gibbs_samples"))
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         grid = tuple(float(v) for v in self.prior_variance_grid)
@@ -405,16 +425,7 @@ class CvConfig:
                 "tuning over a variance grid needs folds >= 3 (one validation "
                 "fold inside the training split)"
             )
-
-    def echo(self):
-        return {
-            "folds": self.folds,
-            "seed": self.seed,
-            "prior_variance_grid": list(self.prior_variance_grid),
-            "estimators": list(self.estimators),
-            "gibbs_burn_in": self.gibbs_burn_in,
-            "gibbs_samples": self.gibbs_samples,
-        }
+        GibbsConfig(burn_in=self.gibbs_burn_in, samples=self.gibbs_samples)
 
 
 @dataclass
@@ -521,9 +532,7 @@ def fit_response_set(
     logit link); pm_gibbs runs the structured Gibbs sampler
     (`rasch_pm_gibbs`).  None of them builds a design matrix, and each
     returns exactly the prior mean 0 for users and items with no
-    responses.  ls always raises `np.linalg.LinAlgError`: every Rasch
-    design maps [1_U; -1_Q] to zero, so the least-squares fit is
-    undefined.
+    responses.  Empty data raises ValueError in the solver.
 
     Returns a dict with `abilities`, `difficulties`, `predicted_mse`
     (total; exact for lmmse, None for the other estimators),
@@ -535,15 +544,6 @@ def fit_response_set(
     if estimator not in CV_ESTIMATORS:
         raise ValueError(
             f"unknown estimator {estimator!r}; allowed: {', '.join(CV_ESTIMATORS)}"
-        )
-    if len(data) == 0:
-        raise ValueError("data is empty")
-    if estimator == "ls":
-        # Raised before D (M x N) and C_y (M x M) are built: at the
-        # MovieLens shape those alone would take tens of GB.
-        raise np.linalg.LinAlgError(
-            "the Rasch design is rank deficient (D [1_U; -1_Q] = 0); "
-            "LS fit undefined"
         )
     design = RaschDesign(
         U=data.num_users, Q=data.num_items, sigma2_a=sigma2_x, sigma2_d=sigma2_x
@@ -602,11 +602,8 @@ def run_cross_validation(
     with ACC and AUC.  Users/items absent from training fall back to the
     prior mean 0 (counted per fold).
     """
-    n = len(data)
-    if n == 0:
-        raise ValueError("data is empty")
     rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(n)
+    perm = rng.permutation(len(data))
     fold_idx = np.array_split(perm, config.folds)
     if any(len(f) == 0 for f in fold_idx):
         raise ValueError("more folds than observations")
@@ -626,11 +623,9 @@ def run_cross_validation(
             val = None
 
         test_u, test_i, test_y = _subset(data, test)
-        seen_u = set(data.users[train_all].tolist())
-        seen_i = set(data.items[train_all].tolist())
-        fallback = int(
-            sum((u not in seen_u) or (i not in seen_i) for u, i in zip(test_u, test_i))
-        )
+        seen_u = np.bincount(data.users[train_all], minlength=data.num_users) > 0
+        seen_i = np.bincount(data.items[train_all], minlength=data.num_items) > 0
+        fallback = int(np.count_nonzero(~(seen_u[test_u] & seen_i[test_i])))
 
         fold_out = {}
         for name in config.estimators:
@@ -703,7 +698,7 @@ def run_cross_validation(
             ],
         }
     return CvResult(
-        config=config.echo(),
+        config=asdict(config),
         per_estimator=per_estimator,
         fallback_counts=fallback_counts,
     )

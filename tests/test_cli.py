@@ -1,5 +1,6 @@
 """CLI behavior: flags, exit codes, file outputs, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,13 +12,15 @@ import pytest
 
 import rasch_lmmse
 from rasch_lmmse.baselines import probit_information
+from rasch_lmmse import experiments
 from rasch_lmmse.cli import (
     ANALYZE_COLUMNS,
     _GIBBS_WARN_SECONDS,
     _projected_gibbs_seconds,
+    build_parser,
     main,
 )
-from rasch_lmmse.experiments import SyntheticConfig
+from rasch_lmmse.experiments import CvConfig, SyntheticConfig
 
 
 def write_rasch_csv(path, U, Q, seed):
@@ -160,11 +163,115 @@ def test_simulate_config_file(tmp_path):
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad), "--output", str(out)]) == 1
 
+    # a file that omits trials runs the same 100 trials as the flags
+    cfg.write_text(json.dumps({
+        "users_grid": [2], "items_grid": [2], "snr_db_grid": [0.0],
+    }))
+    assert main(["simulate", "--config", str(cfg), "--format", "json",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["trials"] == 100
 
-def test_simulate_reports_failed_cells(tmp_path, capsys):
+
+def test_every_config_flag_conflicts_with_config_file(tmp_path, capsys):
+    sim_cfg = tmp_path / "sim.json"
+    sim_cfg.write_text(json.dumps(
+        {"users_grid": [2], "items_grid": [2], "snr_db_grid": [0.0], "trials": 2}
+    ))
+    cv_cfg = tmp_path / "cv.json"
+    cv_cfg.write_text(json.dumps({"folds": 2, "prior_variance_grid": [1.0]}))
+    data = tmp_path / "cv.csv"
+    write_rasch_csv(data, U=6, Q=4, seed=1)
+    out = tmp_path / "out.csv"
+    sim = ["simulate", "--config", str(sim_cfg), "--output", str(out)]
+    cv = ["crossval", "--data", str(data), "--config", str(cv_cfg),
+          "--output", str(out)]
+    sim_flags = {"--users": ["2"], "--items": ["2"], "--snr-db": ["0"],
+                 "--trials": ["3"], "--seed": ["1"], "--estimators": ["map"],
+                 "--gibbs-burnin": ["5"], "--gibbs-samples": ["5"],
+                 "--known-difficulties": []}
+    cv_flags = {"--folds": ["3"], "--seed": ["1"], "--estimators": ["map"],
+                "--sigma2-grid": ["1.0"], "--gibbs-burnin": ["5"],
+                "--gibbs-samples": ["5"]}
+    for argv, flags in ((sim, sim_flags), (cv, cv_flags)):
+        for flag, value in flags.items():
+            assert main(argv + [flag, *value]) == 2, (argv[0], flag)
+            assert flag in capsys.readouterr().err
+    assert main(sim + ["--trials", "3", "--estimators", "map"]) == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err and "--estimators" in err
+    assert not out.exists()
+
+
+def test_every_study_flag_is_a_config_field():
+    # A flag whose dest is not a field would escape the --config conflict
+    # check and never reach the config.
+    run_flags = {"command", "func", "config_flags", "config", "format",
+                 "output", "threads"}
+    data_flags = {"data", "movielens", "label_convention"}
+    parser = build_parser()
+    for argv, cls, other in ((["simulate"], SyntheticConfig, run_flags),
+                             (["crossval"], CvConfig, run_flags | data_flags)):
+        args = parser.parse_args(argv)
+        dests = set(vars(args)) - other
+        assert dests <= {f.name for f in dataclasses.fields(cls)}, argv
+        assert set(args.config_flags) == dests, argv
+
+
+def test_config_file_bad_keys_exit_1(tmp_path, capsys):
+    data = tmp_path / "cv.csv"
+    write_rasch_csv(data, U=6, Q=4, seed=1)
+    cfg = tmp_path / "cfg.json"
+    grid = {"users_grid": [2], "items_grid": [2], "snr_db_grid": [0.0]}
+    cases = [
+        (["simulate"], {**grid, "trails": 5}),
+        (["simulate"], {**grid, "users_grid": 5}),
+        (["simulate"], {**grid, "trials": 2.5}),
+        (["crossval", "--data", str(data)], {"fold": 3}),
+        (["crossval", "--data", str(data)], {"folds": "3"}),
+    ]
+    for argv, payload in cases:
+        cfg.write_text(json.dumps(payload))
+        code = main(argv + ["--config", str(cfg),
+                            "--output", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1, payload
+        assert str(cfg) in err and "Traceback" not in err, payload
+
+
+def test_invalid_settings_fail_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    grid = ["simulate", "--users", "2", "--items", "2", "--snr-db", "0",
+            "--trials", "2", "--output", str(out)]
+    assert main(grid + ["--gibbs-samples", "0"]) == 1
+    assert "samples must be positive" in capsys.readouterr().err
+    assert main(grid + ["--known-difficulties", "--estimators", "map"]) == 1
+    assert "lmmse estimator only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ls_is_not_an_estimator(tmp_path, capsys):
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--data", str(responses), "--estimator", "ls",
+              "--output", str(out)])
+    assert err.value.code == 2
     assert main(["simulate", "--users", "2", "--items", "2", "--snr-db", "0",
-                 "--trials", "2", "--estimators", "ls",
-                 "--output", str(tmp_path / "ls.csv")]) == 0
+                 "--trials", "2", "--estimators", "ls", "--output", str(out)]) == 1
+    assert "unknown estimator 'ls'" in capsys.readouterr().err
+    assert main(["crossval", "--data", str(responses), "--folds", "3",
+                 "--estimators", "ls", "--output", str(out)]) == 1
+    assert "unknown estimator 'ls'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_reports_failed_cells(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(experiments, "fit_response_set", singular)
+    assert main(["simulate", "--users", "2", "--items", "2", "--snr-db", "0",
+                 "--trials", "2", "--output", str(tmp_path / "f.csv")]) == 0
     assert "failed: LinAlgError" in capsys.readouterr().out
 
 

@@ -70,6 +70,16 @@ def test_synthetic_config_validation():
         SyntheticConfig(**ok, estimators=("lmmse", "oracle"))
     with pytest.raises(ValueError):
         SyntheticConfig(users_grid=(0,), items_grid=(3,), snr_db_grid=(0.0,))
+    # Gibbs settings are checked whichever estimators are selected
+    with pytest.raises(ValueError, match="samples must be positive"):
+        SyntheticConfig(**ok, gibbs_samples=0)
+    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+        SyntheticConfig(**ok, gibbs_burn_in=-1)
+    # an ill-typed setting is rejected, not coerced
+    for bad in (dict(trials=2.5), dict(trials="5"), dict(users_grid=(2.5,)),
+                dict(known_difficulties="false")):
+        with pytest.raises(TypeError):
+            SyntheticConfig(**{**ok, **bad})
     # estimator list is normalized to a sorted, deduplicated tuple
     cfg = SyntheticConfig(**ok, estimators=("map", "lmmse", "map"))
     assert cfg.estimators == ("lmmse", "map")
@@ -87,6 +97,12 @@ def test_cv_config_validation():
         CvConfig(folds=2, prior_variance_grid=(0.5, 1.0))
     with pytest.raises(ValueError):  # bound, not a predictor
         CvConfig(estimators=("fisher_bound",))
+    with pytest.raises(ValueError, match="samples must be positive"):
+        CvConfig(gibbs_samples=0)
+    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+        CvConfig(gibbs_burn_in=-1)
+    with pytest.raises(TypeError):
+        CvConfig(folds=3.0)
 
 
 def test_run_synthetic_deterministic_across_threads():
@@ -136,24 +152,25 @@ def test_known_difficulty_mode():
     assert z <= 3.0
     assert 0.0 < cell["fisher_bound"] <= cell["analytical_lmmse_mse"] + 1e-12
 
-    bad = SyntheticConfig(
-        users_grid=(2,),
-        items_grid=(2,),
-        snr_db_grid=(0.0,),
-        trials=2,
-        estimators=("map",),
-        known_difficulties=True,
-    )
-    cell = run_synthetic(bad).cells[0]
-    assert "lmmse estimator only" in cell["error"]
+    with pytest.raises(ValueError, match="lmmse estimator only"):
+        SyntheticConfig(
+            users_grid=(2,),
+            items_grid=(2,),
+            snr_db_grid=(0.0,),
+            trials=2,
+            estimators=("map",),
+            known_difficulties=True,
+        )
 
 
-def test_error_cells_recorded_not_raised():
-    # the full design has a one-dimensional null space, so LS is singular;
-    # the cell must record the failure and the run must continue
+def test_error_cells_recorded_not_raised(monkeypatch):
+    # a failing fit must be recorded in its cell, and the run must continue
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(experiments, "fit_response_set", singular)
     config = SyntheticConfig(
-        users_grid=(3,), items_grid=(2, 4), snr_db_grid=(0.0,),
-        trials=2, estimators=("ls",),
+        users_grid=(3,), items_grid=(2, 4), snr_db_grid=(0.0,), trials=2,
     )
     result = run_synthetic(config)
     assert len(result.cells) == 2
@@ -193,19 +210,6 @@ def test_standard_cell_matches_dense_references():
         errs["pm"].append(np.mean((pm_gibbs(model, y, gibbs)[:U] - a) ** 2))
     for stem, e in errs.items():
         assert cell[f"empirical_{stem}_mse"] == pytest.approx(np.mean(e), abs=1e-9)
-
-
-def test_synthetic_ls_fails_before_building_the_design(monkeypatch):
-    def no_design(*args, **kwargs):
-        raise AssertionError("rasch_design_matrix must not be called for ls")
-
-    monkeypatch.setattr("rasch_lmmse.rasch.rasch_design_matrix", no_design)
-    config = SyntheticConfig(
-        users_grid=(3,), items_grid=(2,), snr_db_grid=(0.0,), trials=2,
-        estimators=("ls",),
-    )
-    (cell,) = run_synthetic(config).cells
-    assert cell["error"].startswith("LinAlgError")
 
 
 def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
@@ -332,9 +336,27 @@ def test_cross_validation_tuning_and_fallback():
     assert all(s in (0.25, 1.0) for s in rec["selected_sigma2_x"])
     assert sum(result.fallback_counts) >= 1
 
+    # exact counts: test pairs whose user or item has no training response
+    folds = np.array_split(
+        np.random.default_rng(config.seed).permutation(len(data)), config.folds
+    )
+    expected = []
+    for f, test in enumerate(folds):
+        train = np.concatenate([folds[k] for k in range(config.folds) if k != f])
+        seen_u, seen_i = set(data.users[train]), set(data.items[train])
+        expected.append(sum(
+            data.users[m] not in seen_u or data.items[m] not in seen_i for m in test
+        ))
+    assert result.fallback_counts == expected
+
     with pytest.raises(ValueError, match="more folds"):
         run_cross_validation(
             simulate_response_set(2, 1, seed=0), CvConfig(folds=5)
+        )
+    with pytest.raises(ValueError, match="more folds"):
+        run_cross_validation(
+            simulate_response_set(2, 1, seed=0, drop={(0, 0), (1, 0)}),
+            CvConfig(folds=2, prior_variance_grid=(1.0,)),
         )
 
 
@@ -351,21 +373,14 @@ def test_fit_response_set():
     assert out_map["predicted_mse"] is None
     assert np.all(np.isfinite(out_map["abilities"]))
 
-    with pytest.raises(ValueError, match="unknown estimator"):
-        fit_response_set(data, estimator="ridge")
-    with pytest.raises(np.linalg.LinAlgError):
-        fit_response_set(data, estimator="ls")  # full design is rank deficient
-
-
-def test_fit_response_set_ls_fails_before_building_the_design(monkeypatch):
-    # Every Rasch design maps [1_U; -1_Q] to zero, so LS is undefined at any
-    # size; building D and C_y first would need O(M N) + O(M^2) memory.
-    def no_design(*args, **kwargs):
-        raise AssertionError("rasch_design_matrix must not be called for ls")
-
-    monkeypatch.setattr("rasch_lmmse.rasch.rasch_design_matrix", no_design)
-    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        fit_response_set(simulate_response_set(8, 5, seed=4), estimator="ls")
+    for name in ("ridge", "ls"):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            fit_response_set(data, estimator=name)
+    empty = ResponseSet(users=np.array([], dtype=int), items=np.array([], dtype=int),
+                        responses=np.array([]), num_users=3, num_items=2)
+    for name in ("lmmse", "map", "pm_gibbs"):
+        with pytest.raises(ValueError, match="empty"):
+            fit_response_set(empty, estimator=name)
 
 
 def test_fit_response_set_map_memory_below_dense_precision():
