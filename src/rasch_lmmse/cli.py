@@ -9,10 +9,9 @@ RASCH_LMMSE_OUTPUT_DIR when set, else the working directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
+import math
 import os
 import re
 import sys
@@ -28,12 +27,12 @@ from .baselines import (
 from .data import binarize_ratings, load_movielens, load_triplets
 from .experiments import (
     CV_ESTIMATORS,
-    SCHEMA_VERSION,
     SYNTHETIC_ESTIMATORS,
     _STEM,
     CvConfig,
     SyntheticConfig,
-    _format_cell_value,
+    _csv_text,
+    _json_text,
     fit_response_set,
     run_cross_validation,
     run_synthetic,
@@ -141,8 +140,12 @@ def _cmd_analyze(args):
         raise UsageError(
             "--difficulty-file / --difficulty-sigma2 require --known-difficulties"
         )
-    use_snr = args.snr_db is not None
-    levels = args.snr_db if use_snr else args.sigma2
+    if args.snr_db is not None:
+        levels = [(snr, snr_to_sigma2(snr)) for snr in args.snr_db]
+    elif all(0 <= s2 < math.inf for s2 in args.sigma2):
+        levels = [(None, s2) for s2 in args.sigma2]
+    else:
+        raise ValueError("sigma2 must be finite and nonnegative")
     file_d = (
         _load_difficulties(args.difficulty_file)
         if args.difficulty_file is not None
@@ -155,11 +158,7 @@ def _cmd_analyze(args):
         for Q in args.items:
             if U < 1 or Q < 1:
                 raise ValueError("users and items must be positive")
-            for level in levels:
-                sigma2 = snr_to_sigma2(level) if use_snr else float(level)
-                if sigma2 < 0:
-                    raise ValueError("sigma2 must be nonnegative")
-                snr_field = float(level) if use_snr else None
+            for snr_field, sigma2 in levels:
                 row = {"U": U, "Q": Q, "snr_db": snr_field, "sigma2_x": sigma2}
                 if sigma2 == 0.0:
                     # Degenerate prior: parameters are known to be zero.
@@ -207,13 +206,11 @@ def _cmd_analyze(args):
                 rows.append(row)
                 row_idx += 1
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ANALYZE_COLUMNS)
-    for row in rows:
-        writer.writerow([_format_cell_value(row[c]) for c in ANALYZE_COLUMNS])
     path = _resolve_output(args.output)
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(
+        path,
+        _csv_text(ANALYZE_COLUMNS, ([row[c] for c in ANALYZE_COLUMNS] for row in rows)),
+    )
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -230,6 +227,14 @@ def _projected_gibbs_seconds(cfg):
             )
             total += len(cfg.snr_db_grid) * cfg.trials * iters * per_iter
     return total
+
+
+def _write_result(args, result):
+    """Write a simulate or crossval result in `--format` to `--output`,
+    which defaults to `<command>.<format>`."""
+    path = _resolve_output(args.output or f"{args.command}.{args.format}")
+    _atomic_write(path, result.to_json() if args.format == "json" else result.to_csv())
+    print(f"wrote {path}")
 
 
 def _study_config(args, cls):
@@ -321,12 +326,8 @@ def _cmd_simulate(args):
 
     threads = args.threads if args.threads is not None else os.cpu_count()
     result = run_synthetic(cfg, threads=threads)
-    default_name = "simulate.json" if args.format == "json" else "simulate.csv"
-    path = _resolve_output(args.output or default_name)
-    text = result.to_json() if args.format == "json" else result.to_csv()
-    _atomic_write(path, text)
     print(_simulate_table(result))
-    print(f"wrote {path}")
+    _write_result(args, result)
     return 0
 
 
@@ -347,21 +348,17 @@ def _cmd_fit(args):
         data, estimator=args.estimator, sigma2_x=args.sigma2, gibbs_config=gibbs
     )
 
-    user_ids = data.user_ids if data.user_ids else tuple(range(data.num_users))
-    item_ids = data.item_ids if data.item_ids else tuple(range(data.num_items))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "id", "estimate"])
-    for u in range(data.num_users):
-        writer.writerow(["ability", user_ids[u], _format_cell_value(out["abilities"][u])])
-    for i in range(data.num_items):
-        writer.writerow(["difficulty", item_ids[i], _format_cell_value(out["difficulties"][i])])
+    user_ids = data.user_ids or range(data.num_users)
+    item_ids = data.item_ids or range(data.num_items)
+    rows = [
+        *(("ability", u, v) for u, v in zip(user_ids, out["abilities"], strict=True)),
+        *(("difficulty", i, v) for i, v in zip(item_ids, out["difficulties"], strict=True)),
+    ]
     path = _resolve_output(args.output)
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, _csv_text(["kind", "id", "estimate"], rows))
 
     per_comp = out["per_component_mse"]
     sidecar = {
-        "schema_version": SCHEMA_VERSION,
         "estimator": args.estimator,
         "sigma2_x": args.sigma2,
         "num_users": data.num_users,
@@ -384,7 +381,7 @@ def _cmd_fit(args):
         "wall_time_seconds": out["wall_time_seconds"],
     }
     sidecar_path = os.path.splitext(path)[0] + ".json"
-    _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True))
+    _atomic_write(sidecar_path, _json_text(sidecar))
     print(
         f"fit {args.estimator} on {len(data)} responses "
         f"({data.num_users} users, {data.num_items} items) "
@@ -405,11 +402,7 @@ def _cmd_crossval(args):
     for name, rec in result.per_estimator.items():
         for f in rec["auc_undefined_folds"]:
             print(f"note: {name} fold {f}: AUC undefined (single-class test fold)")
-    default_name = "crossval.json" if args.format == "json" else "crossval.csv"
-    path = _resolve_output(args.output or default_name)
-    text = result.to_json() if args.format == "json" else result.to_csv()
-    _atomic_write(path, text)
-    print(f"wrote {path}")
+    _write_result(args, result)
     return 0
 
 

@@ -17,6 +17,14 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
+class _DuplicatePair(ValueError):
+    """A repeated (user, item) pair; `row` is the first row that repeats one."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
 class ResponseSet:
     """Sparse set of one-bit responses with dense 0-based index maps.
@@ -37,6 +45,7 @@ class ResponseSet:
         users = np.asarray(self.users, dtype=np.int64).ravel()
         items = np.asarray(self.items, dtype=np.int64).ravel()
         responses = np.asarray(self.responses, dtype=np.float64).ravel()
+        user_ids, item_ids = tuple(self.user_ids), tuple(self.item_ids)
         n = len(users)
         if len(items) != n or len(responses) != n:
             raise ValueError("users, items, responses must have equal length")
@@ -47,19 +56,21 @@ class ResponseSet:
                 raise ValueError("item index out of range")
             if not np.all(np.abs(responses) == 1.0):
                 raise ValueError("responses must be +1 or -1")
-            pairs = users * self.num_items + items
-            uniq, counts = np.unique(pairs, return_counts=True)
-            if len(uniq) != n:
-                dup = uniq[np.argmax(counts > 1)]
-                raise ValueError(
-                    f"duplicate (user, item) pair at dense indices "
-                    f"({dup // self.num_items}, {dup % self.num_items})"
-                )
+            _, first = np.unique(users * self.num_items + items, return_index=True)
+            if len(first) != n:
+                repeat = np.ones(n, dtype=bool)
+                repeat[first] = False
+                k = int(np.argmax(repeat))
+                u, i = users[k], items[k]
+                where = f"dense indices ({u}, {i})"
+                if u < len(user_ids) and i < len(item_ids):
+                    where += f", IDs (user={user_ids[u]!r}, item={item_ids[i]!r})"
+                raise _DuplicatePair(f"duplicate (user, item) pair at {where}", k)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "user_ids", tuple(self.user_ids))
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "user_ids", user_ids)
+        object.__setattr__(self, "item_ids", item_ids)
 
     def __len__(self):
         return len(self.users)
@@ -73,39 +84,35 @@ class ResponseSet:
         return {iid: k for k, iid in enumerate(self.item_ids)}
 
 
-class _Densifier:
-    """Assigns 0-based indices to IDs in first-appearance order."""
-
-    def __init__(self):
-        self.index = {}
-        self.ids = []
-
-    def __call__(self, key):
-        k = self.index.get(key)
-        if k is None:
-            k = len(self.ids)
-            self.index[key] = k
-            self.ids.append(key)
-        return k
+# Response token -> +1/-1 per label convention; `save_triplets` writes the
+# first token listed for each sign.
+_LABELS = {
+    "pm_one": {"1": 1.0, "-1": -1.0, "+1": 1.0},
+    "zero_one": {"1": 1.0, "0": -1.0},
+}
 
 
-def _parse_response(token, label_convention, path, line_no):
-    token = token.strip()
-    if label_convention == "pm_one":
-        if token in ("1", "+1"):
-            return 1.0
-        if token == "-1":
-            return -1.0
-    elif label_convention == "zero_one":
-        if token == "1":
-            return 1.0
-        if token == "0":
-            return -1.0
-    else:
-        raise ValueError(f"unknown label_convention {label_convention!r}")
-    raise ValueError(
-        f"{path}, line {line_no}: unknown response value {token!r} "
-        f"for convention {label_convention!r}"
+def _label_table(label_convention):
+    try:
+        return _LABELS[label_convention]
+    except KeyError:
+        raise ValueError(f"unknown label_convention {label_convention!r}") from None
+
+
+def _densify(ids):
+    """Dense 0-based indices of `ids` and the distinct IDs, in first-appearance order."""
+    index = {key: k for k, key in enumerate(dict.fromkeys(ids))}
+    dense = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    return dense, tuple(index)
+
+
+def _from_ids(uids, iids, responses):
+    """A ResponseSet of rows (uids[k], iids[k], responses[k]), IDs densified."""
+    users, user_ids = _densify(uids)
+    items, item_ids = _densify(iids)
+    return ResponseSet(
+        users, items, responses, num_users=len(user_ids), num_items=len(item_ids),
+        user_ids=user_ids, item_ids=item_ids,
     )
 
 
@@ -114,11 +121,11 @@ def load_triplets(path, label_convention: str = "pm_one") -> ResponseSet:
 
     With label_convention "zero_one", 0 maps to -1 and 1 to +1.  IDs are
     arbitrary strings, densified in first-appearance order.  Malformed rows
-    and duplicate pairs raise ValueError naming the line.
+    and duplicate pairs raise ValueError naming the line; rows are checked
+    in file order before any pair is compared.
     """
-    users, items, responses = [], [], []
-    dense_u, dense_i = _Densifier(), _Densifier()
-    seen = set()
+    labels = _label_table(label_convention)
+    uids, iids, responses, lines = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,42 +143,42 @@ def load_triplets(path, label_convention: str = "pm_one") -> ResponseSet:
                 raise ValueError(
                     f"{path}, line {line_no}: expected 3 fields, got {len(row)}"
                 )
-            uid, iid = row[0].strip(), row[1].strip()
-            resp = _parse_response(row[2], label_convention, path, line_no)
-            if (uid, iid) in seen:
+            token = row[2].strip()
+            value = labels.get(token)
+            if value is None:
                 raise ValueError(
-                    f"{path}, line {line_no}: duplicate pair (user={uid!r}, item={iid!r})"
+                    f"{path}, line {line_no}: unknown response value {token!r} "
+                    f"for convention {label_convention!r}"
                 )
-            seen.add((uid, iid))
-            users.append(dense_u(uid))
-            items.append(dense_i(iid))
-            responses.append(resp)
-    return ResponseSet(
-        users=np.array(users, dtype=np.int64),
-        items=np.array(items, dtype=np.int64),
-        responses=np.array(responses),
-        num_users=len(dense_u.ids),
-        num_items=len(dense_i.ids),
-        user_ids=tuple(dense_u.ids),
-        item_ids=tuple(dense_i.ids),
-    )
+            uids.append(row[0].strip())
+            iids.append(row[1].strip())
+            responses.append(value)
+            lines.append(line_no)
+    try:
+        return _from_ids(uids, iids, responses)
+    except _DuplicatePair as err:
+        k = err.row
+        raise ValueError(
+            f"{path}, line {lines[k]}: duplicate pair "
+            f"(user={uids[k]!r}, item={iids[k]!r})"
+        ) from None
 
 
 def save_triplets(data: ResponseSet, path, label_convention: str = "pm_one"):
     """Write a ResponseSet as a headered CSV (round-trips with load_triplets)."""
+    labels = _label_table(label_convention)
+    token = {value: tok for tok, value in reversed(labels.items())}
+    user_ids = data.user_ids or range(data.num_users)
+    item_ids = data.item_ids or range(data.num_items)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "item", "response"])
-        for u, i, r in zip(data.users, data.items, data.responses):
-            uid = data.user_ids[u] if data.user_ids else str(u)
-            iid = data.item_ids[i] if data.item_ids else str(i)
-            if label_convention == "pm_one":
-                token = "1" if r > 0 else "-1"
-            elif label_convention == "zero_one":
-                token = "1" if r > 0 else "0"
-            else:
-                raise ValueError(f"unknown label_convention {label_convention!r}")
-            writer.writerow([uid, iid, token])
+        writer.writerows(
+            (user_ids[u], item_ids[i], token[r])
+            for u, i, r in zip(
+                data.users.tolist(), data.items.tolist(), data.responses.tolist()
+            )
+        )
 
 
 def load_movielens(path) -> list:
@@ -216,29 +223,16 @@ def binarize_ratings(ratings) -> ResponseSet:
         raise ValueError("ratings list is empty")
     values = np.array([r[2] for r in ratings], dtype=np.float64)
     mu = float(values.mean())
-    dense_u, dense_i = _Densifier(), _Densifier()
-    users, items, responses = [], [], []
-    dropped = 0
-    for (uid, iid, rating) in ratings:
-        if rating == mu:
-            dropped += 1
-            continue
-        users.append(dense_u(uid))
-        items.append(dense_i(iid))
-        responses.append(1.0 if rating > mu else -1.0)
+    keep = values != mu
+    dropped = len(ratings) - int(np.count_nonzero(keep))
+    kept = [r for r, k in zip(ratings, keep) if k]
     if dropped:
         warnings.warn(
             f"dropped {dropped} rating(s) exactly equal to the global mean {mu:g}",
             stacklevel=2,
         )
-    out = ResponseSet(
-        users=np.array(users, dtype=np.int64),
-        items=np.array(items, dtype=np.int64),
-        responses=np.array(responses),
-        num_users=len(dense_u.ids),
-        num_items=len(dense_i.ids),
-        user_ids=tuple(dense_u.ids),
-        item_ids=tuple(dense_i.ids),
+    out = _from_ids(
+        [r[0] for r in kept], [r[1] for r in kept], np.where(values[keep] > mu, 1.0, -1.0)
     )
     logger.info(
         "binarized %d ratings at mean %.4f: retained %d (+1: %d, -1: %d), "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,9 +58,19 @@ def snr_to_sigma2(snr_db) -> float:
     """Map an SNR in dB to the prior variance sigma2_x.
 
     Convention: the per-observation signal power Var(a_u - d_i) = 2 sigma2_x
-    against unit noise power, so sigma2_x = 10^(snr_db/10) / 2.
+    against unit noise power, so sigma2_x = 10^(snr_db/10) / 2.  Raises
+    ValueError unless that variance is finite and positive.
     """
-    return 10.0 ** (float(snr_db) / 10.0) / 2.0
+    try:
+        sigma2 = 10.0 ** (float(snr_db) / 10.0) / 2.0
+    except OverflowError:
+        sigma2 = math.inf
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(
+            f"snr_db {snr_db!r} gives sigma2_x {sigma2!r}; "
+            "the prior variance must be finite and positive"
+        )
+    return sigma2
 
 
 def _check_types(config, ints, bools=()):
@@ -73,6 +84,10 @@ def _check_types(config, ints, bools=()):
 
 
 def _normalize_estimators(estimators, allowed):
+    if isinstance(estimators, str):
+        raise TypeError(
+            f"estimators must be a list of names, not the string {estimators!r}"
+        )
     est = tuple(sorted(set(estimators)))
     for name in est:
         if name not in allowed:
@@ -116,6 +131,8 @@ class SyntheticConfig:
         object.__setattr__(
             self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid)
         )
+        for snr_db in self.snr_db_grid:
+            snr_to_sigma2(snr_db)
         _check_types(
             self,
             ("trials", "seed", "gibbs_burn_in", "gibbs_samples"),
@@ -145,7 +162,6 @@ class ExperimentResult:
 
     config: dict
     cells: list
-    schema_version: int = SCHEMA_VERSION
 
     def csv_columns(self):
         cols = [
@@ -169,24 +185,11 @@ class ExperimentResult:
         return cols
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         cols = self.csv_columns()
-        writer.writerow(cols)
-        for cell in self.cells:
-            writer.writerow([_format_cell_value(cell.get(c)) for c in cols])
-        return buf.getvalue()
+        return _csv_text(cols, ([cell.get(c) for c in cols] for cell in self.cells))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "config": self.config,
-                "cells": self.cells,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return _json_text({"config": self.config, "cells": self.cells})
 
 
 def _format_cell_value(v):
@@ -195,6 +198,23 @@ def _format_cell_value(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return v
+
+
+def _csv_text(header, rows):
+    """The CSV of every output file: a header line, then one line per row,
+    with None as an empty cell and floats written as their repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell_value(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _json_text(payload):
+    """The JSON of every output file: `payload` plus the schema version."""
+    return json.dumps(
+        {"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True
+    )
 
 
 def _trial_rng(seed, cell_idx, trial_idx):
@@ -414,8 +434,10 @@ class CvConfig:
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         grid = tuple(float(v) for v in self.prior_variance_grid)
-        if not grid or any(v <= 0 for v in grid):
-            raise ValueError("prior_variance_grid must be nonempty and positive")
+        if not grid or not all(math.isfinite(v) and v > 0 for v in grid):
+            raise ValueError(
+                "prior_variance_grid must be nonempty, finite and positive"
+            )
         object.__setattr__(self, "prior_variance_grid", grid)
         object.__setattr__(
             self, "estimators", _normalize_estimators(self.estimators, CV_ESTIMATORS)
@@ -435,46 +457,27 @@ class CvResult:
     config: dict
     per_estimator: dict
     fallback_counts: list
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _json_text(
             {
-                "schema_version": self.schema_version,
                 "config": self.config,
                 "per_estimator": self.per_estimator,
                 "fallback_counts": self.fallback_counts,
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "estimator",
-                "fold",
-                "acc",
-                "auc",
-                "selected_sigma2_x",
-                "fallback_count",
-            ]
-        )
-        for name, rec in self.per_estimator.items():
-            for f in range(len(rec["acc_per_fold"])):
-                writer.writerow(
-                    [
-                        name,
-                        f,
-                        _format_cell_value(rec["acc_per_fold"][f]),
-                        _format_cell_value(rec["auc_per_fold"][f]),
-                        _format_cell_value(rec["selected_sigma2_x"][f]),
-                        self.fallback_counts[f],
-                    ]
+        return _csv_text(
+            ["estimator", "fold", "acc", "auc", "selected_sigma2_x", "fallback_count"],
+            (
+                [name, f, *fold, self.fallback_counts[f]]
+                for name, rec in self.per_estimator.items()
+                for f, fold in enumerate(
+                    zip(rec["acc_per_fold"], rec["auc_per_fold"], rec["selected_sigma2_x"])
                 )
-        return buf.getvalue()
+            ),
+        )
 
     def summary_table(self) -> str:
         lines = [f"{'estimator':<12} {'ACC':>16} {'AUC':>16}"]

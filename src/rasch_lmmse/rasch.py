@@ -41,8 +41,8 @@ class RaschDesign:
     def __post_init__(self):
         if self.U < 1 or self.Q < 1:
             raise ValueError("U and Q must be at least 1")
-        if not (self.sigma2_a > 0 and self.sigma2_d > 0):
-            raise ValueError("prior variances must be positive")
+        if not all(0 < v < np.inf for v in (self.sigma2_a, self.sigma2_d)):
+            raise ValueError("prior variances must be finite and positive")
 
     @property
     def equal_variances(self):

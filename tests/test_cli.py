@@ -249,6 +249,47 @@ def test_invalid_settings_fail_before_any_cell(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--users", "2", "--items", "2", "--snr-db", "4000", "--trials", "2"],
+    ["simulate", "--users", "2", "--items", "2", "--snr-db", "0,nan", "--trials", "2"],
+    ["simulate", "--users", "2", "--items", "2", "--snr-db", "-4000", "--trials", "2"],
+    ["analyze", "--users", "2", "--items", "2", "--snr-db", "0,4000"],
+    ["analyze", "--users", "2", "--items", "2", "--sigma2", "1,inf"],
+    ["crossval", "--data", "CV", "--folds", "3", "--sigma2-grid", "inf,1"],
+], ids=["simulate-overflow", "simulate-nan", "simulate-underflow",
+        "analyze-overflow", "analyze-inf", "crossval-inf"])
+def test_unusable_prior_variance_exits_1_before_any_work(tmp_path, capsys, argv):
+    data = tmp_path / "cv.csv"
+    write_rasch_csv(data, U=6, Q=4, seed=1)
+    out = tmp_path / "x.csv"
+    argv = [str(data) if a == "CV" else a for a in argv]
+    assert main(argv + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "Traceback" not in captured.err
+    assert "failed:" not in captured.out
+    assert not out.exists()
+
+
+def test_config_estimators_string_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"users_grid": [2], "items_grid": [2],
+                               "snr_db_grid": [0.0], "estimators": "map"}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "must be a list" in err and str(cfg) in err
+    assert "unknown estimator" not in err
+    assert not out.exists()
+
+
+def test_fit_movielens_duplicate_names_original_ids(tmp_path, capsys):
+    ml = tmp_path / "u.data"
+    ml.write_text("1\t10\t5\t0\n2\t10\t1\t0\n1\t10\t4\t0\n")
+    assert main(["fit", "--movielens", str(ml),
+                 "--output", str(tmp_path / "f.csv")]) == 1
+    assert "(user=1, item=10)" in capsys.readouterr().err
+
+
 def test_ls_is_not_an_estimator(tmp_path, capsys):
     responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
     out = tmp_path / "x.csv"

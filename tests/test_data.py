@@ -1,5 +1,7 @@
 """Triplet and ratings I/O: parsing, validation, binarization."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ def test_response_set_validation():
         )
 
 
+def test_response_set_duplicate_names_original_ids():
+    with pytest.raises(ValueError) as err:
+        ResponseSet(
+            users=[0, 1, 1], items=[1, 0, 0], responses=[1.0, 1.0, -1.0],
+            num_users=2, num_items=2, user_ids=(7, 3), item_ids=("q1", "q2"),
+        )
+    assert "dense indices (1, 0)" in str(err.value)
+    assert "user=3, item='q1'" in str(err.value)
+    with pytest.raises(ValueError) as err:  # no IDs: dense indices only
+        ResponseSet(users=[1, 1], items=[0, 0], responses=[1.0, -1.0],
+                    num_users=2, num_items=1)
+    assert str(err.value).endswith("dense indices (1, 0)")
+
+
 def test_triplet_round_trip(tmp_path):
     data = make_set()
     path = tmp_path / "resp.csv"
@@ -73,7 +89,38 @@ def test_triplet_round_trip_zero_one(tmp_path):
     text = path.read_text()
     assert "-1" not in text
     loaded = load_triplets(path, label_convention="zero_one")
+    np.testing.assert_array_equal(loaded.users, data.users)
+    np.testing.assert_array_equal(loaded.items, data.items)
     np.testing.assert_array_equal(loaded.responses, data.responses)
+    assert loaded.user_ids == data.user_ids
+    assert loaded.item_ids == data.item_ids
+
+
+@pytest.mark.parametrize("convention", ["pm_one", "zero_one"])
+def test_save_load_round_trip_random(tmp_path, convention):
+    rng = np.random.default_rng(5)
+    U, Q = 9, 7
+    pairs = rng.permutation(U * Q)[:40]
+    data = ResponseSet(
+        users=pairs // Q, items=pairs % Q,
+        responses=rng.choice([-1.0, 1.0], size=40),
+        num_users=U, num_items=Q,
+        user_ids=tuple(f"u {k}" for k in range(U)),
+        item_ids=tuple(f"i,{k}" for k in range(Q)),  # quoted on write
+    )
+    path = tmp_path / "r.csv"
+    save_triplets(data, path, label_convention=convention)
+    loaded = load_triplets(path, label_convention=convention)
+    # load densifies in first-appearance order: map back through the IDs
+    assert [loaded.user_ids[u] for u in loaded.users] == [
+        data.user_ids[u] for u in data.users
+    ]
+    assert [loaded.item_ids[i] for i in loaded.items] == [
+        data.item_ids[i] for i in data.items
+    ]
+    np.testing.assert_array_equal(loaded.responses, data.responses)
+    tokens = {row[2] for row in csv.reader(path.read_text().splitlines()[1:])}
+    assert tokens == ({"1", "-1"} if convention == "pm_one" else {"1", "0"})
 
 
 def test_load_triplets_parsing(tmp_path):
@@ -126,6 +173,136 @@ def test_load_triplets_bad_convention(tmp_path):
     path.write_text("user,item,response\nu1,i1,1\n")
     with pytest.raises(ValueError):
         load_triplets(path, label_convention="spins")
+
+
+def test_unknown_convention_raises_without_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("user,item,response\n")
+    with pytest.raises(ValueError, match="unknown label_convention 'spins'"):
+        load_triplets(path, label_convention="spins")
+    empty = ResponseSet(users=[], items=[], responses=[], num_users=0, num_items=0)
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="unknown label_convention 'spins'"):
+        save_triplets(empty, out, label_convention="spins")
+    assert not out.exists()
+
+
+def test_duplicate_after_blank_lines_reports_its_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("user,item,response\nu1,i1,1\n\n\nu2,i1,1\n\nu1, i1,-1\n")
+    with pytest.raises(ValueError, match=r"line 7: duplicate pair "
+                                         r"\(user='u1', item='i1'\)"):
+        load_triplets(path)
+
+
+def _reference_load_triplets(path, label_convention="pm_one"):
+    """Row-by-row triplet loader: a per-row token branch, a per-row
+    densifier and a set of seen pairs.  The reference the vectorized
+    `load_triplets` must match in arrays, IDs and error messages."""
+    tokens = {"pm_one": {"1": 1.0, "+1": 1.0, "-1": -1.0},
+              "zero_one": {"1": 1.0, "0": -1.0}}
+    index_u, index_i = {}, {}
+    users, items, responses, seen = [], [], [], set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected header user,item,response")
+        if [h.strip() for h in header] != ["user", "item", "response"]:
+            raise ValueError(
+                f"{path}, line 1: expected header user,item,response, got {header!r}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(
+                    f"{path}, line {line_no}: expected 3 fields, got {len(row)}"
+                )
+            uid, iid, token = row[0].strip(), row[1].strip(), row[2].strip()
+            if label_convention not in tokens:
+                raise ValueError(f"unknown label_convention {label_convention!r}")
+            if token not in tokens[label_convention]:
+                raise ValueError(
+                    f"{path}, line {line_no}: unknown response value {token!r} "
+                    f"for convention {label_convention!r}"
+                )
+            if (uid, iid) in seen:
+                raise ValueError(
+                    f"{path}, line {line_no}: duplicate pair (user={uid!r}, item={iid!r})"
+                )
+            seen.add((uid, iid))
+            users.append(index_u.setdefault(uid, len(index_u)))
+            items.append(index_i.setdefault(iid, len(index_i)))
+            responses.append(tokens[label_convention][token])
+    return users, items, responses, tuple(index_u), tuple(index_i)
+
+
+def _random_triplet_file(rng, path, fault):
+    """A triplet file with padded and quoted IDs, blank lines, every token
+    spelling of a random convention, and the named fault injected once."""
+    convention = str(rng.choice(["pm_one", "zero_one"]))
+    spellings = {"pm_one": (["1", "+1", " 1 "], ["-1", " -1"]),
+                 "zero_one": (["1", "1 "], ["0", " 0"])}[convention]
+    U, Q = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    n = int(rng.integers(1, U * Q + 1))
+    pairs = rng.permutation(U * Q)[:n]
+    user_names = [str(rng.choice([f"u{k}", f"user {k}", f"u,{k}", f"{k}"]))
+                  for k in range(U)]
+    item_names = [str(rng.choice([f"i{k}", f"it,{k}", f"{100 + k}"]))
+                  for k in range(Q)]
+    rows = [[user_names[p // Q], item_names[p % Q],
+             str(rng.choice(spellings[int(rng.integers(2))]))] for p in pairs]
+    at = int(rng.integers(len(rows)))
+    if fault == "duplicate" and len(rows) > 1:
+        rows.insert(int(rng.integers(1, len(rows) + 1)),
+                    [rows[at][0], rows[at][1], spellings[0][0]])
+    elif fault == "short":
+        rows[at] = rows[at][:int(rng.integers(1, 3))]
+    elif fault == "long":
+        rows[at] = rows[at] + ["x"]
+    elif fault == "token":
+        other = "+1" if convention == "zero_one" else "0"
+        rows[at][2] = str(rng.choice(["2", "yes", "", other]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = ["user", "item", "response"]
+        if rng.random() < 0.3:
+            header = [" user", "item ", " response"]
+        if fault == "header":
+            header = header[:2] + ["label"]
+        writer.writerow(header)
+        for row in rows:
+            if rng.random() < 0.15:
+                fh.write("\n")
+            pad = " " * int(rng.integers(0, 2))
+            writer.writerow([row[0] + pad, *(pad + f for f in row[1:2]), *row[2:]])
+    return convention
+
+
+def test_load_triplets_matches_row_by_row_reference(tmp_path):
+    rng = np.random.default_rng(2024)
+    faults = ["none", "none", "duplicate", "short", "long", "token", "header"]
+    errors = 0
+    for k in range(150):
+        path = tmp_path / f"t{k}.csv"
+        convention = _random_triplet_file(rng, path, faults[k % len(faults)])
+        try:
+            want = _reference_load_triplets(path, convention)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                load_triplets(path, label_convention=convention)
+            assert str(got.value) == str(err), path.read_text()
+            errors += 1
+            continue
+        data = load_triplets(path, label_convention=convention)
+        np.testing.assert_array_equal(data.users, want[0])
+        np.testing.assert_array_equal(data.items, want[1])
+        np.testing.assert_array_equal(data.responses, want[2])
+        assert (data.user_ids, data.item_ids) == want[3:]
+        assert (data.num_users, data.num_items) == (len(want[3]), len(want[4]))
+    assert errors >= 60  # the injected faults did reach the loader
 
 
 def test_load_movielens(tmp_path):

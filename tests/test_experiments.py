@@ -59,6 +59,29 @@ def test_snr_mapping():
     assert np.isclose(snr_to_sigma2(10.0), 5.0)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("nan"), float("inf")])
+def test_snr_mapping_rejects_unusable_variance(snr_db):
+    # 4000 dB overflows, -4000 dB underflows to sigma2 = 0
+    with pytest.raises(ValueError, match="finite and positive"):
+        snr_to_sigma2(snr_db)
+    with pytest.raises(ValueError, match="finite and positive"):
+        SyntheticConfig(users_grid=(2,), items_grid=(2,), snr_db_grid=(0.0, snr_db))
+
+
+def test_cv_config_rejects_infinite_variance():
+    for grid in ((float("inf"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CvConfig(prior_variance_grid=grid)
+
+
+def test_estimators_must_be_a_list_not_a_string():
+    with pytest.raises(TypeError, match="list of names"):
+        SyntheticConfig(users_grid=(2,), items_grid=(2,), snr_db_grid=(0.0,),
+                        estimators="map")
+    with pytest.raises(TypeError, match="list of names"):
+        CvConfig(estimators="lmmse")
+
+
 def test_synthetic_config_validation():
     ok = dict(users_grid=(2,), items_grid=(3,), snr_db_grid=(0.0,))
     SyntheticConfig(**ok)
@@ -274,6 +297,14 @@ def test_result_serialization():
     assert payload["schema_version"] == 1
     assert "wall_time_seconds" in payload["cells"][0]
     assert payload["config"]["estimators"] == ["fisher_bound", "lmmse"]
+
+
+def test_csv_text_cells():
+    from rasch_lmmse.experiments import _csv_text
+
+    rows = [[None, 0.1, np.float64(1 / 3)], ["x,y", 2, None]]
+    text = _csv_text(["a", "b", "c"], rows)
+    assert text == 'a,b,c\n,0.1,0.3333333333333333\n"x,y",2,\n'
 
 
 def test_accuracy_and_auc():

@@ -92,6 +92,14 @@ def test_design_validation():
     assert RaschDesign(U=2, Q=3, sigma2_a=1.0, sigma2_d=2.0).equal_variances is False
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_design_requires_finite_variances(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        RaschDesign(U=2, Q=3, sigma2_a=bad, sigma2_d=1.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        RaschDesign(U=2, Q=3, sigma2_a=1.0, sigma2_d=bad)
+
+
 def test_rasch_s_values():
     assert rasch_s(1.0) == pytest.approx((2 / np.pi) * np.arcsin(1 / 3), abs=1e-16)
     assert rasch_s(0.0) == 0.0
