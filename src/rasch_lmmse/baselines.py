@@ -10,6 +10,7 @@ posterior mean, and the Fisher bound gives an (asymptotic) floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg
@@ -17,7 +18,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data import ResponseSet
 from .linear_probit import GeneralProbitModel, _check_pm_one
-from .rasch import RaschDesign, _BipartiteSchur, _check_observed
+from .rasch import RaschDesign, _BipartiteSampler, _BipartiteSchur, _check_observed
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -302,15 +303,52 @@ def _draw_latent(mu, y, u):
     return mu - y * ndtri(u * ndtr(t))
 
 
+def _gibbs_chains(Y, configs, x0, forward, adjoint, draw):
+    """Data-augmentation Gibbs loop (Albert & Chib 1993) over a block of chains.
+
+    Chain t is row t of every (T, .) array: its responses Y[t] (+-1, one per
+    observation), its generator default_rng(configs[t].seed) and its state.
+    Each step draws, per chain, M uniforms and then N standard normals, so a
+    chain sees the same random numbers in any block.  The design enters only
+    through forward(X) = D x + m per row, adjoint(Z) = the right-hand side
+    r of the x | z draw per row, and draw(R, XI), one draw from
+    N(A^{-1} r, A^{-1}) per row given standard normals xi.  All chains start
+    at x0 and share burn-in and sample counts; returns the (T, N) post-burn-in
+    sample means.
+    """
+    burn_in, samples = configs[0].burn_in, configs[0].samples
+    if any((c.burn_in, c.samples) != (burn_in, samples) for c in configs):
+        raise ValueError("chains of one block need equal burn_in and samples")
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    u = np.empty(Y.shape)
+    xi = np.empty((len(rngs), x0.size))
+    X = np.tile(x0, (len(rngs), 1))
+    total = np.zeros_like(X)
+    for it in range(burn_in + samples):
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        # 1 - u is in (0, 1], which keeps the logs of the far tail finite.
+        Z = _draw_latent(forward(X), Y, 1.0 - u)
+        R = adjoint(Z)
+        for rng, row in zip(rngs, xi):
+            rng.standard_normal(out=row)
+        X = draw(R, xi)
+        if it >= burn_in:
+            total += X
+    return total / samples
+
+
 def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
     """Posterior mean by data-augmentation Gibbs sampling (probit link).
 
     Alternates z | x, y (truncated normals on the side given by y) and
-    x | z (Gaussian with fixed covariance (D^T D + C_x^{-1})^{-1}, drawn
-    through its dense Cholesky factor).  Returns the post-burn-in sample
-    mean; fully reproducible from the seed.  Each step draws M uniforms,
-    then N standard normals.  This is the general dense sampler and the
-    reference for `rasch_pm_gibbs`, which Rasch data take.
+    x | z (Gaussian with fixed covariance A^{-1} = (D^T D + C_x^{-1})^{-1},
+    drawn through the dense Cholesky factor A = L L^T as
+    L^{-T}(L^{-1} r + xi)).  Returns the post-burn-in sample mean; fully
+    reproducible from the seed.  Each step draws M uniforms, then N standard
+    normals.  This is the general dense sampler and the reference for
+    `rasch_pm_gibbs`, which Rasch data take; both run the chain loop
+    `_gibbs_chains`, here with one chain.
     """
     if config is None:
         config = GibbsConfig()
@@ -320,27 +358,21 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
 
     cf_prior = scipy.linalg.cho_factor(model.C_x)
     prec = scipy.linalg.cho_solve(cf_prior, np.eye(N))
-    A = _weighted_gram(D, np.ones(M)) + prec
-    L = scipy.linalg.cholesky(A, lower=True)
+    L = scipy.linalg.cholesky(_weighted_gram(D, np.ones(M)) + prec, lower=True)
     prior_pull = prec @ model.x_mean
 
-    rng = np.random.default_rng(config.seed)
-    x = model.x_mean.copy()
-    total = np.zeros(N)
-    for it in range(config.burn_in + config.samples):
-        mu = D @ x + model.m
-        u = 1.0 - rng.random(M)  # in (0, 1], keeps the log branch finite
-        z = _draw_latent(mu, y, u)
-        rhs = D.T @ (z - model.m) + prior_pull
-        xi = rng.standard_normal(N)
-        # x = A^{-1} rhs + L^{-T} xi = L^{-T} (L^{-1} rhs + xi), A = L L^T.
-        w = scipy.linalg.solve_triangular(L, rhs, lower=True, check_finite=False)
-        x = scipy.linalg.solve_triangular(
-            L, w + xi, lower=True, trans="T", check_finite=False
-        )
-        if it >= config.burn_in:
-            total += x
-    return total / config.samples
+    def draw(R, XI):
+        W = scipy.linalg.solve_triangular(L, R.T, lower=True, check_finite=False)
+        return scipy.linalg.solve_triangular(
+            L, W + XI.T, lower=True, trans="T", check_finite=False
+        ).T
+
+    return _gibbs_chains(
+        y[None], [config], model.x_mean,
+        lambda X: X @ D.T + model.m,
+        lambda Z: (Z - model.m) @ D + prior_pull,
+        draw,
+    )[0]
 
 
 def rasch_pm_gibbs(
@@ -348,43 +380,66 @@ def rasch_pm_gibbs(
 ):
     """Posterior mean of x = [a; -d] from observed Rasch responses, by Gibbs.
 
-    The sampler of `pm_gibbs` (Albert & Chib 1993) on the Rasch structure,
-    without a design matrix: D x is x[user] + x[U + item] per response,
-    D^T z is one bincount over the stacked parameter indices, and the
-    fixed x | z precision
-    H = diag(degree + 1/sigma2) + [[0, B], [B^T, 0]] (B the U x Q incidence
-    block) is factored once per chain by `rasch._BipartiteSchur`, whose
-    `sample` draws x | z.  Each step draws M uniforms, then U + Q standard
-    normals, as `pm_gibbs` does; when the items are the kept side of the
+    The sampler of `pm_gibbs` on the Rasch structure, without a design
+    matrix: D x is x[user] + x[U + item] per response, D^T z is one
+    bincount over the stacked parameter indices, and the fixed x | z
+    precision H = diag(degree + 1/sigma2) + [[0, B], [B^T, 0]] (B the U x Q
+    incidence block) is factored once by `rasch._BipartiteSchur`, and
+    `rasch._BipartiteSampler` draws x | z.  Each step draws M uniforms,
+    then U + Q standard normals, as `pm_gibbs` does; when the items are the kept side of the
     factor the chain is `pm_gibbs`'s on the dense design, up to rounding.
     Users and items with no responses return exactly the prior mean 0.
+    This is one chain of `_rasch_gibbs_block`, which runs many chains on
+    one observation pattern together.
     """
     if config is None:
         config = GibbsConfig()
-    _check_observed(design, data)
-    U, Q = design.U, design.Q
-    users, items, y = data.users, data.items, data.responses
-    params_i = U + items
-    cols = np.concatenate([users, params_i])
-    degree = np.bincount(cols, minlength=U + Q)
-    inv_var = np.concatenate(
-        [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
-    )
-    schur = _BipartiteSchur(degree + inv_var, data, np.ones(len(data)))
+    return _rasch_gibbs_block(data, [(design, data.responses, config)])[0]
 
-    rng = np.random.default_rng(config.seed)
-    x = np.zeros(U + Q)
-    total = np.zeros(U + Q)
-    for it in range(config.burn_in + config.samples):
-        mu = x[users] + x[params_i]
-        u = 1.0 - rng.random(len(y))  # in (0, 1], keeps the log branch finite
-        z = _draw_latent(mu, y, u)
-        rhs = np.bincount(cols, weights=np.concatenate((z, z)), minlength=U + Q)
-        x = schur.sample(rhs, rng.standard_normal(U + Q))
-        if it >= config.burn_in:
-            total += x
-    total[degree == 0] = 0.0
-    return total / config.samples
+
+def _rasch_gibbs_block(data: ResponseSet, chains):
+    """`rasch_pm_gibbs` for a block of chains on data's (user, item) pairs.
+
+    chains holds one (design, responses, config) per chain: the prior, the
+    chain's own +-1 responses on data's pairs (data's own responses are not
+    used), and its Gibbs settings (its own seed; one burn-in and sample
+    count for the block).  The chains run as the rows of (T, M) and
+    (T, U + Q) arrays through `_gibbs_chains`, so a step costs a fixed
+    number of array operations whatever T; each run of consecutive chains
+    with one prior shares one Schur factor (`rasch._BipartiteSampler`).
+    Every operation on a row is the one a lone chain would run, so row t
+    is bitwise `rasch_pm_gibbs(design_t, data with responses_t, config_t)`.
+    Returns the (T, U + Q) posterior means.
+    """
+    T, U, Q = len(chains), data.num_users, data.num_items
+    cols = np.concatenate([data.users, U + data.items])
+    degree = np.bincount(cols, minlength=U + Q)
+    runs = []
+    for design, run in groupby(c[0] for c in chains):
+        _check_observed(design, data)
+        inv_var = np.concatenate(
+            [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
+        )
+        schur = _BipartiteSchur(degree + inv_var, data, np.ones(len(data)))
+        runs.append((schur, len(list(run))))
+    sampler = _BipartiteSampler(runs)
+    # D^T z for every chain in one bincount: chain t's sums land in bins
+    # t (U + Q) + k, each summed in the order of the single-chain bincount.
+    flat_cols = (np.arange(T)[:, None] * (U + Q) + cols).ravel()
+
+    def adjoint(Z):
+        return np.bincount(
+            flat_cols, weights=np.concatenate((Z, Z), axis=1).ravel(),
+            minlength=T * (U + Q),
+        ).reshape(T, U + Q)
+
+    means = _gibbs_chains(
+        np.array([_check_pm_one(c[1], len(data)) for c in chains]),
+        [c[2] for c in chains], np.zeros(U + Q),
+        lambda X: X[:, data.users] + X[:, U + data.items], adjoint, sampler.sample,
+    )
+    means[:, degree == 0] = 0.0
+    return means
 
 
 def _gh_grid(order, dim):
@@ -534,6 +589,16 @@ def fisher_rasch_ability_bound(U, Q, sigma2_x) -> float:
     beta = lam0 * U + 1.0 / sigma2_x
     g = lam0 * lam0 * Q / beta
     return float(1.0 / alpha + g / (alpha * (alpha - U * g)))
+
+
+def fisher_known_difficulty_bound(d, sigma2_x) -> float:
+    """Bayesian Fisher bound on one user's ability MSE against known
+    difficulties d, at the prior mean a = 0.
+
+    The information there is sum_i lambda(-d_i) + 1/sigma2_x, with lambda
+    the probit information of each response.
+    """
+    return float(1.0 / (probit_information(-d).sum() + 1.0 / sigma2_x))
 
 
 def fisher_lower_bound(

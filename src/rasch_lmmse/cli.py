@@ -21,8 +21,8 @@ import numpy as np
 
 from .baselines import (
     GibbsConfig,
+    fisher_known_difficulty_bound,
     fisher_rasch_ability_bound,
-    probit_information,
 )
 from .data import binarize_ratings, load_movielens, load_triplets
 from .experiments import (
@@ -57,14 +57,23 @@ ANALYZE_COLUMNS = [
     "fisher_bound",
 ]
 
-# Per-step cost of `rasch_pm_gibbs` for the runtime warning:
-# seconds/step = base + per_obs * M + per_kept2 * min(U, Q)^2, the M
-# truncated-normal draws plus the two mat-vecs with the min(U, Q) inverse
-# Cholesky factor.  Fitted (relative least squares) to single-threaded
-# timings of full designs from 2 x 2 to 200 x 200 on a 2-vCPU x86 VM.
-_GIBBS_ITER_BASE = 4e-5
-_GIBBS_ITER_PER_OBS = 6e-8
-_GIBBS_ITER_PER_KEPT2 = 1.5e-9
+# Per-step cost of one Gibbs block (`baselines._rasch_gibbs_block`) for the
+# runtime warning: seconds/step = base + per_prior * G + T * (per_chain +
+# per_obs * M + per_kept2 * min(U, Q)^2) for T chains of G priors on M
+# responses: the fixed array calls, one factor's products per prior, two
+# generator calls per chain, the M truncated-normal draws and the two
+# mat-vecs with the min(U, Q) inverse Cholesky factor per chain.  Fitted
+# (non-negative relative least squares, worst error 34 %, median 12 %) to
+# CPU times of blocks with one BLAS thread on full designs: 2 x 2 to
+# 200 x 200 with 1 or 3 priors and 1, 5 or 20 chains per prior (300
+# steps), and 20 x 20, 20 x 50 and 50 x 50 with 3 priors and 50 or 150
+# chains per prior (100 steps), on a 2-vCPU Intel Xeon VM (Python 3.11,
+# NumPy 2.4, OpenBLAS 0.3.31).
+_GIBBS_ITER_BASE = 3.2e-5
+_GIBBS_ITER_PER_PRIOR = 1.0e-5
+_GIBBS_ITER_PER_CHAIN = 2.2e-6
+_GIBBS_ITER_PER_OBS = 5.9e-8
+_GIBBS_ITER_PER_KEPT2 = 8.6e-9
 _GIBBS_WARN_SECONDS = 60.0
 
 
@@ -188,9 +197,7 @@ def _cmd_analyze(args):
                         mse_ability_closed_form=known_difficulty_predicted_mse(km),
                         mse_difficulty_closed_form=None,
                         mse_asymptotic=None,
-                        fisher_bound=float(
-                            1.0 / (probit_information(-d).sum() + 1.0 / sigma2)
-                        ),
+                        fisher_bound=fisher_known_difficulty_bound(d, sigma2),
                     )
                 else:
                     design = RaschDesign(
@@ -216,17 +223,22 @@ def _cmd_analyze(args):
 
 
 def _projected_gibbs_seconds(cfg):
-    iters = cfg.gibbs_burn_in + cfg.gibbs_samples
+    """Single-thread CPU seconds of a simulate's Gibbs blocks, one per (U, Q)."""
+    priors = len(cfg.snr_db_grid)
     total = 0.0
     for U in cfg.users_grid:
         for Q in cfg.items_grid:
-            per_iter = (
-                _GIBBS_ITER_BASE
+            per_chain = (
+                _GIBBS_ITER_PER_CHAIN
                 + _GIBBS_ITER_PER_OBS * U * Q
                 + _GIBBS_ITER_PER_KEPT2 * min(U, Q) ** 2
             )
-            total += len(cfg.snr_db_grid) * cfg.trials * iters * per_iter
-    return total
+            total += (
+                _GIBBS_ITER_BASE
+                + _GIBBS_ITER_PER_PRIOR * priors
+                + per_chain * priors * cfg.trials
+            )
+    return (cfg.gibbs_burn_in + cfg.gibbs_samples) * total
 
 
 def _write_result(args, result):
@@ -394,8 +406,8 @@ def _cmd_fit(args):
 
 
 def _cmd_crossval(args):
-    data = _load_dataset(args)
     cfg = _study_config(args, CvConfig)
+    data = _load_dataset(args)
     threads = args.threads if args.threads is not None else os.cpu_count()
     result = run_cross_validation(data, cfg, threads=threads)
     print(result.summary_table())

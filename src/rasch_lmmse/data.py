@@ -136,7 +136,11 @@ def load_triplets(path, label_convention: str = "pm_one") -> ResponseSet:
             raise ValueError(
                 f"{path}, line 1: expected header user,item,response, got {header!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        # Errors name the physical line a record starts on: a quoted field
+        # may hold line breaks, so records and lines are counted apart.
+        start = reader.line_num + 1
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 3:

@@ -20,15 +20,16 @@ import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
 from .baselines import (
     GibbsConfig,
     MapConfig,
+    _rasch_gibbs_block,
+    fisher_known_difficulty_bound,
     fisher_rasch_ability_bound,
-    probit_information,
     rasch_map_fit,
     rasch_pm_gibbs,
 )
@@ -217,6 +218,11 @@ def _json_text(payload):
     )
 
 
+# Latents per step of one Gibbs block, T chains x M responses: bounds each
+# (T, M) array of a simulate block at 8 MB.
+_GIBBS_BLOCK_LATENTS = 1 << 20
+
+
 def _trial_rng(seed, cell_idx, trial_idx):
     return np.random.default_rng(np.random.SeedSequence((seed, cell_idx, trial_idx)))
 
@@ -226,38 +232,97 @@ def _gibbs_seed(seed, cell_idx, trial_idx):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _error_cell(U, Q, snr_db, err):
+    """The record of a cell that an estimator failure aborted."""
+    return {
+        "U": U,
+        "Q": Q,
+        "snr_db": snr_db,
+        "sigma2_x": snr_to_sigma2(snr_db),
+        "error": f"{type(err).__name__}: {err}",
+    }
 
 
-def _run_standard_cell(config, cell_idx, U, Q, snr_db):
-    """Full-design cell: each trial's U x Q responses become one ResponseSet,
-    and every point estimator fits it through `fit_response_set`."""
-    sigma2 = snr_to_sigma2(snr_db)
-    design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2)
+def _run_standard_pattern(config, cells):
+    """Every SNR cell of one full U x Q design; cells holds (cell_idx, U, Q, snr_db).
+
+    Each trial's U x Q responses become one ResponseSet, which lmmse and
+    map fit through `fit_response_set`.  All pm_gibbs chains of the cells
+    share that observation pattern, so they run together
+    (`baselines._rasch_gibbs_block`): one chain per trial, with its cell's
+    prior and the trial's own seed, each cell's chains a contiguous run,
+    in blocks of at most `_GIBBS_BLOCK_LATENTS` latents.  A chain's draws
+    do not depend on its block, so neither do the results.  A cell's
+    pm_gibbs wall time is an equal share of the blocks'.  A failure aborts
+    its cell, and a failure of a block every cell that reached it.
+    Returns the cell records in the order of `cells`.
+    """
+    point = [e for e in config.estimators if e != "fisher_bound"]
+    fitted = [e for e in point if e != "pm_gibbs"]
+    records, reached, chains = {}, [], []
+    for cell_idx, U, Q, snr_db in cells:
+        sigma2 = snr_to_sigma2(snr_db)
+        design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2)
+        errs = {e: np.empty(config.trials) for e in point}
+        times = dict.fromkeys(point, 0.0)
+        truth, responses = [], []
+        try:
+            for trial in range(config.trials):
+                rng = _trial_rng(config.seed, cell_idx, trial)
+                a = rng.normal(scale=np.sqrt(sigma2), size=U)
+                d = rng.normal(scale=np.sqrt(sigma2), size=Q)
+                w = rng.standard_normal((U, Q))
+                Y = np.where(a[:, None] - d[None, :] + w >= 0, 1.0, -1.0)
+                data = _full_response_set(design, Y)
+                for name in fitted:
+                    out = fit_response_set(data, name, sigma2_x=sigma2)
+                    times[name] += out["wall_time_seconds"]
+                    errs[name][trial] = float(np.mean((out["abilities"] - a) ** 2))
+                truth.append(a)
+                responses.append(data.responses)
+        except Exception as err:  # recorded, not raised: other cells continue
+            records[cell_idx] = _error_cell(U, Q, snr_db, err)
+            continue
+        reached.append((cell_idx, snr_db, design, errs, times, truth))
+        if "pm_gibbs" in point:
+            chains += [
+                (design, y, GibbsConfig(
+                    burn_in=config.gibbs_burn_in,
+                    samples=config.gibbs_samples,
+                    seed=_gibbs_seed(config.seed, cell_idx, trial),
+                ))
+                for trial, y in enumerate(responses)
+            ]
+
+    if chains:
+        # Every trial's ResponseSet has the pattern; the last one drawn serves.
+        per_block = max(1, _GIBBS_BLOCK_LATENTS // len(data))
+        try:
+            t0 = time.perf_counter()
+            means = np.concatenate([
+                _rasch_gibbs_block(data, chains[start : start + per_block])
+                for start in range(0, len(chains), per_block)
+            ])
+            share = (time.perf_counter() - t0) / len(reached)
+        except Exception as err:  # recorded, not raised: other patterns continue
+            for cell_idx, snr_db, design, *_ in reached:
+                records[cell_idx] = _error_cell(design.U, design.Q, snr_db, err)
+            reached = []
+        else:
+            for k, (_, _, design, errs, times, truth) in enumerate(reached):
+                rows = means[k * config.trials : (k + 1) * config.trials, : design.U]
+                errs["pm_gibbs"][:] = [np.mean((x - a) ** 2) for x, a in zip(rows, truth)]
+                times["pm_gibbs"] = share
+
+    for cell_idx, snr_db, design, errs, times, _ in reached:
+        records[cell_idx] = _standard_record(config, snr_db, design, errs, times)
+    return [records[cell[0]] for cell in cells]
+
+
+def _standard_record(config, snr_db, design, errs, times):
+    """A full-design cell's record from its per-trial ability errors."""
+    U, Q, sigma2 = design.U, design.Q, design.sigma2_a
     mse_a, mse_d = rasch_closed_form_mse(design)
-
-    point_estimators = [e for e in config.estimators if e != "fisher_bound"]
-    errs = {e: np.empty(config.trials) for e in point_estimators}
-    times = {e: 0.0 for e in point_estimators}
-
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, cell_idx, trial)
-        a = rng.normal(scale=np.sqrt(sigma2), size=U)
-        d = rng.normal(scale=np.sqrt(sigma2), size=Q)
-        w = rng.standard_normal((U, Q))
-        Y = np.where(a[:, None] - d[None, :] + w >= 0, 1.0, -1.0)
-        data = _full_response_set(design, Y)
-        gibbs_config = GibbsConfig(
-            burn_in=config.gibbs_burn_in,
-            samples=config.gibbs_samples,
-            seed=_gibbs_seed(config.seed, cell_idx, trial),
-        )
-        for name in point_estimators:
-            out = fit_response_set(
-                data, name, sigma2_x=sigma2, gibbs_config=gibbs_config
-            )
-            times[name] += out["wall_time_seconds"]
-            errs[name][trial] = float(np.mean((out["abilities"] - a) ** 2))
-
     cell = {
         "U": U,
         "Q": Q,
@@ -269,11 +334,11 @@ def _run_standard_cell(config, cell_idx, U, Q, snr_db):
     }
     if config.include_difficulty_mse:
         cell["analytical_difficulty_mse"] = mse_d
-    for name in point_estimators:
+    for name, e in errs.items():
         stem = _STEM[name]
-        cell[f"empirical_{stem}_mse"] = float(np.mean(errs[name]))
+        cell[f"empirical_{stem}_mse"] = float(np.mean(e))
         cell[f"empirical_{stem}_stderr"] = (
-            float(np.std(errs[name], ddof=1) / np.sqrt(config.trials))
+            float(np.std(e, ddof=1) / np.sqrt(config.trials))
             if config.trials > 1
             else None
         )
@@ -313,8 +378,7 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         errs[trial] = float(np.mean((a_hat - a) ** 2))
         predicted[trial] = sol.predicted_mse
         if "fisher_bound" in config.estimators:
-            lam = probit_information(-d)
-            fisher[trial] = 1.0 / (lam.sum() + 1.0 / sigma2)
+            fisher[trial] = fisher_known_difficulty_bound(d, sigma2)
     cell = {
         "U": U,
         "Q": Q,
@@ -342,37 +406,42 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     """Run the synthetic grid study.
 
     Each (U, Q, snr) cell draws `trials` Rasch instances and accumulates
-    per-trial mean squared errors on the ability components.  An estimator
-    failure aborts its cell (recorded in the cell's `error` field) without
-    stopping the run.  Deterministic for a given config, regardless of
-    thread count.
+    per-trial mean squared errors on the ability components.  The unit of
+    parallel work is the (U, Q) pattern: one task runs every SNR cell of a
+    full U x Q design, its Gibbs chains in one block
+    (`_run_standard_pattern`); in known-difficulty mode each cell is its own
+    task.  An estimator failure aborts its cell (recorded in the cell's
+    `error` field) without stopping the run.  Deterministic for a given
+    config, regardless of thread count.
     """
-    cells_spec = list(
-        product(config.users_grid, config.items_grid, config.snr_db_grid)
-    )
-
-    def run_cell(args):
-        cell_idx, (U, Q, snr_db) = args
-        try:
-            if config.known_difficulties:
-                return _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db)
-            return _run_standard_cell(config, cell_idx, U, Q, snr_db)
-        except Exception as err:  # recorded, not raised: other cells continue
-            return {
-                "U": U,
-                "Q": Q,
-                "snr_db": snr_db,
-                "sigma2_x": snr_to_sigma2(snr_db),
-                "error": f"{type(err).__name__}: {err}",
-            }
-
-    indexed = list(enumerate(cells_spec))
-    if threads is not None and threads > 1 and len(indexed) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run_cell, indexed))
+    indexed = [
+        (cell_idx, *spec)
+        for cell_idx, spec in enumerate(
+            product(config.users_grid, config.items_grid, config.snr_db_grid)
+        )
+    ]
+    if config.known_difficulties:
+        tasks = [[cell] for cell in indexed]
     else:
-        cells = [run_cell(item) for item in indexed]
-    return ExperimentResult(config=asdict(config), cells=cells)
+        tasks = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
+
+    def run_task(cells):
+        if not config.known_difficulties:
+            return _run_standard_pattern(config, cells)
+        [(cell_idx, U, Q, snr_db)] = cells
+        try:
+            return [_run_known_difficulty_cell(config, cell_idx, U, Q, snr_db)]
+        except Exception as err:  # recorded, not raised: other cells continue
+            return [_error_cell(U, Q, snr_db, err)]
+
+    if threads is not None and threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(run_task, tasks))
+    else:
+        done = [run_task(cells) for cells in tasks]
+    return ExperimentResult(
+        config=asdict(config), cells=[cell for cells in done for cell in cells]
+    )
 
 
 def accuracy(predictions, labels) -> float:

@@ -266,8 +266,8 @@ class _BipartiteSchur:
     leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C (C upper triangular),
     of size min(U, Q).  `solve` (MAP Newton steps, the L-MMSE estimate)
     runs on the Cholesky factor C; `diag_inverse` (the exact L-MMSE MSE)
-    and `sample` (the Gibbs x | z draw) run on its inverse C^{-1}, formed by
-    LAPACK dtrtri, since S^{-1} = C^{-1} C^{-T}.
+    and `sample` (the Gibbs x | z draw, by `_BipartiteSampler`) run on its
+    inverse C^{-1}, formed by LAPACK dtrtri, since S^{-1} = C^{-1} C^{-T}.
     """
 
     def __init__(self, h, data: ResponseSet, weights):
@@ -288,7 +288,6 @@ class _BipartiteSchur:
         self._factor = scipy.linalg.cho_factor(
             schur, overwrite_a=True, check_finite=False
         )
-        self._sampler = None
 
     def _inverse_factor(self):
         """C^{-1}, upper triangular, by LAPACK dtrtri on the Cholesky factor."""
@@ -308,27 +307,9 @@ class _BipartiteSchur:
         return x
 
     def sample(self, r, xi):
-        """A draw from N(H^{-1} r, H^{-1}) given standard normals xi, one per parameter.
-
-        x_s = S^{-1} r~ + C^{-1} xi_s with r~ = r_s - B r_b / h_b, then
-        x_b = (r_b - B^T x_s) / h_b + xi_b / sqrt(h_b).  C^{-1} is formed
-        on the first call, so a draw costs two dense min(U, Q) mat-vecs and
-        the two sparse products of `solve`.  (A gather plus a bincount per
-        product saves about 10 % of a Gibbs step at 400 responses but costs
-        9 % at 100k, where SciPy's one-pass CSR mat-vec wins.)  With the
-        items kept this is the draw L^{-T}(L^{-1} r + xi) of the users-first
-        Cholesky factor H = L L^T.
-        """
-        if self._sampler is None:
-            self._sampler = (
-                self._inverse_factor(), self._B.T.tocsr(), 1.0 / np.sqrt(self._h)
-            )
-        c_inv, Bt, inv_sqrt_h = self._sampler
-        r_kept = r[self.kept] - self._B @ (r / self._h)
-        x_kept = c_inv @ (c_inv.T @ r_kept + xi[self.kept])
-        x = (r - Bt @ x_kept) / self._h + inv_sqrt_h * xi
-        x[self.kept] = x_kept
-        return x
+        """One draw from N(H^{-1} r, H^{-1}) given standard normals xi, one
+        per parameter: `_BipartiteSampler` with one row."""
+        return _BipartiteSampler([(self, 1)]).sample(r[None], xi[None])[0]
 
     def diag_inverse(self):
         """diag(H^{-1}) exactly (formulas in `rasch_lmmse_fit`), no N x N array.
@@ -345,6 +326,53 @@ class _BipartiteSchur:
             out[block] += np.einsum("ij,ij->i", rows, rows) / self._h[block] ** 2
         out[self.kept] = np.einsum("ij,ij->i", c_inv, c_inv)
         return out
+
+
+class _BipartiteSampler:
+    """The Gibbs x | z draw for a block of chains on one observation pattern.
+
+    runs holds one (schur, n) per run of n consecutive chains (rows) whose
+    x | z precision is schur's H; the factors share one pattern and one
+    set of weights, so they share the kept side and B, and the sparse
+    products of a draw run once for all rows.
+    """
+
+    def __init__(self, runs):
+        schurs, counts = zip(*runs)
+        self.kept, self._B = schurs[0].kept, schurs[0]._B
+        self._Bt = self._B.T.tocsr()
+        self._h = np.repeat([schur._h for schur in schurs], counts, axis=0)
+        self._inv_sqrt_h = 1.0 / np.sqrt(self._h)
+        ends = np.cumsum(counts)
+        self._c_inv = [
+            (slice(end - n, end), schur._inverse_factor())
+            for end, n, schur in zip(ends, counts, schurs)
+        ]
+
+    def sample(self, R, XI):
+        """Draws from N(H^{-1} r, H^{-1}), one per row r of R, given standard
+        normals XI of R's shape (rows of length U + Q, H that of the row).
+
+        x_s = S^{-1} r~ + C^{-1} xi_s with r~ = r_s - B r_b / h_b, then
+        x_b = (r_b - B^T x_s) / h_b + xi_b / sqrt(h_b), with S = C^T C the
+        row's Schur complement and C^{-1} its inverse factor.  The two sparse
+        products run once for all rows, and each row's two products with
+        C^{-1} are matrix-vector products, as for a row alone; with unit
+        weights (the Gibbs case) a row's draw is bitwise its draw alone.
+        With the items kept this is the draw L^{-T}(L^{-1} r + xi) of the
+        users-first Cholesky factor H = L L^T.
+        """
+        kept = self.kept
+        r_kept = R[:, kept] - (self._B @ (R / self._h).T).T
+        xi_kept = XI[:, kept]
+        x_kept = np.empty_like(r_kept)
+        for rows, c_inv in self._c_inv:
+            x_kept[rows] = (
+                (r_kept[rows, None] @ c_inv + xi_kept[rows, None]) @ c_inv.T
+            )[:, 0]
+        X = (R - (self._Bt @ x_kept.T).T) / self._h + self._inv_sqrt_h * XI
+        X[:, kept] = x_kept
+        return X
 
 
 def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:

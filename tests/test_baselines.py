@@ -11,6 +11,7 @@ from rasch_lmmse.baselines import (
     GibbsConfig,
     MapConfig,
     _draw_latent,
+    _rasch_gibbs_block,
     _truncated_std_normal,
     fisher_lower_bound,
     fisher_rasch_ability_bound,
@@ -308,6 +309,38 @@ def test_rasch_gibbs_chain_is_bitwise_the_sparse_reference():
         u = 1.0 - rng.random(2000)
         assert np.array_equal(_draw_latent(mu, y, u),
                               mu + y * _truncated_std_normal(-y * mu, u))
+
+
+def test_rasch_gibbs_block_matches_single_chains():
+    # Two priors (sigma2_a != sigma2_d), three chains each, on a partial
+    # mask with an empty user row and item column; the factor keeps the
+    # users on the 6 x 15 mask and the items on the 15 x 6 one.  Each row
+    # of the block must be, bit for bit, its chain run alone.
+    rng = np.random.default_rng(515)
+    sides = set()
+    for U, Q in ((6, 15), (15, 6)):
+        data = random_rasch_responses(rng, U, Q, 0.5)
+        unseen = np.concatenate([np.bincount(data.users, minlength=U) == 0,
+                                 np.bincount(data.items, minlength=Q) == 0])
+        h = np.bincount(np.concatenate([data.users, U + data.items]),
+                        minlength=U + Q) + 1.0
+        sides.add(_BipartiteSchur(h, data, np.ones(len(data))).side)
+        chains = [
+            (design, np.where(rng.random(len(data)) < 0.5, 1.0, -1.0),
+             GibbsConfig(burn_in=40, samples=80, seed=int(rng.integers(2**32))))
+            for design in (RaschDesign(U, Q, 0.6, 2.2), RaschDesign(U, Q, 1.9, 0.4))
+            for _ in range(3)
+        ]
+        block = _rasch_gibbs_block(data, chains)
+        for row, (design, y, config) in zip(block, chains):
+            alone = rasch_pm_gibbs(design, ResponseSet(
+                data.users, data.items, y, num_users=U, num_items=Q), config)
+            assert np.array_equal(row, alone)
+        assert unseen.sum() >= 2 and np.all(block[:, unseen] == 0.0)
+        assert np.all(block[:, ~unseen] != 0.0)
+    assert sides == {"users", "items"}
+    with pytest.raises(ValueError, match="equal burn_in and samples"):
+        _rasch_gibbs_block(data, [chains[0], (*chains[1][:2], GibbsConfig(1, 80))])
 
 
 def test_rasch_gibbs_matches_exact_posterior_mean_on_tiny_instances():

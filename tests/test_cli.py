@@ -138,6 +138,19 @@ def test_simulate_byte_identical_across_threads(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_simulate_gibbs_byte_identical_across_threads(tmp_path):
+    # Four (U, Q) patterns, each one Gibbs block over two SNR cells.
+    argv = ["simulate", "--users", "3,4", "--items", "2,5", "--snr-db", "0,10",
+            "--trials", "3", "--estimators", "pm_gibbs,map", "--seed", "5",
+            "--gibbs-burnin", "20", "--gibbs-samples", "40"]
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"t{threads}.csv"
+        assert main(argv + ["--output", str(path), "--threads", threads]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] and b"failed" not in outputs[0]
+
+
 def test_simulate_missing_flags(capsys):
     assert main(["simulate", "--users", "2"]) == 2
     assert "missing required flags" in capsys.readouterr().err
@@ -246,6 +259,16 @@ def test_invalid_settings_fail_before_any_cell(tmp_path, capsys):
     assert "samples must be positive" in capsys.readouterr().err
     assert main(grid + ["--known-difficulties", "--estimators", "map"]) == 1
     assert "lmmse estimator only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_crossval_checks_settings_before_reading_data(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "x.csv"
+    assert main(["crossval", "--data", str(missing), "--folds", "1",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "folds must be at least 2" in err and "missing.csv" not in err
     assert not out.exists()
 
 

@@ -195,6 +195,22 @@ def test_duplicate_after_blank_lines_reports_its_line(tmp_path):
         load_triplets(path)
 
 
+def test_errors_name_the_physical_line_after_a_multiline_id(tmp_path):
+    # A quoted ID may hold a line break: the record on lines 2-3 shifts
+    # every later line away from the record count.
+    path = tmp_path / "d.csv"
+    path.write_text('user,item,response\n"u\n1",i1,1\nu2,i1,1\nu2,i1,-1\n')
+    with pytest.raises(ValueError, match=r"line 5: duplicate pair "
+                                         r"\(user='u2', item='i1'\)"):
+        load_triplets(path)
+    path.write_text('user,item,response\n\nu2,i1,1\n"u\n1",i1,7\nu3,i1,1\n')
+    with pytest.raises(ValueError, match=r"line 4: unknown response value '7'"):
+        load_triplets(path)
+    path.write_text('user,item,response\n"u\n1",i1,1\n\nu3,i1\n')
+    with pytest.raises(ValueError, match=r"line 5: expected 3 fields, got 2"):
+        load_triplets(path)
+
+
 def _reference_load_triplets(path, label_convention="pm_one"):
     """Row-by-row triplet loader: a per-row token branch, a per-row
     densifier and a set of seen pairs.  The reference the vectorized

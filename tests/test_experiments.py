@@ -235,6 +235,50 @@ def test_standard_cell_matches_dense_references():
         assert cell[f"empirical_{stem}_mse"] == pytest.approx(np.mean(e), abs=1e-9)
 
 
+def test_failure_aborts_its_cell_and_a_block_failure_its_pattern(monkeypatch):
+    # The two SNR cells of a (U, Q) pattern share one Gibbs block: a MAP
+    # failure aborts only its cell, a block failure only its pattern's cells.
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(2, 4), snr_db_grid=(0.0, 10.0), trials=2,
+        estimators=("map", "pm_gibbs"), gibbs_burn_in=10, gibbs_samples=20,
+    )
+    fit, block = experiments.fit_response_set, experiments._rasch_gibbs_block
+
+    def fit_failing_at_10_db(data, name, sigma2_x, **kwargs):
+        if data.num_items == 2 and sigma2_x == snr_to_sigma2(10.0):
+            raise RuntimeError("no convergence")
+        return fit(data, name, sigma2_x=sigma2_x, **kwargs)
+
+    def block_failing_at_q4(data, chains):
+        if data.num_items == 4:
+            raise np.linalg.LinAlgError("singular")
+        return block(data, chains)
+
+    monkeypatch.setattr(experiments, "fit_response_set", fit_failing_at_10_db)
+    errors = [c["error"] for c in run_synthetic(config, threads=2).cells]
+    assert errors == [None, "RuntimeError: no convergence", None, None]
+    monkeypatch.setattr(experiments, "_rasch_gibbs_block", block_failing_at_q4)
+    cells = run_synthetic(config, threads=2).cells
+    assert [c["error"] for c in cells] == [
+        None, "RuntimeError: no convergence",
+        "LinAlgError: singular", "LinAlgError: singular",
+    ]
+    assert cells[0]["empirical_pm_mse"] > 0.0
+
+
+def test_gibbs_block_size_leaves_results_unchanged(monkeypatch):
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(4,), snr_db_grid=(0.0, 10.0), trials=3,
+        estimators=("pm_gibbs",), gibbs_burn_in=10, gibbs_samples=20, seed=2,
+    )
+    one_block = run_synthetic(config).cells
+    monkeypatch.setattr(experiments, "_GIBBS_BLOCK_LATENTS", 25)  # 2 chains
+    blocks = run_synthetic(config).cells
+    for cell in one_block + blocks:
+        del cell["wall_time_seconds"]
+    assert blocks == one_block
+
+
 def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
     linearize = linear_probit.linearize
     fit = experiments.lmmse_fit
