@@ -9,6 +9,7 @@ posterior mean, and the Fisher bound gives an (asymptotic) floor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -33,6 +34,7 @@ class MapConfig:
     use_prior: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.gradient_tolerance > 0:
@@ -50,6 +52,8 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("burn_in", "samples", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if self.samples < 1:
@@ -461,48 +465,15 @@ _PATTERN_CHUNK = 256
 
 
 def pm_exact(model: GeneralProbitModel, y):
-    """Exact posterior mean for tiny parameter dimension (N <= 3).
+    """Exact posterior mean for tiny problems (N <= 3, M <= 12).
 
-    Returns (estimate, mse): the conditional mean for the given y by
-    Gauss-Hermite quadrature (order doubled until the estimate settles),
-    and the exact PM MSE obtained by enumerating all 2^M response patterns
-    weighted by their marginal probabilities (M <= 12).
+    Returns (estimate, mse): E[x | y] and the exact PM MSE, both from the
+    one enumeration of all 2^M response patterns that `pm_exact_mse` runs;
+    the estimate is the row of y's pattern (bit m set where y_m = +1).
     """
-    estimate = _pm_conditional_mean(model, y)
-    mse = pm_exact_mse(model)
-    return estimate, mse
-
-
-def _pm_conditional_mean(model, y):
-    D = model.D
-    M, N = D.shape
-    if N > 3:
-        raise ValueError("pm_exact supports at most 3 parameters")
-    y = _check_pm_one(y, M)
-
-    Lx = scipy.linalg.cholesky(model.C_x, lower=True)
-    base = D @ model.x_mean + model.m
-    G = D @ Lx
-
-    prev = None
-    for order in _GH_ORDERS:
-        pts, w = _gh_grid(order, N)
-        Z = 0.0
-        mean_u = np.zeros(N)
-        for lo in range(0, len(pts), _GRID_CHUNK):
-            pts_c = pts[lo : lo + _GRID_CHUNK]
-            w_c = w[lo : lo + _GRID_CHUNK]
-            T = base[None, :] + pts_c @ G.T
-            post = w_c * np.exp(log_ndtr(y[None, :] * T).sum(axis=1))
-            Z += post.sum()
-            mean_u += post @ pts_c
-        est = model.x_mean + Lx @ (mean_u / Z)
-        if prev is not None and np.linalg.norm(est - prev) <= 1e-6 * (
-            1.0 + np.linalg.norm(est)
-        ):
-            return est
-        prev = est
-    return prev
+    y = _check_pm_one(y, model.num_observations)
+    means, mse = _pm_patterns(model)
+    return means[int((y > 0) @ (1 << np.arange(y.size)))], mse
 
 
 def pm_exact_mse(model: GeneralProbitModel):
@@ -512,12 +483,23 @@ def pm_exact_mse(model: GeneralProbitModel):
     trace(C_x) + ||x_mean||^2, enumerating all 2^M response patterns.
     Requires N <= 3 and M <= 12.
     """
+    return _pm_patterns(model)[1]
+
+
+def _pm_patterns(model):
+    """E[x | pattern] for all 2^M response patterns, and the exact PM MSE.
+
+    Pattern p has y_m = +1 where bit m of p is set.  Each P(pattern) and
+    E[x | pattern] is a Gauss-Hermite integral over x; the order is doubled
+    until the MSE settles, and the means are those at that order (NaN for
+    a pattern whose probability underflows to 0).
+    """
     D = model.D
     M, N = D.shape
     if N > 3:
         raise ValueError("pm_exact supports at most 3 parameters")
     if M > 12:
-        raise ValueError("pm_exact_mse supports at most 12 observations")
+        raise ValueError("pm_exact supports at most 12 observations")
 
     Lx = scipy.linalg.cholesky(model.C_x, lower=True)
     base = D @ model.x_mean + model.m
@@ -552,16 +534,17 @@ def pm_exact_mse(model: GeneralProbitModel):
                 f"pattern probabilities sum to {total_prob}, quadrature too coarse"
             )
         keep = Z > 0
-        est = model.x_mean[None, :] + (M1[keep] / Z[keep, None]) @ Lx.T
+        means = np.full((num_patterns, N), np.nan)
+        means[keep] = model.x_mean[None, :] + (M1[keep] / Z[keep, None]) @ Lx.T
         mse = float(
             np.trace(model.C_x)
             + model.x_mean @ model.x_mean
-            - Z[keep] @ np.sum(est**2, axis=1)
+            - Z[keep] @ np.sum(means[keep] ** 2, axis=1)
         )
         if prev is not None and abs(mse - prev) <= 1e-8 * (1.0 + abs(mse)):
-            return mse
+            break
         prev = mse
-    return prev
+    return means, mse
 
 
 def probit_information(t):

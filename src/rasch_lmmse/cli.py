@@ -128,11 +128,15 @@ def _load_difficulties(path):
             if not token:
                 continue
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ValueError(
-                    f"{path}:{line_no}: expected one difficulty per line, got {token!r}"
+                    f"{path}:{line_no}: expected one finite difficulty per line, "
+                    f"got {token!r}"
                 )
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no difficulties found")
     return np.array(values)
@@ -149,6 +153,9 @@ def _cmd_analyze(args):
         raise UsageError(
             "--difficulty-file / --difficulty-sigma2 require --known-difficulties"
         )
+    s2_d = args.difficulty_sigma2
+    if s2_d is not None and not 0 <= s2_d < math.inf:
+        raise ValueError(f"--difficulty-sigma2 must be finite and nonnegative, got {s2_d}")
     if args.snr_db is not None:
         levels = [(snr, snr_to_sigma2(snr)) for snr in args.snr_db]
     elif all(0 <= s2 < math.inf for s2 in args.sigma2):

@@ -1,13 +1,9 @@
-"""Linear MMSE and least-squares estimation for one-bit probit observations.
+"""Linear MMSE estimation for one-bit probit observations.
 
 The observation model is y = sign(D x + m + w) with x ~ N(x_mean, C_x) and
-w ~ N(0, I).  Both estimators are linear in y and come with exact,
-data-independent MSE expressions, built from the first two moments of the
+w ~ N(0, I).  The estimator is linear in y and comes with an exact,
+data-independent MSE expression, built from the first two moments of the
 sign vector (computed via the normal CDF and the bivariate normal CDF).
-
-A smoothed variant y = f_sigma(D x + w) is supported on the zero-mean path,
-where the second moment of y follows an arcsine law with sigma^2 added to
-the variances.
 """
 
 from __future__ import annotations
@@ -35,18 +31,12 @@ def _as_float_array(x, name, ndim):
 
 @dataclass(frozen=True)
 class GeneralProbitModel:
-    """Probit observation model y = sign(D x + m + w), x ~ N(x_mean, C_x).
-
-    smoothing_sigma > 0 replaces the hard sign by the smoothed sigmoid
-    f_sigma; this is only supported with x_mean = 0 and m = 0, where the
-    arcsine second-moment formula extends cleanly.
-    """
+    """Probit observation model y = sign(D x + m + w), x ~ N(x_mean, C_x)."""
 
     D: np.ndarray
     m: np.ndarray
     x_mean: np.ndarray
     C_x: np.ndarray
-    smoothing_sigma: float = 0.0
 
     def __post_init__(self):
         D = _as_float_array(self.D, "D", 2)
@@ -66,26 +56,14 @@ class GeneralProbitModel:
             scipy.linalg.cholesky(C_x, lower=True)
         except scipy.linalg.LinAlgError as err:
             raise ValueError("C_x must be positive definite") from err
-        sigma = float(self.smoothing_sigma)
-        if sigma < 0:
-            raise ValueError("smoothing_sigma must be nonnegative")
-        if sigma > 0 and (np.any(x_mean != 0) or np.any(m != 0)):
-            raise ValueError(
-                "smoothing_sigma > 0 requires x_mean = 0 and m = 0"
-            )
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "x_mean", x_mean)
         object.__setattr__(self, "C_x", C_x)
-        object.__setattr__(self, "smoothing_sigma", sigma)
 
     @property
     def num_observations(self):
         return self.D.shape[0]
-
-    @property
-    def num_parameters(self):
-        return self.D.shape[1]
 
     def is_zero_mean(self):
         return not (np.any(self.x_mean != 0) or np.any(self.m != 0))
@@ -106,7 +84,7 @@ class LinearizedQuantities:
 
 @dataclass(frozen=True)
 class LmmseSolution:
-    """Result of a linear fit x_hat = W y + b with its predicted MSE.
+    """Result of an L-MMSE fit x_hat = W y + b with its predicted MSE.
 
     predicted_mse (the exact expected squared error summed over
     components) and per_component_mse are data-independent and always
@@ -119,7 +97,6 @@ class LmmseSolution:
     per_component_mse: np.ndarray
     W: np.ndarray | None
     b: np.ndarray | None
-    method: str = "lmmse"
     jitter: float = 0.0
     metadata: dict = field(default_factory=dict)
 
@@ -134,13 +111,6 @@ def sign_covariance(c_i, c_j, rho):
     return 4.0 * (binorm_cdf(c_i, c_j, rho) - norm_cdf(c_i) * norm_cdf(c_j))
 
 
-def _arcsine_diag(cz_diag, sigma):
-    # Variance of the (smoothed) sign; exactly 1 - y_mean^2 = 1 for sigma = 0.
-    if sigma == 0.0:
-        return np.ones_like(cz_diag)
-    return (2.0 / np.pi) * np.arcsin(cz_diag / (sigma**2 + cz_diag))
-
-
 def _symmetrized_cz(D, C_x):
     C_z = D @ C_x @ D.T
     C_z = 0.5 * (C_z + C_z.T)
@@ -152,15 +122,14 @@ def _linearize_zero_mean(model):
     D, C_x = model.D, model.C_x
     # C_z is scaled in place into the arcsine argument, which becomes C_y.
     C_y = _symmetrized_cz(D, C_x)
-    cz_diag = np.diag(C_y).copy()
-    denom = np.sqrt(model.smoothing_sigma**2 + cz_diag)
+    denom = np.sqrt(np.diag(C_y))
     C_y /= denom[:, None]
     C_y /= denom[None, :]
     # The clip guards rounding pushing |argument| past 1 for near-duplicate rows.
     np.clip(C_y, -1.0, 1.0, out=C_y)
     np.arcsin(C_y, out=C_y)
     C_y *= 2.0 / np.pi
-    np.fill_diagonal(C_y, _arcsine_diag(cz_diag, model.smoothing_sigma))
+    np.fill_diagonal(C_y, 1.0)  # var(sign) = 1 - y_mean^2 = 1
     E = np.sqrt(2.0 / np.pi) * (D @ C_x) / denom[:, None]
     return LinearizedQuantities(y_mean=np.zeros(D.shape[0]), C_y=C_y, E=E)
 
@@ -279,7 +248,6 @@ def lmmse_fit(
         per_component_mse=per_component,
         W=W,
         b=b,
-        method="lmmse",
         jitter=jitter,
         metadata={"path": "dense"},
     )
@@ -295,43 +263,3 @@ def lmmse_predicted_mse(model: GeneralProbitModel, *, lin=None):
         lin = linearize(model)
     per_component = _lmmse_solve(model, lin)[1]
     return float(np.sum(per_component)), per_component
-
-
-def ls_fit(model: GeneralProbitModel, y, *, lin=None) -> LmmseSolution:
-    """Least-squares estimate x_hat = C_x (E^T E)^{-1} E^T y (zero-mean only).
-
-    Unlike the L-MMSE fit this inverts the forward map without shrinkage,
-    so its MSE G C_y G^T - C_x (with G = C_x E^+) can exceed the prior
-    variance at low SNR.
-    """
-    if not model.is_zero_mean():
-        raise ValueError("ls_fit requires x_mean = 0 and m = 0")
-    M, N = model.D.shape
-    y = _check_pm_one(y, M)
-    if M < N:
-        raise ValueError(f"ls_fit needs M >= N, got M={M}, N={N}")
-    if lin is None:
-        lin = linearize(model)
-
-    Q, Rtri = scipy.linalg.qr(lin.E, mode="economic")
-    rdiag = np.abs(np.diag(Rtri))
-    if np.min(rdiag) <= max(M, N) * np.finfo(float).eps * np.max(rdiag):
-        raise np.linalg.LinAlgError("E is rank deficient; LS fit undefined")
-    # E^+ = R^{-1} Q^T
-    pinv_E = scipy.linalg.solve_triangular(Rtri, Q.T)
-    G = model.C_x @ pinv_E
-    estimate = G @ y
-
-    cov_err = G @ lin.C_y @ G.T - model.C_x
-    per_component = np.diag(cov_err).copy()
-    predicted_mse = float(np.trace(cov_err))
-
-    return LmmseSolution(
-        estimate=estimate,
-        predicted_mse=predicted_mse,
-        per_component_mse=per_component,
-        W=G,
-        b=np.zeros(N),
-        method="ls",
-        metadata={"path": "dense"},
-    )

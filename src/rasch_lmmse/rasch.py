@@ -86,13 +86,19 @@ class KnownDifficultyModel:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).ravel()
+        x_bar, sigma2_x = float(self.x_bar), float(self.sigma2_x)
         if d.size < 1:
             raise ValueError("need at least one item difficulty")
-        if not self.sigma2_x > 0:
-            raise ValueError("sigma2_x must be positive")
+        if not np.all(np.isfinite(d)):
+            bad = d[~np.isfinite(d)][0]
+            raise ValueError(f"item difficulties must be finite, got {bad}")
+        if not np.isfinite(x_bar):
+            raise ValueError(f"x_bar must be finite, got {x_bar}")
+        if not 0 < sigma2_x < np.inf:
+            raise ValueError(f"sigma2_x must be finite and positive, got {sigma2_x}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "x_bar", float(self.x_bar))
-        object.__setattr__(self, "sigma2_x", float(self.sigma2_x))
+        object.__setattr__(self, "x_bar", x_bar)
+        object.__setattr__(self, "sigma2_x", sigma2_x)
 
 
 def rasch_design_matrix(

@@ -1,28 +1,18 @@
 """Normal-distribution special functions.
 
-Univariate pieces wrap scipy.special, which stays accurate far into the
-tails (log_norm_cdf(-40) is finite, norm_cdf_inv round-trips tiny
-probabilities). The bivariate CDF is a vectorized port of the classic
-Gauss-Legendre scheme (Genz 2004) with a separate expansion for |rho| > 0.925;
-absolute error is below 1e-12 everywhere on [-1, 1] (measured ~1e-16).  It
-runs in fixed-size blocks of pairs, so memory stays bounded at any size.
+The univariate CDF is scipy.special.ndtr.  The bivariate CDF is a
+vectorized port of the classic Gauss-Legendre scheme (Genz 2004) with a
+separate expansion for |rho| > 0.925; absolute error is below 1e-12
+everywhere on [-1, 1] (measured ~1e-16).  It runs in fixed-size blocks of
+pairs, so memory stays bounded at any size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
-__all__ = [
-    "Correlation",
-    "norm_pdf",
-    "norm_cdf",
-    "log_norm_cdf",
-    "norm_cdf_inv",
-    "binorm_cdf",
-]
+__all__ = ["norm_pdf", "norm_cdf", "binorm_cdf"]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -31,22 +21,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 _BLOCK = 4096  # finite pairs per block, each holding a few (_BLOCK, 20) arrays
-
-
-@dataclass(frozen=True)
-class Correlation:
-    """A correlation coefficient strictly inside (-1, 1)."""
-
-    rho: float
-
-    def __post_init__(self) -> None:
-        rho = float(self.rho)
-        if not np.isfinite(rho) or not -1.0 < rho < 1.0:
-            raise ValueError(f"correlation must be finite and in (-1, 1), got {self.rho!r}")
-        object.__setattr__(self, "rho", rho)
-
-    def __float__(self) -> float:
-        return self.rho
 
 
 def norm_pdf(x):
@@ -60,28 +34,13 @@ def norm_cdf(x):
     return special.ndtr(np.asarray(x, dtype=float))
 
 
-def log_norm_cdf(x):
-    """log of the standard normal CDF, stable in the left tail."""
-    return special.log_ndtr(np.asarray(x, dtype=float))
-
-
-def norm_cdf_inv(p):
-    """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("norm_cdf_inv requires probabilities strictly inside (0, 1)")
-    return special.ndtri(p)
-
-
 def binorm_cdf(x, y, rho):
     """P(X <= x, Y <= y) for standard bivariate normal variables.
 
     x and y broadcast together and may contain +-inf sentinels; rho may be a
-    Correlation, a float, or an array and must lie in the closed interval
-    [-1, 1], where the endpoints use the exact degenerate limits.
+    float or an array and must lie in the closed interval [-1, 1], where the
+    endpoints use the exact degenerate limits.
     """
-    if isinstance(rho, Correlation):
-        rho = float(rho)
     rho = np.asarray(rho, dtype=float)
     if np.any(~np.isfinite(rho)) or np.any(np.abs(rho) > 1.0):
         raise ValueError("rho must be finite with |rho| <= 1")

@@ -63,8 +63,6 @@ PHI2_EXTREME_REFERENCES = {
 # Scalar facts used across the suite.
 MAP_SCALAR_ROOT = 0.50605446898918076  # root of pdf(x)/Phi(x) = x
 PM_SCALAR_ESTIMATE = 0.5641895835477564  # 1/sqrt(pi)
-NORM_CDF_INV_1E10 = -6.361340902404056
-LOG_NORM_CDF_M40 = -804.6084420137539
 BINORM_1_M1_03 = 0.14833820905742245
 
 

@@ -383,6 +383,25 @@ def test_gibbs_config_validation():
         GibbsConfig(burn_in=0, samples=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GibbsConfig(samples=20.0),
+    lambda: GibbsConfig(burn_in=1.0),
+    lambda: GibbsConfig(seed=1.5),
+    lambda: MapConfig(max_iterations=2.5),
+])
+def test_config_integer_fields_reject_non_integers(make):
+    # A float count or seed would otherwise raise only mid-run.
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_config_integer_fields_are_python_ints():
+    cfg = GibbsConfig(burn_in=np.int64(3), samples=np.int32(4), seed=np.uint64(7))
+    assert [type(v) for v in (cfg.burn_in, cfg.samples, cfg.seed)] == [int] * 3
+    assert type(MapConfig(max_iterations=np.int64(5)).max_iterations) is int
+    assert GibbsConfig(seed=-1).seed == -1  # the seed has no range check
+
+
 def test_pm_exact_scalar_facts():
     model = scalar_model()
     est, mse = pm_exact(model, [1.0])

@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,35 @@ def test_analyze_difficulty_file_parse_error(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err  # line number of the bad entry
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_analyze_difficulty_file_non_finite(tmp_path, capsys, token):
+    diff_file = tmp_path / "d.txt"
+    diff_file.write_text(f"0.5\n{token}\n")
+    code = main([
+        "analyze", "--users", "2", "--items", "2", "--sigma2", "1",
+        "--known-difficulties", "--difficulty-file", str(diff_file),
+        "--output", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{diff_file}:2:" in err and repr(token) in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_analyze_difficulty_sigma2_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--users", "2", "--items", "2", "--sigma2", "1",
+                     "--known-difficulties", "--difficulty-sigma2", value,
+                     "--output", str(out)])
+    assert code == 1
+    assert f"--difficulty-sigma2 must be finite and nonnegative, got {float(value)}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_across_threads(tmp_path, capsys):
     argv = ["simulate", "--users", "2,3", "--items", "2", "--snr-db", "0",
             "--trials", "15", "--seed", "7"]
@@ -149,6 +180,21 @@ def test_simulate_gibbs_byte_identical_across_threads(tmp_path):
         assert main(argv + ["--output", str(path), "--threads", threads]) == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] and b"failed" not in outputs[0]
+
+
+def test_crossval_json_byte_identical_across_threads(tmp_path):
+    # Folds run in a thread pool; only the timings may differ.
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    argv = ["crossval", "--data", str(responses), "--estimators", "lmmse,map",
+            "--folds", "3", "--seed", "4", "--format", "json"]
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"t{threads}.json"
+        assert main(argv + ["--output", str(path), "--threads", threads]) == 0
+        text, removed = re.subn(rb'"runtime_seconds": \[[^\]]*\],\s*', b"", path.read_bytes())
+        assert removed == 2
+        outputs.append(text)
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_missing_flags(capsys):

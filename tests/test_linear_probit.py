@@ -1,4 +1,4 @@
-"""Linear MMSE / LS estimators: scalar facts and moment oracles."""
+"""Linear MMSE estimator: scalar facts and moment oracles."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from rasch_lmmse.linear_probit import (
     linearize,
     lmmse_fit,
     lmmse_predicted_mse,
-    ls_fit,
     sign_covariance,
 )
 
@@ -47,25 +46,6 @@ def test_scalar_lmmse_facts():
     assert per_comp[0] == pytest.approx(1.0 - 1.0 / np.pi, abs=1e-15)
 
 
-def test_scalar_ls_facts():
-    model = scalar_model()
-    sol = ls_fit(model, [1.0])
-    assert sol.estimate[0] == pytest.approx(np.sqrt(np.pi), abs=5e-15)
-    assert sol.predicted_mse == pytest.approx(np.pi - 1.0, abs=5e-15)
-    assert sol.method == "ls"
-
-
-def test_ls_never_beats_lmmse():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        model = random_model(rng, M=6, N=3, zero_mean=True)
-        y = np.sign(rng.normal(size=6))
-        y[y == 0] = 1.0
-        ls_sol = ls_fit(model, y)
-        lm_sol = lmmse_fit(model, y)
-        assert ls_sol.predicted_mse >= lm_sol.predicted_mse - 1e-10
-
-
 def test_general_moments_match_monte_carlo():
     rng = np.random.default_rng(12)
     model = random_model(rng, M=4, N=3, scale=0.3)
@@ -100,29 +80,6 @@ def test_zero_mean_path_agrees_with_general_path():
     np.testing.assert_allclose(lin_fast.E, lin_slow.E, atol=1e-12)
     np.testing.assert_allclose(lin_fast.y_mean, 0.0, atol=1e-16)
     assert np.all(np.diag(lin_fast.C_y) == 1.0)
-
-
-def test_smoothed_scalar_diagonal():
-    model = GeneralProbitModel(
-        D=[[1.0]], m=[0.0], x_mean=[0.0], C_x=[[1.0]], smoothing_sigma=1.0
-    )
-    lin = linearize(model)
-    # latent variance 2, smoothing adds 1: arcsine of 2/3
-    assert lin.C_y[0, 0] == pytest.approx(
-        (2.0 / np.pi) * np.arcsin(2.0 / 3.0), abs=1e-15
-    )
-    assert lin.E[0, 0] == pytest.approx(np.sqrt(2.0 / np.pi) / np.sqrt(3.0), abs=1e-15)
-
-
-def test_smoothing_requires_zero_mean():
-    with pytest.raises(ValueError):
-        GeneralProbitModel(
-            D=[[1.0]], m=[0.5], x_mean=[0.0], C_x=[[1.0]], smoothing_sigma=1.0
-        )
-    with pytest.raises(ValueError):
-        GeneralProbitModel(
-            D=[[1.0]], m=[0.0], x_mean=[0.0], C_x=[[1.0]], smoothing_sigma=-1.0
-        )
 
 
 def test_lmmse_weights_and_mse_match_direct_solve():
@@ -199,25 +156,6 @@ def test_input_validation():
         GeneralProbitModel(D=[[1.0]], m=[0.0], x_mean=[0.0], C_x=[[-1.0]])
     with pytest.raises(ValueError):
         GeneralProbitModel(D=[[1.0]], m=[0.0, 0.0], x_mean=[0.0], C_x=[[1.0]])
-
-
-def test_ls_requires_zero_mean_and_enough_rows():
-    rng = np.random.default_rng(6)
-    general = random_model(rng, M=5, N=3)
-    with pytest.raises(ValueError):
-        ls_fit(general, np.ones(5))
-    thin = random_model(rng, M=2, N=3, zero_mean=True)
-    with pytest.raises(ValueError):
-        ls_fit(thin, np.ones(2))
-
-
-def test_ls_rank_deficient_raises():
-    D = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    model = GeneralProbitModel(
-        D=D, m=np.zeros(3), x_mean=np.zeros(2), C_x=np.eye(2)
-    )
-    with pytest.raises(np.linalg.LinAlgError):
-        ls_fit(model, np.ones(3))
 
 
 def test_sign_covariance_matches_direct_formula():

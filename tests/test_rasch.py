@@ -361,6 +361,44 @@ def test_rasch_lmmse_fit_memory_below_dense_k():
     assert sol.metadata["schur_side"] == "users"
 
 
+def test_predicted_mse_matches_monte_carlo_on_a_partial_mask():
+    # The per-component MSE of rasch_lmmse_fit is exact on any observed
+    # pattern.  Draw (a, d, w) from the model on a fixed mask with skewed
+    # user and item popularity, one empty user and one empty item, and
+    # compare each block's empirical squared error with its prediction.
+    # The factor keeps the users on the 8 x 20 mask and the items on the
+    # 20 x 8 one, so each block is once kept and once eliminated.
+    rng = np.random.default_rng(2024)
+    n_draws = 4000
+    sides = set()
+    for U, Q in ((8, 20), (20, 8)):
+        sigma2_a, sigma2_d = 0.5, 2.0
+        design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2_a, sigma2_d=sigma2_d)
+        p_observed = np.outer(np.linspace(0.9, 0.25, U), np.linspace(1.0, 0.3, Q))
+        mask = rng.random((U, Q)) < p_observed
+        mask[rng.integers(U)] = False
+        mask[:, rng.integers(Q)] = False
+        users, items = np.nonzero(mask)
+        sq_err = np.empty((n_draws, U + Q))
+        for k in range(n_draws):
+            a = rng.normal(scale=np.sqrt(sigma2_a), size=U)
+            d = rng.normal(scale=np.sqrt(sigma2_d), size=Q)
+            z = a[users] - d[items] + rng.standard_normal(users.size)
+            sol = rasch_lmmse_fit(design, ResponseSet(
+                users, items, np.where(z > 0, 1.0, -1.0), num_users=U, num_items=Q))
+            sq_err[k] = (sol.estimate - np.concatenate([a, -d])) ** 2
+        sides.add(sol.metadata["schur_side"])
+        predicted = sol.per_component_mse
+        unseen = np.concatenate([~mask.any(axis=1), ~mask.any(axis=0)])
+        prior = np.concatenate([np.full(U, sigma2_a), np.full(Q, sigma2_d)])
+        assert unseen.sum() >= 2 and np.all(predicted[unseen] == prior[unseen])
+        for block in (slice(0, U), slice(U, U + Q)):
+            per_draw = sq_err[:, block].sum(axis=1)
+            se = per_draw.std(ddof=1) / np.sqrt(n_draws)
+            assert abs(per_draw.mean() - predicted[block].sum()) <= 3.0 * se
+    assert sides == {"users", "items"}
+
+
 def test_woodbury_fit_validation():
     design = RaschDesign(U=2, Q=2, sigma2_a=1.0, sigma2_d=1.0)
     other = ResponseSet(users=[0], items=[0], responses=[1.0],
@@ -483,3 +521,13 @@ def test_known_difficulty_validation():
         known_difficulty_fit(km, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         KnownDifficultyModel(d=np.zeros(2), x_bar=0.0, sigma2_x=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", [0.5, np.nan]), ("d", [np.inf]), ("x_bar", np.nan),
+    ("x_bar", -np.inf), ("sigma2_x", np.inf), ("sigma2_x", np.nan),
+])
+def test_known_difficulty_model_rejects_non_finite_input(field, value):
+    kwargs = {"d": np.zeros(2), "x_bar": 0.0, "sigma2_x": 1.0, field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        KnownDifficultyModel(**kwargs)

@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 
 from rasch_lmmse import specfun
 from rasch_lmmse.specfun import (
-    Correlation,
     binorm_cdf,
-    log_norm_cdf,
     norm_cdf,
-    norm_cdf_inv,
     norm_pdf,
 )
 
 from oracles import (
     BINORM_1_M1_03,
-    LOG_NORM_CDF_M40,
-    NORM_CDF_INV_1E10,
     PHI2_EXTREME_REFERENCES,
     phi2_quad,
 )
@@ -30,25 +25,6 @@ def test_univariate_frozen_values():
     assert norm_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-16)
     assert norm_cdf(0.0) == 0.5
     assert norm_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
-    assert log_norm_cdf(-40.0) == pytest.approx(LOG_NORM_CDF_M40, rel=1e-13)
-    assert norm_cdf_inv(1e-10) == pytest.approx(NORM_CDF_INV_1E10, abs=1e-12)
-    assert norm_cdf_inv(0.5) == 0.0
-
-
-def test_norm_cdf_inv_domain():
-    with pytest.raises(ValueError):
-        norm_cdf_inv(0.0)
-    with pytest.raises(ValueError):
-        norm_cdf_inv(1.0)
-    with pytest.raises(ValueError):
-        norm_cdf_inv(-0.2)
-
-
-def test_correlation_validation():
-    assert float(Correlation(0.3)) == 0.3
-    for bad in (1.0, -1.0, 1.5, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            Correlation(bad)
 
 
 def test_binorm_frozen_value():
