@@ -158,23 +158,28 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
         if gnorm < best_gnorm:
             best_x, best_gnorm = x, gnorm
         step = newton_step(omega, grad)
-
-        # Armijo backtracking on the Newton direction.
         slope = float(grad @ step)
-        alpha = 1.0
-        for _ in range(60):
-            x_new = x + alpha * step
-            f_new = objective(x_new)
-            if f_new <= f + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
         # Once -slope/2 (the remaining suboptimality) is below one ulp of
-        # the objective, f cannot measurably decrease; Newton may still be
-        # polishing the gradient, so run on while its norm falls at a real
-        # rate and accept the best iterate once it stalls (sub-ulp rounding
-        # noise can leave the norm creeping in its tenth digit forever) or
-        # the step rounds away.
+        # the objective, f cannot measurably decrease, and an Armijo search
+        # would compare values that differ only by rounding (and could
+        # reject a sound step 60 times over).  Newton may still be
+        # polishing the gradient, so take the full step, run on while the
+        # gradient norm falls at a real rate, and accept the best iterate
+        # once it stalls (sub-ulp rounding noise can leave the norm
+        # creeping in its tenth digit forever) or the step rounds away.
         at_floor = -slope <= np.finfo(np.float64).eps * (1.0 + abs(f))
+        if at_floor:
+            x_new = x + step
+            f_new = objective(x_new)
+        else:
+            # Armijo backtracking on the Newton direction.
+            alpha = 1.0
+            for _ in range(60):
+                x_new = x + alpha * step
+                f_new = objective(x_new)
+                if f_new <= f + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
         stalled = stalled + 1 if at_floor and not made_progress else 0
         if at_floor and (stalled >= 3 or np.array_equal(x_new, x)):
             return MapSolution(best_x, it + 1, best_gnorm, True)

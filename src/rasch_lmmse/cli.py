@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
@@ -230,7 +231,11 @@ def _cmd_analyze(args):
 
 
 def _projected_gibbs_seconds(cfg):
-    """Single-thread CPU seconds of a simulate's Gibbs blocks, one per (U, Q)."""
+    """CPU seconds of a simulate's Gibbs phase, as one block per (U, Q) on
+    one thread.  The phase runs on one thread unless it has at least
+    `experiments._GIBBS_WORKER_LATENTS` latents per step per worker, where
+    extra workers cost no CPU, so its wall time is about this divided by
+    its workers."""
     priors = len(cfg.snr_db_grid)
     total = 0.0
     for U in cfg.users_grid:
@@ -440,9 +445,13 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="stderr logging threshold (default: WARNING)")
 
     p_analyze = sub.add_parser(
-        "analyze",
+        "analyze", parents=[common],
         help="closed-form MSE and Fisher bound tables (no data needed)",
     )
     p_analyze.add_argument("--users", type=_int_list, required=True,
@@ -466,7 +475,8 @@ def build_parser():
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sim = sub.add_parser(
-        "simulate", help="synthetic MSE study over a (users, items, SNR) grid"
+        "simulate", parents=[common],
+        help="synthetic MSE study over a (users, items, SNR) grid",
     )
     p_sim.add_argument("--users", dest="users_grid", type=_int_list)
     p_sim.add_argument("--items", dest="items_grid", type=_int_list)
@@ -481,14 +491,18 @@ def build_parser():
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--output", default=None)
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism); "
-                            "results are identical for any value")
+                       help="worker threads (default: machine parallelism): "
+                            "the (U, Q) patterns' fits share this many, and "
+                            "the Gibbs phase uses at most this many, one per "
+                            "2^16 latents per step; results are identical "
+                            "for any value")
     p_sim.add_argument("--config",
                        help="JSON file with SyntheticConfig's fields "
                             "(conflicts with every config flag)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="fit abilities/difficulties to a dataset")
+    p_fit = sub.add_parser("fit", parents=[common],
+                           help="fit abilities/difficulties to a dataset")
     p_fit.add_argument("--data", help="triplet CSV (user,item,response)")
     p_fit.add_argument("--movielens", help="MovieLens u.data style ratings file")
     p_fit.add_argument("--label-convention", choices=("pm_one", "zero_one"),
@@ -503,7 +517,7 @@ def build_parser():
     p_fit.set_defaults(func=_cmd_fit)
 
     p_cv = sub.add_parser(
-        "crossval", help="k-fold response prediction with ACC/AUC"
+        "crossval", parents=[common], help="k-fold response prediction with ACC/AUC",
     )
     p_cv.add_argument("--data", help="triplet CSV (user,item,response)")
     p_cv.add_argument("--movielens", help="MovieLens u.data style ratings file")
@@ -537,6 +551,13 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The package's log records go to stderr for this command only.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_logger = logging.getLogger("rasch_lmmse")
+    level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except UsageError as err:
@@ -545,6 +566,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 import operator
 import time
@@ -45,6 +46,8 @@ from .rasch import (
     split_estimate,
 )
 from .specfun import norm_cdf
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -221,6 +224,17 @@ def _json_text(payload):
 # Latents per step of one Gibbs block, T chains x M responses: bounds each
 # (T, M) array of a simulate block at 8 MB.
 _GIBBS_BLOCK_LATENTS = 1 << 20
+# Latents per step, over every chain of a simulate, that each Gibbs worker
+# thread must have before the phase uses it.  Below this a step's array
+# calls are too short for two threads to overlap: they pass the
+# interpreter lock back and forth and cost CPU for little wall time.
+# Measured with pm_gibbs on 20 x 20 and 20 x 50 designs at 3 SNRs on a
+# 2-vCPU VM (Python 3.11, NumPy 2.4, OpenBLAS 0.3.31), two workers against
+# one: at 8.4k latents per step 2.5x the CPU and 1.7x the wall time; at
+# 34k, +25-40 % CPU for 9-21 % less wall; at 67k, +11 % CPU for 33 % less
+# wall; at 134k (67k per worker) equal CPU for 44 % less wall; at 630k
+# equal CPU for 40 % less wall.
+_GIBBS_WORKER_LATENTS = 1 << 16
 
 
 def _trial_rng(seed, cell_idx, trial_idx):
@@ -243,23 +257,40 @@ def _error_cell(U, Q, snr_db, err):
     }
 
 
+class _Pattern:
+    """One (U, Q) pattern between the fit and the Gibbs phases: its cells
+    (cell_idx, U, Q, snr_db), the records of its failed cells, the cells
+    that reached the Gibbs phase, their pm_gibbs chains and the pattern's
+    ResponseSet (None until a chain is collected)."""
+
+    def __init__(self, cells):
+        self.cells = cells
+        self.records = {}
+        self.reached = []
+        self.chains = []
+        self.data = None
+
+    def finish(self, config):
+        """The pattern's cell records, in the order of its cells."""
+        for cell_idx, snr_db, design, errs, times, _ in self.reached:
+            self.records[cell_idx] = _standard_record(config, snr_db, design, errs, times)
+        return [self.records[cell[0]] for cell in self.cells]
+
+
 def _run_standard_pattern(config, cells):
-    """Every SNR cell of one full U x Q design; cells holds (cell_idx, U, Q, snr_db).
+    """Draws and fits of every SNR cell of one full U x Q design; cells holds
+    (cell_idx, U, Q, snr_db).
 
     Each trial's U x Q responses become one ResponseSet, which lmmse and
-    map fit through `fit_response_set`.  All pm_gibbs chains of the cells
-    share that observation pattern, so they run together
-    (`baselines._rasch_gibbs_block`): one chain per trial, with its cell's
-    prior and the trial's own seed, each cell's chains a contiguous run,
-    in blocks of at most `_GIBBS_BLOCK_LATENTS` latents.  A chain's draws
-    do not depend on its block, so neither do the results.  A cell's
-    pm_gibbs wall time is an equal share of the blocks'.  A failure aborts
-    its cell, and a failure of a block every cell that reached it.
-    Returns the cell records in the order of `cells`.
+    map fit through `fit_response_set`.  pm_gibbs is left to the Gibbs
+    phase (`_run_gibbs_phase`): the pattern's chains are collected here,
+    one per trial, with its cell's prior and the trial's own seed, each
+    cell's chains a contiguous run.  A failure aborts its cell.  Returns
+    the pattern's `_Pattern`.
     """
     point = [e for e in config.estimators if e != "fisher_bound"]
     fitted = [e for e in point if e != "pm_gibbs"]
-    records, reached, chains = {}, [], []
+    pattern = _Pattern(cells)
     for cell_idx, U, Q, snr_db in cells:
         sigma2 = snr_to_sigma2(snr_db)
         design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2)
@@ -281,11 +312,13 @@ def _run_standard_pattern(config, cells):
                 truth.append(a)
                 responses.append(data.responses)
         except Exception as err:  # recorded, not raised: other cells continue
-            records[cell_idx] = _error_cell(U, Q, snr_db, err)
+            pattern.records[cell_idx] = _error_cell(U, Q, snr_db, err)
             continue
-        reached.append((cell_idx, snr_db, design, errs, times, truth))
+        pattern.reached.append((cell_idx, snr_db, design, errs, times, truth))
         if "pm_gibbs" in point:
-            chains += [
+            # Every trial's ResponseSet has the pattern; the last one drawn serves.
+            pattern.data = data
+            pattern.chains += [
                 (design, y, GibbsConfig(
                     burn_in=config.gibbs_burn_in,
                     samples=config.gibbs_samples,
@@ -293,30 +326,74 @@ def _run_standard_pattern(config, cells):
                 ))
                 for trial, y in enumerate(responses)
             ]
+    return pattern
 
-    if chains:
-        # Every trial's ResponseSet has the pattern; the last one drawn serves.
-        per_block = max(1, _GIBBS_BLOCK_LATENTS // len(data))
-        try:
-            t0 = time.perf_counter()
-            means = np.concatenate([
-                _rasch_gibbs_block(data, chains[start : start + per_block])
-                for start in range(0, len(chains), per_block)
-            ])
-            share = (time.perf_counter() - t0) / len(reached)
-        except Exception as err:  # recorded, not raised: other patterns continue
-            for cell_idx, snr_db, design, *_ in reached:
-                records[cell_idx] = _error_cell(design.U, design.Q, snr_db, err)
-            reached = []
-        else:
-            for k, (_, _, design, errs, times, truth) in enumerate(reached):
-                rows = means[k * config.trials : (k + 1) * config.trials, : design.U]
-                errs["pm_gibbs"][:] = [np.mean((x - a) ** 2) for x, a in zip(rows, truth)]
-                times["pm_gibbs"] = share
 
-    for cell_idx, snr_db, design, errs, times, _ in reached:
-        records[cell_idx] = _standard_record(config, snr_db, design, errs, times)
-    return [records[cell[0]] for cell in cells]
+def _run_gibbs_phase(config, patterns, threads):
+    """Run the pm_gibbs chains of every pattern and store each cell's errors.
+
+    L, the latents per step over all chains (chains x responses, summed
+    over patterns), sets the workers: w = max(1, min(threads,
+    L // _GIBBS_WORKER_LATENTS)).  With w = 1 each pattern's blocks run one
+    after another on the calling thread; otherwise each pattern's chains
+    are cut into w near-equal contiguous slices and worker k runs slice k
+    of every pattern.  Each slice runs in blocks of at most
+    `_GIBBS_BLOCK_LATENTS` latents (`baselines._rasch_gibbs_block`).  A
+    chain's draws do not depend on its block or slice, so neither do the
+    results.  A cell's pm_gibbs wall time is its share of the phase's wall
+    time, in proportion to its latents per step.  A failure in any slice
+    aborts every cell of its pattern that reached the phase, and only
+    those; with several, the first slice's failure is recorded.
+    """
+    work = [p for p in patterns if p.chains]
+    if not work:
+        return
+    latents = sum(len(p.chains) * len(p.data) for p in work)
+    workers = max(1, min(threads or 1, latents // _GIBBS_WORKER_LATENTS))
+    # Slice k of a pattern with n chains is chains [k n // w, (k + 1) n // w).
+    bounds = [
+        [len(p.chains) * k // workers for k in range(workers + 1)] for p in work
+    ]
+    per_block = [max(1, _GIBBS_BLOCK_LATENTS // len(p.data)) for p in work]
+    logger.info(
+        "gibbs phase: %d worker(s), %d latents per step, %d block(s)",
+        workers, latents,
+        sum(-(-(hi - lo) // n) for b, n in zip(bounds, per_block)
+            for lo, hi in zip(b, b[1:])),
+    )
+
+    def run_slice(k):
+        out = []
+        for p, b, n in zip(work, bounds, per_block):
+            try:
+                out.append([
+                    _rasch_gibbs_block(p.data, p.chains[start : min(start + n, b[k + 1])])
+                    for start in range(b[k], b[k + 1], n)
+                ])
+            except Exception as err:  # recorded, not raised: other patterns continue
+                out.append(err)
+        return out
+
+    t0 = time.perf_counter()
+    if workers == 1:
+        slices = [run_slice(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            slices = list(pool.map(run_slice, range(workers)))
+    per_latent = (time.perf_counter() - t0) / latents
+    for j, p in enumerate(work):
+        parts = [s[j] for s in slices]
+        err = next((e for e in parts if isinstance(e, Exception)), None)
+        if err is not None:
+            for cell_idx, snr_db, design, *_ in p.reached:
+                p.records[cell_idx] = _error_cell(design.U, design.Q, snr_db, err)
+            p.reached = []
+            continue
+        means = np.concatenate([m for part in parts for m in part])
+        for k, (_, _, design, errs, times, truth) in enumerate(p.reached):
+            rows = means[k * config.trials : (k + 1) * config.trials, : design.U]
+            errs["pm_gibbs"][:] = [np.mean((x - a) ** 2) for x, a in zip(rows, truth)]
+            times["pm_gibbs"] = per_latent * config.trials * len(p.data)
 
 
 def _standard_record(config, snr_db, design, errs, times):
@@ -406,13 +483,16 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     """Run the synthetic grid study.
 
     Each (U, Q, snr) cell draws `trials` Rasch instances and accumulates
-    per-trial mean squared errors on the ability components.  The unit of
-    parallel work is the (U, Q) pattern: one task runs every SNR cell of a
-    full U x Q design, its Gibbs chains in one block
-    (`_run_standard_pattern`); in known-difficulty mode each cell is its own
-    task.  An estimator failure aborts its cell (recorded in the cell's
-    `error` field) without stopping the run.  Deterministic for a given
-    config, regardless of thread count.
+    per-trial mean squared errors on the ability components.  The standard
+    mode runs in two phases.  First one task per (U, Q) pattern draws
+    every SNR cell of a full U x Q design, fits lmmse and map and collects
+    the pm_gibbs chains (`_run_standard_pattern`); these tasks share a pool
+    of `threads` threads.  Then one Gibbs phase runs the chains of every
+    pattern, with as many workers as their size warrants, at most
+    `threads` (`_run_gibbs_phase`).  In known-difficulty mode each cell is
+    its own task.  An estimator failure aborts its cell (recorded in the
+    cell's `error` field) without stopping the run.  Deterministic for a
+    given config, regardless of thread count.
     """
     indexed = [
         (cell_idx, *spec)
@@ -421,27 +501,28 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
         )
     ]
     if config.known_difficulties:
-        tasks = [[cell] for cell in indexed]
+        tasks = indexed
+
+        def run_task(cell):
+            try:
+                return _run_known_difficulty_cell(config, *cell)
+            except Exception as err:  # recorded, not raised: other cells continue
+                return _error_cell(*cell[1:], err)
     else:
         tasks = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
 
-    def run_task(cells):
-        if not config.known_difficulties:
+        def run_task(cells):
             return _run_standard_pattern(config, cells)
-        [(cell_idx, U, Q, snr_db)] = cells
-        try:
-            return [_run_known_difficulty_cell(config, cell_idx, U, Q, snr_db)]
-        except Exception as err:  # recorded, not raised: other cells continue
-            return [_error_cell(U, Q, snr_db, err)]
 
     if threads is not None and threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run_task, tasks))
     else:
-        done = [run_task(cells) for cells in tasks]
-    return ExperimentResult(
-        config=asdict(config), cells=[cell for cells in done for cell in cells]
-    )
+        done = [run_task(task) for task in tasks]
+    if not config.known_difficulties:
+        _run_gibbs_phase(config, done, threads)
+        done = [cell for pattern in done for cell in pattern.finish(config)]
+    return ExperimentResult(config=asdict(config), cells=done)
 
 
 def accuracy(predictions, labels) -> float:

@@ -265,7 +265,7 @@ def test_every_study_flag_is_a_config_field():
     # A flag whose dest is not a field would escape the --config conflict
     # check and never reach the config.
     run_flags = {"command", "func", "config_flags", "config", "format",
-                 "output", "threads"}
+                 "output", "threads", "log_level"}
     data_flags = {"data", "movielens", "label_convention"}
     parser = build_parser()
     for argv, cls, other in ((["simulate"], SyntheticConfig, run_flags),
@@ -485,6 +485,30 @@ def test_fit_movielens(tmp_path):
                  "--output", str(out)]) == 0
     assert out.exists()
     assert json.loads((tmp_path / "ml_fit.json").read_text())["predicted_mse"] is None
+
+
+def test_log_level_info_shows_the_gibbs_plan(tmp_path, capsys):
+    argv = ["simulate", "--users", "3", "--items", "2,4", "--snr-db", "0",
+            "--trials", "2", "--estimators", "pm_gibbs", "--gibbs-burnin", "5",
+            "--gibbs-samples", "5", "--output", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert "gibbs phase" not in capsys.readouterr().err  # WARNING by default
+    assert main(argv + ["--log-level", "INFO"]) == 0
+    # 2 chains per pattern on 6 and 12 responses: 36 latents per step.
+    assert ("INFO rasch_lmmse.experiments: gibbs phase: 1 worker(s), "
+            "36 latents per step, 2 block(s)") in capsys.readouterr().err
+
+
+def test_log_level_info_shows_binarization(tmp_path, capsys):
+    ratings = Path(__file__).parent.parent / "sample_data" / "ratings.data"
+    argv = ["fit", "--movielens", str(ratings), "--output", str(tmp_path / "f.csv")]
+    assert main(argv) == 0
+    assert "binarized" not in capsys.readouterr().err
+    assert main(argv + ["--log-level", "INFO"]) == 0
+    err = capsys.readouterr().err
+    assert "INFO rasch_lmmse.data: binarized 64 ratings" in err
+    assert main(argv) == 0  # the level does not outlive its command
+    assert "binarized" not in capsys.readouterr().err
 
 
 def test_fit_dataset_flag_errors(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Synthetic grid study, scoring metrics, and cross-validation."""
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,64 @@ def test_gibbs_block_size_leaves_results_unchanged(monkeypatch):
     for cell in one_block + blocks:
         del cell["wall_time_seconds"]
     assert blocks == one_block
+
+
+def test_gibbs_phase_sizes_its_workers_to_the_latents(monkeypatch):
+    # 9 chains per (U, Q) pattern, 126 latents per step in all: far below
+    # one worker's share, so threads=2 runs every block on the calling
+    # thread.  With the share forced down to 1 latent, each pattern's
+    # chains are cut into two slices (4 and 5 chains), one per pool thread.
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(2, 5), snr_db_grid=(-5.0, 0.0, 10.0),
+        trials=3, estimators=("lmmse", "pm_gibbs"), gibbs_burn_in=10,
+        gibbs_samples=20, seed=6,
+    )
+    block = experiments._rasch_gibbs_block
+    calls, meet_first = [], False
+    meet = threading.Barrier(2, timeout=30)
+
+    def recording_block(data, chains):
+        ident = threading.get_ident()
+        if meet_first and ident not in {c[0] for c in calls}:
+            meet.wait()  # each slice starts on its own thread
+        calls.append((ident, data.num_items, len(chains)))
+        return block(data, chains)
+
+    def outputs(result):
+        cells = json.loads(result.to_json())["cells"]
+        for cell in cells:
+            del cell["wall_time_seconds"]
+        return result.to_csv(), json.dumps(cells)
+
+    serial = outputs(run_synthetic(config, threads=1))
+    monkeypatch.setattr(experiments, "_rasch_gibbs_block", recording_block)
+    assert outputs(run_synthetic(config, threads=2)) == serial
+    assert {c[0] for c in calls} == {threading.get_ident()}
+    assert [c[1:] for c in calls] == [(2, 9), (5, 9)]
+
+    calls.clear()
+    meet_first = True
+    monkeypatch.setattr(experiments, "_GIBBS_WORKER_LATENTS", 1)
+    assert outputs(run_synthetic(config, threads=2)) == serial
+    threads = {c[0] for c in calls}
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    for Q in (2, 5):
+        slices = sorted(n for _, q, n in calls if q == Q)
+        assert slices == [4, 5]
+
+    # A block failure in one slice of the Q = 5 pattern aborts exactly
+    # that pattern's cells.
+    def failing_block(data, chains):
+        if data.num_items == 5 and len(chains) == 5:
+            raise np.linalg.LinAlgError("singular")
+        return block(data, chains)
+
+    monkeypatch.setattr(experiments, "_rasch_gibbs_block", failing_block)
+    cells = run_synthetic(config, threads=2).cells
+    assert [c["error"] for c in cells] == [None] * 3 + ["LinAlgError: singular"] * 3
+    assert [c["empirical_pm_mse"] for c in cells[:3]] == [
+        c["empirical_pm_mse"] for c in json.loads(serial[1])[:3]
+    ]
 
 
 def test_known_difficulty_linearizes_once_per_trial(monkeypatch):

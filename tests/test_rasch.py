@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr
 
-from rasch_lmmse.baselines import MapConfig, map_fit, rasch_map_fit
+from rasch_lmmse.baselines import (
+    GibbsConfig,
+    MapConfig,
+    _rasch_gibbs_block,
+    map_fit,
+    rasch_map_fit,
+)
 from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
@@ -361,6 +367,16 @@ def test_rasch_lmmse_fit_memory_below_dense_k():
     assert sol.metadata["schur_side"] == "users"
 
 
+def skewed_mask(rng, U, Q):
+    """A U x Q observation mask with skewed user and item popularity and one
+    empty user and one empty item."""
+    p_observed = np.outer(np.linspace(0.9, 0.25, U), np.linspace(1.0, 0.3, Q))
+    mask = rng.random((U, Q)) < p_observed
+    mask[rng.integers(U)] = False
+    mask[:, rng.integers(Q)] = False
+    return mask
+
+
 def test_predicted_mse_matches_monte_carlo_on_a_partial_mask():
     # The per-component MSE of rasch_lmmse_fit is exact on any observed
     # pattern.  Draw (a, d, w) from the model on a fixed mask with skewed
@@ -374,10 +390,7 @@ def test_predicted_mse_matches_monte_carlo_on_a_partial_mask():
     for U, Q in ((8, 20), (20, 8)):
         sigma2_a, sigma2_d = 0.5, 2.0
         design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2_a, sigma2_d=sigma2_d)
-        p_observed = np.outer(np.linspace(0.9, 0.25, U), np.linspace(1.0, 0.3, Q))
-        mask = rng.random((U, Q)) < p_observed
-        mask[rng.integers(U)] = False
-        mask[:, rng.integers(Q)] = False
+        mask = skewed_mask(rng, U, Q)
         users, items = np.nonzero(mask)
         sq_err = np.empty((n_draws, U + Q))
         for k in range(n_draws):
@@ -397,6 +410,32 @@ def test_predicted_mse_matches_monte_carlo_on_a_partial_mask():
             se = per_draw.std(ddof=1) / np.sqrt(n_draws)
             assert abs(per_draw.mean() - predicted[block].sum()) <= 3.0 * se
     assert sides == {"users", "items"}
+
+
+def test_gibbs_pm_never_beats_the_lmmse_prediction_on_a_partial_mask():
+    # The paper's sandwich on an observed pattern: the posterior mean's MSE
+    # is at most the L-MMSE MSE, so the Gibbs PM's empirical ability MSE
+    # stays below the exact L-MMSE prediction plus 3 SE.  Same skewed
+    # 8 x 20 mask as above (empty user and item, sigma2_a != sigma2_d); one
+    # block runs the chains of all draws.
+    rng = np.random.default_rng(2024)
+    U, Q, sigma2_a, sigma2_d = 8, 20, 0.5, 2.0
+    design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2_a, sigma2_d=sigma2_d)
+    users, items = np.nonzero(skewed_mask(rng, U, Q))
+    n_draws = 1000
+    a = rng.normal(scale=np.sqrt(sigma2_a), size=(n_draws, U))
+    d = rng.normal(scale=np.sqrt(sigma2_d), size=(n_draws, Q))
+    z = a[:, users] - d[:, items] + rng.standard_normal((n_draws, users.size))
+    Y = np.where(z > 0, 1.0, -1.0)
+    data = ResponseSet(users, items, Y[0], num_users=U, num_items=Q)
+    means = _rasch_gibbs_block(data, [
+        (design, y, GibbsConfig(burn_in=100, samples=400, seed=k))
+        for k, y in enumerate(Y)
+    ])
+    per_draw = ((means[:, :U] - a) ** 2).sum(axis=1)
+    se = per_draw.std(ddof=1) / np.sqrt(n_draws)
+    predicted = rasch_lmmse_fit(design, data).per_component_mse[:U].sum()
+    assert per_draw.mean() <= predicted + 3.0 * se
 
 
 def test_woodbury_fit_validation():
@@ -460,6 +499,32 @@ def test_structured_map_needs_prior():
                        num_users=2, num_items=2)
     with pytest.raises(ValueError, match="not unique"):
         rasch_map_fit(design, data, MapConfig(use_prior=False))
+
+
+@pytest.mark.parametrize("seed, link", [(74, "probit"), (171, "logit")])
+def test_structured_map_converges_past_the_precision_floor(seed, link):
+    # Seeded partial masks on which the Newton loop reaches the objective's
+    # rounding floor with the gradient still above tolerance.  An Armijo
+    # search there compares values that differ only by rounding and can
+    # reject a sound Newton step; the full step must be taken, so the fit
+    # converges instead of stopping at the floor (1.9e-7 and 4.7e-8
+    # gradient norms when the search ran there).
+    rng = np.random.default_rng(seed)
+    U, Q = (int(v) for v in rng.integers(2, 60, size=2))
+    mask = rng.random((U, Q)) < rng.uniform(0.05, 1.0)
+    sigma2 = float(np.exp(rng.uniform(np.log(0.03), np.log(32.0))))
+    users, items = np.nonzero(mask)
+    a = rng.normal(scale=np.sqrt(sigma2), size=U)
+    d = rng.normal(scale=np.sqrt(sigma2), size=Q)
+    y = np.where(a[users] - d[items] + rng.standard_normal(users.size) >= 0, 1.0, -1.0)
+    sol = rasch_map_fit(
+        RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2),
+        ResponseSet(users, items, y, num_users=U, num_items=Q),
+        MapConfig(link=link),
+    )
+    assert not sol.at_floor
+    assert sol.gradient_norm <= MapConfig().gradient_tolerance
+    assert sol.iterations <= 10
 
 
 def test_fast_fit_response_validation():
