@@ -29,7 +29,6 @@ from .data import binarize_ratings, load_movielens, load_triplets
 from .experiments import (
     CV_ESTIMATORS,
     SYNTHETIC_ESTIMATORS,
-    _STEM,
     CvConfig,
     SyntheticConfig,
     _csv_text,
@@ -94,6 +93,16 @@ def _float_list(text):
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _estimator_list(text):
@@ -232,10 +241,7 @@ def _cmd_analyze(args):
 
 def _projected_gibbs_seconds(cfg):
     """CPU seconds of a simulate's Gibbs phase, as one block per (U, Q) on
-    one thread.  The phase runs on one thread unless it has at least
-    `experiments._GIBBS_WORKER_LATENTS` latents per step per worker, where
-    extra workers cost no CPU, so its wall time is about this divided by
-    its workers."""
+    one thread; its wall time is about this divided by its workers."""
     priors = len(cfg.snr_db_grid)
     total = 0.0
     for U in cfg.users_grid:
@@ -298,43 +304,6 @@ def _study_config(args, cls):
         raise ValueError(f"{args.config}: {err}")
 
 
-def _simulate_table(result):
-    lines = []
-    estimators = result.config["estimators"]
-    header = f"{'U':>6} {'Q':>6} {'snr_db':>8} {'sigma2':>9} {'analytical':>12}"
-    for name in estimators:
-        if name == "fisher_bound":
-            continue
-        stem = _STEM[name]
-        header += f" {stem + ' mse':>12} {stem + ' se':>10}"
-    if "fisher_bound" in estimators:
-        header += f" {'fisher':>10}"
-    lines.append(header)
-    for cell in result.cells:
-        if cell.get("error"):
-            lines.append(
-                f"{cell['U']:>6} {cell['Q']:>6} {cell['snr_db']:>8g} "
-                f"{cell['sigma2_x']:>9.4g} failed: {cell['error']}"
-            )
-            continue
-        line = (
-            f"{cell['U']:>6} {cell['Q']:>6} {cell['snr_db']:>8g} "
-            f"{cell['sigma2_x']:>9.4g} {cell['analytical_lmmse_mse']:>12.6f}"
-        )
-        for name in estimators:
-            if name == "fisher_bound":
-                continue
-            stem = _STEM[name]
-            mse = cell.get(f"empirical_{stem}_mse")
-            se = cell.get(f"empirical_{stem}_stderr")
-            line += f" {mse:>12.6f}" if mse is not None else f" {'':>12}"
-            line += f" {se:>10.2e}" if se is not None else f" {'':>10}"
-        if "fisher_bound" in estimators:
-            line += f" {cell['fisher_bound']:>10.6f}"
-        lines.append(line)
-    return "\n".join(lines)
-
-
 def _cmd_simulate(args):
     cfg = _study_config(args, SyntheticConfig)
 
@@ -350,7 +319,7 @@ def _cmd_simulate(args):
 
     threads = args.threads if args.threads is not None else os.cpu_count()
     result = run_synthetic(cfg, threads=threads)
-    print(_simulate_table(result))
+    print(result.summary_table())
     _write_result(args, result)
     return 0
 
@@ -490,12 +459,9 @@ def build_parser():
     p_sim.add_argument("--known-difficulties", action="store_true", default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--output", default=None)
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism): "
-                            "the (U, Q) patterns' fits share this many, and "
-                            "the Gibbs phase uses at most this many, one per "
-                            "2^16 latents per step; results are identical "
-                            "for any value")
+    p_sim.add_argument("--threads", type=_positive_int, default=None,
+                       help="at most this many worker threads; results are "
+                            "identical for any value (default: machine parallelism)")
     p_sim.add_argument("--config",
                        help="JSON file with SyntheticConfig's fields "
                             "(conflicts with every config flag)")
@@ -532,7 +498,9 @@ def build_parser():
     p_cv.add_argument("--gibbs-samples", type=int)
     p_cv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_cv.add_argument("--output", default=None)
-    p_cv.add_argument("--threads", type=int, default=None)
+    p_cv.add_argument("--threads", type=_positive_int, default=None,
+                      help="at most this many worker threads; results are "
+                           "identical for any value (default: machine parallelism)")
     p_cv.add_argument("--config",
                       help="JSON file with CvConfig's fields "
                            "(conflicts with every config flag)")

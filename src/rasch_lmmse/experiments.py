@@ -192,6 +192,38 @@ class ExperimentResult:
         cols = self.csv_columns()
         return _csv_text(cols, ([cell.get(c) for c in cols] for cell in self.cells))
 
+    def summary_table(self) -> str:
+        """One line per cell: the analytical MSE, then each estimator's MSE
+        and standard error and the Fisher bound, as in `csv_columns`."""
+        shown = []  # (column, heading, width, format)
+        for col in self.csv_columns():
+            if col == "fisher_bound":
+                shown.append((col, "fisher", 10, ".6f"))
+            elif col.startswith("empirical_"):
+                stem, stat = col[len("empirical_") :].rsplit("_", 1)
+                shown.append(
+                    (col, f"{stem} mse", 12, ".6f") if stat == "mse"
+                    else (col, f"{stem} se", 10, ".2e")
+                )
+        lines = [
+            f"{'U':>6} {'Q':>6} {'snr_db':>8} {'sigma2':>9} {'analytical':>12}"
+            + "".join(f" {heading:>{width}}" for _, heading, width, _ in shown)
+        ]
+        for cell in self.cells:
+            line = (
+                f"{cell['U']:>6} {cell['Q']:>6} {cell['snr_db']:>8g} "
+                f"{cell['sigma2_x']:>9.4g} "
+            )
+            if cell.get("error"):
+                lines.append(f"{line}failed: {cell['error']}")
+                continue
+            line += f"{cell['analytical_lmmse_mse']:>12.6f}"
+            for col, _, width, fmt in shown:
+                value = cell.get(col)
+                line += f" {'' if value is None else format(value, fmt):>{width}}"
+            lines.append(line)
+        return "\n".join(lines)
+
     def to_json(self) -> str:
         return _json_text({"config": self.config, "cells": self.cells})
 
@@ -224,17 +256,33 @@ def _json_text(payload):
 # Latents per step of one Gibbs block, T chains x M responses: bounds each
 # (T, M) array of a simulate block at 8 MB.
 _GIBBS_BLOCK_LATENTS = 1 << 20
-# Latents per step, over every chain of a simulate, that each Gibbs worker
-# thread must have before the phase uses it.  Below this a step's array
-# calls are too short for two threads to overlap: they pass the
-# interpreter lock back and forth and cost CPU for little wall time.
-# Measured with pm_gibbs on 20 x 20 and 20 x 50 designs at 3 SNRs on a
-# 2-vCPU VM (Python 3.11, NumPy 2.4, OpenBLAS 0.3.31), two workers against
-# one: at 8.4k latents per step 2.5x the CPU and 1.7x the wall time; at
-# 34k, +25-40 % CPU for 9-21 % less wall; at 67k, +11 % CPU for 33 % less
-# wall; at 134k (67k per worker) equal CPU for 44 % less wall; at 630k
-# equal CPU for 40 % less wall.
-_GIBBS_WORKER_LATENTS = 1 << 16
+# Array entries that a simulate or crossval stage's concurrent calls must
+# hold per worker thread (`_workers`).  Below this the calls are too short
+# for two threads to overlap: they pass the interpreter lock back and
+# forth and cost CPU for little wall time.  Measured with pm_gibbs on
+# 20 x 20 and 20 x 50 designs at 3 SNRs on a 2-vCPU VM (Python 3.11, NumPy
+# 2.4, OpenBLAS 0.3.31), two workers against one: at 8.4k latents per step
+# 2.5x the CPU and 1.7x the wall time; at 34k, +25-40 % CPU for 9-21 % less
+# wall; at 67k, +11 % CPU for 33 % less wall; at 134k (67k per worker)
+# equal CPU for 44 % less wall; at 630k equal CPU for 40 % less wall.  The
+# fits and folds cross over alike (README, "Threads").
+_WORKER_ENTRIES = 1 << 16
+
+
+def _workers(threads, entries):
+    """Worker threads for a stage whose concurrent calls hold `entries`
+    array entries in all: one per `_WORKER_ENTRIES`, at least one and at
+    most `threads`."""
+    return max(1, min(threads or 1, entries // _WORKER_ENTRIES))
+
+
+def _thread_map(func, tasks, workers):
+    """[func(t) for t in tasks], on the calling thread for one worker and on
+    a pool of `workers` threads otherwise."""
+    if workers == 1:
+        return [func(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, tasks))
 
 
 def _trial_rng(seed, cell_idx, trial_idx):
@@ -332,12 +380,12 @@ def _run_standard_pattern(config, cells):
 def _run_gibbs_phase(config, patterns, threads):
     """Run the pm_gibbs chains of every pattern and store each cell's errors.
 
-    L, the latents per step over all chains (chains x responses, summed
-    over patterns), sets the workers: w = max(1, min(threads,
-    L // _GIBBS_WORKER_LATENTS)).  With w = 1 each pattern's blocks run one
-    after another on the calling thread; otherwise each pattern's chains
-    are cut into w near-equal contiguous slices and worker k runs slice k
-    of every pattern.  Each slice runs in blocks of at most
+    The phase's entries are L, the latents per step over all chains
+    (chains x responses, summed over patterns), and `_workers` sizes it.
+    With one worker each pattern's blocks run one after another on the
+    calling thread; with w > 1 each pattern's chains are cut into w
+    near-equal contiguous slices and worker k runs slice k of every
+    pattern.  Each slice runs in blocks of at most
     `_GIBBS_BLOCK_LATENTS` latents (`baselines._rasch_gibbs_block`).  A
     chain's draws do not depend on its block or slice, so neither do the
     results.  A cell's pm_gibbs wall time is its share of the phase's wall
@@ -349,7 +397,7 @@ def _run_gibbs_phase(config, patterns, threads):
     if not work:
         return
     latents = sum(len(p.chains) * len(p.data) for p in work)
-    workers = max(1, min(threads or 1, latents // _GIBBS_WORKER_LATENTS))
+    workers = _workers(threads, latents)
     # Slice k of a pattern with n chains is chains [k n // w, (k + 1) n // w).
     bounds = [
         [len(p.chains) * k // workers for k in range(workers + 1)] for p in work
@@ -375,11 +423,7 @@ def _run_gibbs_phase(config, patterns, threads):
         return out
 
     t0 = time.perf_counter()
-    if workers == 1:
-        slices = [run_slice(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(run_slice, range(workers)))
+    slices = _thread_map(run_slice, range(workers), workers)
     per_latent = (time.perf_counter() - t0) / latents
     for j, p in enumerate(work):
         parts = [s[j] for s in slices]
@@ -486,13 +530,15 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     per-trial mean squared errors on the ability components.  The standard
     mode runs in two phases.  First one task per (U, Q) pattern draws
     every SNR cell of a full U x Q design, fits lmmse and map and collects
-    the pm_gibbs chains (`_run_standard_pattern`); these tasks share a pool
-    of `threads` threads.  Then one Gibbs phase runs the chains of every
-    pattern, with as many workers as their size warrants, at most
-    `threads` (`_run_gibbs_phase`).  In known-difficulty mode each cell is
-    its own task.  An estimator failure aborts its cell (recorded in the
-    cell's `error` field) without stopping the run.  Deterministic for a
-    given config, regardless of thread count.
+    the pm_gibbs chains (`_run_standard_pattern`).  Then one Gibbs phase
+    runs the chains of every pattern (`_run_gibbs_phase`).  In
+    known-difficulty mode each cell is its own task.  Each stage runs on
+    `_workers(threads, entries)` threads, entries summing over its tasks
+    one trial's responses and its Schur complement, U Q + min(U, Q)^2 per
+    pattern, or its C_y, U Q + Q^2 per known-difficulty cell.  An
+    estimator failure aborts its cell (recorded in the cell's `error`
+    field) without stopping the run.  Deterministic for a given config,
+    regardless of thread count.
     """
     indexed = [
         (cell_idx, *spec)
@@ -502,6 +548,7 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     ]
     if config.known_difficulties:
         tasks = indexed
+        entries = sum(U * Q + Q * Q for _, U, Q, _ in tasks)
 
         def run_task(cell):
             try:
@@ -510,15 +557,12 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
                 return _error_cell(*cell[1:], err)
     else:
         tasks = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
+        entries = sum(U * Q + min(U, Q) ** 2 for (_, U, Q, _), *_ in tasks)
 
         def run_task(cells):
             return _run_standard_pattern(config, cells)
 
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run_task, tasks))
-    else:
-        done = [run_task(task) for task in tasks]
+    done = _thread_map(run_task, tasks, _workers(threads, entries))
     if not config.known_difficulties:
         _run_gibbs_phase(config, done, threads)
         done = [cell for pattern in done for cell in pattern.finish(config)]
@@ -753,7 +797,9 @@ def run_cross_validation(
     sigma2_x per estimator (by AUC); the estimator is refit on the full
     training split at the selected variance and scored on the test fold
     with ACC and AUC.  Users/items absent from training fall back to the
-    prior mean 0 (counted per fold).
+    prior mean 0 (counted per fold).  The folds run on `_workers(threads,
+    entries)` threads, each fold holding len(data) + min(num_users,
+    num_items)^2 entries: its responses and its Schur complement.
     """
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(data))
@@ -823,11 +869,8 @@ def run_cross_validation(
             }
         return fold_out, fallback
 
-    if threads is not None and threads > 1 and config.folds > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_fold, range(config.folds)))
-    else:
-        results = [run_fold(f) for f in range(config.folds)]
+    entries = config.folds * (len(data) + min(data.num_users, data.num_items) ** 2)
+    results = _thread_map(run_fold, range(config.folds), _workers(threads, entries))
 
     fallback_counts = [r[1] for r in results]
     per_estimator = {}

@@ -222,23 +222,15 @@ def _lmmse_solve(model, lin):
     return X, per_component, jitter
 
 
-def lmmse_fit(
-    model: GeneralProbitModel,
-    y,
-    *,
-    lin: LinearizedQuantities | None = None,
-) -> LmmseSolution:
+def lmmse_fit(model: GeneralProbitModel, y) -> LmmseSolution:
     """L-MMSE estimate x_hat = W y + b with W = E^T C_y^{-1}, b = x_mean - W y_mean.
 
     Exact among linear estimators of x from the sign vector y.  One solve
     C_y X = E gives the weights W = X^T and the exact MSE together; W and b
-    serve every response vector of the model.  Pass a precomputed `lin`
-    to amortize the moment computation over repeated fits of the same
-    model.
+    serve every response vector of the model.
     """
     y = _check_pm_one(y, model.num_observations)
-    if lin is None:
-        lin = linearize(model)
+    lin = linearize(model)
     X, per_component, jitter = _lmmse_solve(model, lin)
     W = X.T
     b = model.x_mean - W @ lin.y_mean
@@ -253,13 +245,11 @@ def lmmse_fit(
     )
 
 
-def lmmse_predicted_mse(model: GeneralProbitModel, *, lin=None):
+def lmmse_predicted_mse(model: GeneralProbitModel):
     """Exact MSE of the L-MMSE estimator: trace(C_x - E^T C_y^{-1} E).
 
     Data-independent; the same solve as `lmmse_fit`.  Returns (total,
     per_component).
     """
-    if lin is None:
-        lin = linearize(model)
-    per_component = _lmmse_solve(model, lin)[1]
+    per_component = _lmmse_solve(model, linearize(model))[1]
     return float(np.sum(per_component)), per_component

@@ -312,11 +312,6 @@ class _BipartiteSchur:
         x[self.kept] = x_kept
         return x
 
-    def sample(self, r, xi):
-        """One draw from N(H^{-1} r, H^{-1}) given standard normals xi, one
-        per parameter: `_BipartiteSampler` with one row."""
-        return _BipartiteSampler([(self, 1)]).sample(r[None], xi[None])[0]
-
     def diag_inverse(self):
         """diag(H^{-1}) exactly (formulas in `rasch_lmmse_fit`), no N x N array.
 

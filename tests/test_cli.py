@@ -197,6 +197,21 @@ def test_crossval_json_byte_identical_across_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, value):
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["simulate", "--users", "2", "--items", "2", "--snr-db", "0", "--trials", "2"],
+        ["crossval", "--data", str(responses), "--folds", "3"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--threads", value, "--output", str(out)])
+        assert err.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_flags(capsys):
     assert main(["simulate", "--users", "2"]) == 2
     assert "missing required flags" in capsys.readouterr().err

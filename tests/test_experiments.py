@@ -3,6 +3,7 @@
 import json
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.stats
 
 from rasch_lmmse import experiments, linear_probit
 from rasch_lmmse.baselines import GibbsConfig, pm_gibbs
-from rasch_lmmse.data import ResponseSet
+from rasch_lmmse.data import ResponseSet, load_triplets
 from rasch_lmmse.experiments import (
     CvConfig,
     SyntheticConfig,
@@ -30,6 +31,8 @@ from rasch_lmmse.rasch import (
     rasch_closed_form_mse,
     rasch_design_matrix,
 )
+
+SAMPLE_DATA = Path(__file__).parent.parent / "sample_data"
 
 
 def simulate_response_set(U, Q, seed, drop=()):
@@ -315,7 +318,7 @@ def test_gibbs_phase_sizes_its_workers_to_the_latents(monkeypatch):
 
     calls.clear()
     meet_first = True
-    monkeypatch.setattr(experiments, "_GIBBS_WORKER_LATENTS", 1)
+    monkeypatch.setattr(experiments, "_WORKER_ENTRIES", 1)
     assert outputs(run_synthetic(config, threads=2)) == serial
     threads = {c[0] for c in calls}
     assert len(threads) == 2 and threading.get_ident() not in threads
@@ -336,6 +339,68 @@ def test_gibbs_phase_sizes_its_workers_to_the_latents(monkeypatch):
     assert [c["empirical_pm_mse"] for c in cells[:3]] == [
         c["empirical_pm_mse"] for c in json.loads(serial[1])[:3]
     ]
+
+
+def _synthetic_outputs(**kwargs):
+    """Criterion 3's (U, Q, SNR) patterns at 2 trials: a run's CSV and its
+    JSON cells without wall times, by thread count."""
+    config = SyntheticConfig(
+        users_grid=(20,), items_grid=(20, 50), snr_db_grid=(-10.0, 0.0, 10.0),
+        trials=2, seed=3, **kwargs,
+    )
+
+    def run(threads):
+        result = run_synthetic(config, threads=threads)
+        cells = json.loads(result.to_json())["cells"]
+        for cell in cells:
+            del cell["wall_time_seconds"]
+        return result.to_csv(), cells
+
+    return run
+
+
+def _crossval_outputs(threads):
+    """3-fold crossval on sample_data: CSV and JSON without runtimes."""
+    data = load_triplets(SAMPLE_DATA / "responses.csv")
+    config = CvConfig(folds=3, seed=4, estimators=("lmmse", "map"))
+    result = run_cross_validation(data, config, threads=threads)
+    payload = json.loads(result.to_json())
+    for rec in payload["per_estimator"].values():
+        del rec["runtime_seconds"]
+    return result.to_csv(), payload
+
+
+@pytest.mark.parametrize("wrapped, run", [
+    ("fit_response_set", _synthetic_outputs(estimators=("lmmse", "map"))),
+    ("lmmse_fit", _synthetic_outputs(known_difficulties=True)),
+    ("fit_response_set", _crossval_outputs),
+], ids=["fit_phase", "known_difficulty", "crossval"])
+def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped, run):
+    # The pattern tasks hold 2.2k array entries, the known-difficulty cells
+    # 12.9k and the folds 1.3k: far below one worker's share, so
+    # threads=2 runs every fit on the calling thread.  With the share
+    # forced down to 1 entry, the fits run on two pool threads.
+    serial = run(1)
+    fit = getattr(experiments, wrapped)
+    calls, meet_first = [], False
+    meet = threading.Barrier(2, timeout=30)
+
+    def recording_fit(*args, **kwargs):
+        ident = threading.get_ident()
+        if meet_first and ident not in calls:
+            meet.wait()  # two tasks start, each on its own thread
+        calls.append(ident)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, wrapped, recording_fit)
+    assert run(2) == serial
+    assert calls and set(calls) == {threading.get_ident()}
+
+    calls.clear()
+    meet_first = True
+    monkeypatch.setattr(experiments, "_WORKER_ENTRIES", 1)
+    assert run(2) == serial
+    assert len(set(calls)) == 2 and threading.get_ident() not in calls
 
 
 def test_known_difficulty_linearizes_once_per_trial(monkeypatch):

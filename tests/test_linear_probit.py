@@ -91,7 +91,7 @@ def test_lmmse_weights_and_mse_match_direct_solve():
         y = np.sign(rng.normal(size=M))
         y[y == 0] = 1.0
         lin = linearize(model)
-        sol = lmmse_fit(model, y, lin=lin)
+        sol = lmmse_fit(model, y)
         assert sol.metadata == {"path": "dense"}
         estimate = model.x_mean + lin.E.T @ np.linalg.solve(lin.C_y, y - lin.y_mean)
         per_component = np.diag(model.C_x) - np.diag(
@@ -101,7 +101,7 @@ def test_lmmse_weights_and_mse_match_direct_solve():
         np.testing.assert_allclose(sol.estimate, estimate, atol=1e-12)
         np.testing.assert_allclose(sol.per_component_mse, per_component, atol=1e-12)
         assert sol.predicted_mse == pytest.approx(per_component.sum(), abs=1e-12)
-        total, per_comp = lmmse_predicted_mse(model, lin=lin)
+        total, per_comp = lmmse_predicted_mse(model)
         np.testing.assert_array_equal(per_comp, sol.per_component_mse)
         assert total == sol.predicted_mse
 

@@ -22,6 +22,7 @@ from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _BipartiteSampler,
     _BipartiteSchur,
     known_difficulty_fit,
     known_difficulty_predicted_mse,
@@ -344,7 +345,8 @@ def test_bipartite_sample_matches_dense_cholesky_draw(instance, seed):
     L = np.linalg.cholesky(H[np.ix_(order, order)])
     dense = np.empty(N)
     dense[order] = np.linalg.solve(L.T, np.linalg.solve(L, r[order]) + xi[order])
-    np.testing.assert_allclose(schur.sample(r, xi), dense, rtol=0, atol=1e-10)
+    draw = _BipartiteSampler([(schur, 1)]).sample(r[None], xi[None])[0]
+    np.testing.assert_allclose(draw, dense, rtol=0, atol=1e-10)
 
 
 def test_rasch_lmmse_fit_memory_below_dense_k():
