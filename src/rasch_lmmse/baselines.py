@@ -168,10 +168,7 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
         # once it stalls (sub-ulp rounding noise can leave the norm
         # creeping in its tenth digit forever) or the step rounds away.
         at_floor = -slope <= np.finfo(np.float64).eps * (1.0 + abs(f))
-        if at_floor:
-            x_new = x + step
-            f_new = objective(x_new)
-        else:
+        if not at_floor:
             # Armijo backtracking on the Newton direction.
             alpha = 1.0
             for _ in range(60):
@@ -180,6 +177,13 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
                 if f_new <= f + 1e-4 * alpha * slope:
                     break
                 alpha *= 0.5
+            # A step shrunk until it rounds away leaves f as it was and so
+            # passes the test; the objective is flat to rounding, as at the
+            # floor, and backtracking would repeat the same step forever.
+            at_floor = np.array_equal(x_new, x)
+        if at_floor:
+            x_new = x + step
+            f_new = objective(x_new)
         stalled = stalled + 1 if at_floor and not made_progress else 0
         if at_floor and (stalled >= 3 or np.array_equal(x_new, x)):
             return MapSolution(best_x, it + 1, best_gnorm, True)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr
 
@@ -462,8 +462,23 @@ def dense_map_gradient(model, y, x, link):
     return -(model.D.T @ (y * lam)) + x / np.diag(model.C_x)
 
 
+# On this instance Armijo shrinks a step until x + alpha step == x, which
+# passes the test with f unchanged; the solver must then take the full step
+# as at the floor, not repeat that step until it gives up.
+_ROUNDED_AWAY_STEP = (
+    RaschDesign(U=5, Q=5, sigma2_a=1.0, sigma2_d=1.0),
+    ResponseSet(
+        users=[0, 0, 1, 1, 1, 2, 3, 3, 4, 4, 4],
+        items=[1, 3, 0, 2, 3, 1, 3, 4, 0, 3, 4],
+        responses=[-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0],
+        num_users=5, num_items=5,
+    ),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(masked_instances(), st.sampled_from(["probit", "logit"]))
+@example(_ROUNDED_AWAY_STEP, "probit")
 def test_structured_map_matches_dense_on_random_masks(instance, link):
     # U, Q in 1..8 on both sides of each other with random masks, so the
     # Schur complement runs onto users and onto items.

@@ -140,6 +140,27 @@ def test_binorm_blocks_do_not_change_values():
     assert np.isin(rho, [-1.0, 1.0]).any() and np.isinf(x).any()
     assert ((np.abs(rho) > 0.925) & (np.abs(rho) < 1.0)).any()
 
+    # A block whose pairs share one correlation computes its node terms
+    # once; each value must equal the same pair evaluated among pairs of
+    # other correlations (interleaved, so no block there has one rho).
+    m = 2 * specfun._BLOCK + 5
+    for seed, r in enumerate((0.3, -0.6, 0.96, -0.97, 1.0, -1.0)):
+        xo, yo, _ = mixed_binorm_inputs(m, 20 + seed)
+        one = binorm_cdf(xo, yo, r)
+        xm, ym, rm = np.empty(2 * m), np.empty(2 * m), np.empty(2 * m)
+        xm[0::2], ym[0::2], rm[0::2] = xo, yo, r
+        xm[1::2], ym[1::2], rm[1::2] = x[:m], y[:m], rho[:m]
+        assert np.array_equal(one, binorm_cdf(xm, ym, rm)[0::2]), r
+        assert np.isinf(xo).any() and np.isinf(yo).any()
+
+    # Mixed correlations whose first and last agree, in both quadrature
+    # branches, against one pair at a time.
+    xs, ys, rs = mixed_binorm_inputs(300, 13)
+    xs[[0, 1, -2, -1]] = ys[[0, 1, -2, -1]] = 0.5
+    rs[[0, 1, -2, -1]] = [0.3, 0.96, 0.96, 0.3]
+    singles = [binorm_cdf(a, b, c) for a, b, c in zip(xs, ys, rs)]
+    assert np.array_equal(binorm_cdf(xs, ys, rs), singles)
+
 
 def test_binorm_memory_is_bounded():
     # One unblocked pass over these 200k pairs peaked near 1 GB; blocks of
