@@ -1,10 +1,12 @@
-"""Reference estimators and bounds: MAP/ML, Gibbs posterior mean, exact
-posterior mean by quadrature for tiny problems, and the Fisher-information
-lower bound.
+"""Reference estimators and bounds: MAP, Gibbs posterior mean, exact
+posterior mean by quadrature for tiny problems, and the Bayesian
+Fisher-information lower bound.
 
 These are the comparison points for the linear MMSE estimator: MAP is the
 standard convex point estimate, the Gibbs sampler approximates the exact
-posterior mean, and the Fisher bound gives an (asymptotic) floor.
+posterior mean, and the Fisher bound gives an (asymptotic) floor.  All
+three carry the Gaussian prior, so every system D^T diag(w) D + C_x^{-1}
+they factor is positive definite.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Settings for the Newton MAP/ML solver."""
+    """Settings for the damped-Newton MAP solver."""
 
     max_iterations: int = 100
     gradient_tolerance: float = 1e-8
     link: str = "probit"
-    use_prior: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
@@ -58,6 +59,8 @@ class GibbsConfig:
             raise ValueError("burn_in must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,12 @@ class FisherBound:
 def _weighted_gram(D, weights):
     """D^T diag(weights) D as a dense N x N array."""
     return (D * weights[:, None]).T @ D
+
+
+def _prior_precision(model):
+    """C_x^{-1} as a dense N x N array, from the Cholesky factor of C_x."""
+    cf = scipy.linalg.cho_factor(model.C_x)
+    return scipy.linalg.cho_solve(cf, np.eye(model.C_x.shape[0]))
 
 
 def _neg_log_lik_terms(t, link):
@@ -118,32 +127,25 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
     """Damped Newton on -sum log g(y_m ((D x)_m + m_m)) + prior penalty.
 
     The design enters only through forward(x) = D x and adjoint(r) = D^T r;
-    precision(dx) applies C_x^{-1} (None for ML), and
-    newton_step(omega, grad) solves (D^T diag(omega) D + C_x^{-1}) s = -grad.
-    The objective is smooth and convex, so Newton with Armijo backtracking
-    reaches the global optimum.  Stops when the gradient norm falls below
-    gradient_tolerance, or, once the objective is flat to machine
-    precision, when the gradient norm stops improving (the gradient-norm
-    floor of an instance can sit above any fixed tolerance).  ML on
-    separable data diverges and is reported as an error once the iterate
-    norm passes 1e3.
+    precision(dx) applies C_x^{-1}, and newton_step(omega, grad) solves
+    (D^T diag(omega) D + C_x^{-1}) s = -grad.  The objective is smooth and
+    strictly convex (the prior penalty makes it so), so Newton with Armijo
+    backtracking reaches the unique optimum.  Stops when the gradient norm
+    falls below gradient_tolerance, or, once the objective is flat to
+    machine precision, when the gradient norm stops improving (the
+    gradient-norm floor of an instance can sit above any fixed tolerance).
     """
 
     def objective(x):
         t = y * (forward(x) + m)
-        val = float(np.sum(_neg_log_lik_terms(t, config.link)))
-        if precision is not None:
-            dx = x - x_mean
-            val += 0.5 * float(dx @ precision(dx))
-        return val
+        dx = x - x_mean
+        prior = 0.5 * float(dx @ precision(dx))
+        return float(np.sum(_neg_log_lik_terms(t, config.link))) + prior
 
     def gradient(x):
         t = y * (forward(x) + m)
         lam, omega = _lik_weights(t, config.link)
-        grad = -adjoint(y * lam)
-        if precision is not None:
-            grad += precision(x - x_mean)
-        return grad, omega
+        return precision(x - x_mean) - adjoint(y * lam), omega
 
     x = x_mean.copy()
     f = objective(x)
@@ -188,11 +190,6 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
         if at_floor and (stalled >= 3 or np.array_equal(x_new, x)):
             return MapSolution(best_x, it + 1, best_gnorm, True)
         x, f = x_new, f_new
-        if precision is None and np.linalg.norm(x) > 1e3:
-            raise RuntimeError(
-                "ML estimate diverged (separable data?): parameter norm "
-                "exceeded 1e3"
-            )
     grad, _ = gradient(x)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= config.gradient_tolerance:
@@ -204,41 +201,29 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
 
 
 def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
-    """MAP (or ML when use_prior is false) estimate by damped Newton.
+    """MAP estimate by damped Newton.
 
     Minimizes -sum log g(y_m (d_m^T x + m_m)) plus the Gaussian prior
     penalty, with the stopping rules of the shared Newton loop (gradient
-    tolerance, machine-precision floor, ML divergence guard).  This is the
-    general-model path: each iteration factors the dense N x N Hessian
-    D^T diag(omega) D + C_x^{-1}.  Rasch data take `rasch_map_fit`, which
-    runs the same loop on structured algebra.
+    tolerance, machine-precision floor).  This is the general-model path:
+    each iteration factors the dense N x N Hessian
+    D^T diag(omega) D + C_x^{-1}, which the prior makes positive definite;
+    a factorization that fails anyway raises LinAlgError.  Rasch data take
+    `rasch_map_fit`, which runs the same loop on structured algebra.
     """
     if config is None:
         config = MapConfig()
     D = model.D
-    M, N = D.shape
-    y = _check_pm_one(y, M)
-
-    if config.use_prior:
-        cf_prior = scipy.linalg.cho_factor(model.C_x)
-        prec = scipy.linalg.cho_solve(cf_prior, np.eye(N))
-    else:
-        prec = np.zeros((N, N))
+    y = _check_pm_one(y, D.shape[0])
+    prec = _prior_precision(model)
 
     def newton_step(omega, grad):
-        H = _weighted_gram(D, omega) + prec
-        try:
-            cf = scipy.linalg.cho_factor(H)
-        except scipy.linalg.LinAlgError:
-            # Singular Hessian can occur for ML with a rank-deficient
-            # effective design; a tiny ridge restores a descent direction.
-            cf = scipy.linalg.cho_factor(H + 1e-10 * np.eye(N))
+        cf = scipy.linalg.cho_factor(_weighted_gram(D, omega) + prec)
         return -scipy.linalg.cho_solve(cf, grad)
 
     return _damped_newton(
         model.x_mean, y, model.m, lambda x: D @ x, lambda r: D.T @ r,
-        (lambda dx: prec @ dx) if config.use_prior else None,
-        newton_step, config,
+        lambda dx: prec @ dx, newton_step, config,
     ).estimate
 
 
@@ -256,16 +241,11 @@ def rasch_map_fit(
     observed user and item blocks, a sparse product (nnz(B) = M) and one
     dense min(U, Q)^2 Cholesky factorization per iteration; nothing of size
     (U+Q)^2 or U Q is formed.  Users and items with no responses decouple
-    and stay at exactly 0.0.  The prior is required: the Rasch likelihood
-    is flat along [1_U; -1_Q], so the ML estimate is not unique.
+    and stay at exactly 0.0.  The prior also fixes the direction
+    [1_U; -1_Q], along which the Rasch likelihood is flat.
     """
     if config is None:
         config = MapConfig()
-    if not config.use_prior:
-        raise ValueError(
-            "rasch_map_fit needs the prior: the Rasch likelihood is flat "
-            "along [1_U; -1_Q], so the ML estimate is not unique"
-        )
     _check_observed(design, data)
     U, Q = design.U, design.Q
     users, params_i = data.users, U + data.items
@@ -366,11 +346,10 @@ def pm_gibbs(model: GeneralProbitModel, y, config: GibbsConfig | None = None):
     if config is None:
         config = GibbsConfig()
     D = model.D
-    M, N = D.shape
+    M = D.shape[0]
     y = _check_pm_one(y, M)
 
-    cf_prior = scipy.linalg.cho_factor(model.C_x)
-    prec = scipy.linalg.cho_solve(cf_prior, np.eye(N))
+    prec = _prior_precision(model)
     L = scipy.linalg.cholesky(_weighted_gram(D, np.ones(M)) + prec, lower=True)
     prior_pull = prec @ model.x_mean
 
@@ -593,34 +572,20 @@ def fisher_known_difficulty_bound(d, sigma2_x) -> float:
     return float(1.0 / (probit_information(-d).sum() + 1.0 / sigma2_x))
 
 
-def fisher_lower_bound(
-    model: GeneralProbitModel,
-    evaluation_point,
-    *,
-    include_prior: bool = True,
-) -> FisherBound:
-    """Fisher-information lower bound on per-component MSE.
+def fisher_lower_bound(model: GeneralProbitModel, evaluation_point) -> FisherBound:
+    """Bayesian Fisher-information lower bound on per-component MSE.
 
-    Forms I = D^T diag(lambda) D with the probit item information
-    lambda(t) = phi(t)^2 / (Phi(t) Phi(-t)) at the evaluation point, adds
-    the prior precision (Bayesian variant, default), and returns the
-    diagonal of the inverse.
+    Forms I = D^T diag(lambda) D + C_x^{-1} with the probit item
+    information lambda(t) = phi(t)^2 / (Phi(t) Phi(-t)) at the evaluation
+    point and returns the diagonal of its inverse.  The prior precision
+    makes I positive definite for any design.
     """
     theta = np.asarray(evaluation_point, dtype=np.float64).ravel()
-    M, N = model.D.shape
+    N = model.D.shape[1]
     if theta.shape != (N,):
         raise ValueError(f"evaluation_point has shape {theta.shape}, expected ({N},)")
     t = np.asarray(model.D @ theta).ravel() + model.m
-    lam = probit_information(t)
-    info = _weighted_gram(model.D, lam)
-    if include_prior:
-        cf_prior = scipy.linalg.cho_factor(model.C_x)
-        info = info + scipy.linalg.cho_solve(cf_prior, np.eye(N))
-    try:
-        cf = scipy.linalg.cho_factor(info)
-    except scipy.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            "Fisher information is singular; use include_prior=True"
-        ) from err
+    info = _weighted_gram(model.D, probit_information(t)) + _prior_precision(model)
+    cf = scipy.linalg.cho_factor(info)
     bounds = np.diag(scipy.linalg.cho_solve(cf, np.eye(N))).copy()
     return FisherBound(per_component_bound=bounds, evaluation_point=theta)

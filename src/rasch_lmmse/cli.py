@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on runtime errors (bad data, failed fits),
 2 on usage errors.  File outputs are written atomically (temp file in the
-target directory, then rename).  Relative output paths resolve against
-RASCH_LMMSE_OUTPUT_DIR when set, else the working directory.
+target directory, then rename), with the mode open() gives a new file.
+Relative output paths resolve against RASCH_LMMSE_OUTPUT_DIR when set,
+else the working directory.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 
 import numpy as np
 
@@ -117,9 +117,12 @@ def _resolve_output(path):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    # Created with the mode open() gives a new file (0o666 less the umask),
+    # which the rename keeps.  The random suffix keeps concurrent writers
+    # apart, and O_EXCL never reuses an existing file.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -163,6 +166,12 @@ def _cmd_analyze(args):
         raise UsageError(
             "--difficulty-file / --difficulty-sigma2 require --known-difficulties"
         )
+    for flag, values in (("--users", args.users), ("--items", args.items),
+                         ("--snr-db", args.snr_db), ("--sigma2", args.sigma2)):
+        if values is not None and not values:
+            raise ValueError(f"{flag} must list at least one value")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     s2_d = args.difficulty_sigma2
     if s2_d is not None and not 0 <= s2_d < math.inf:
         raise ValueError(f"--difficulty-sigma2 must be finite and nonnegative, got {s2_d}")

@@ -111,9 +111,9 @@ class SyntheticConfig:
     builds it from its flags or from a JSON config file with these field
     names, and every setting is checked here, so no cell fails because of
     one.  Integer settings must be integers and flags bools (TypeError
-    otherwise).  The Gibbs settings are checked as `GibbsConfig` checks
-    them, whichever estimators are selected.  `known_difficulties` runs the
-    lmmse estimator (and `fisher_bound`) only.
+    otherwise).  The Gibbs settings and the seed are checked as
+    `GibbsConfig` checks them, whichever estimators are selected.
+    `known_difficulties` runs the lmmse estimator (and `fisher_bound`) only.
     """
 
     users_grid: tuple
@@ -153,7 +153,9 @@ class SyntheticConfig:
             "estimators",
             _normalize_estimators(self.estimators, SYNTHETIC_ESTIMATORS),
         )
-        GibbsConfig(burn_in=self.gibbs_burn_in, samples=self.gibbs_samples)
+        GibbsConfig(
+            burn_in=self.gibbs_burn_in, samples=self.gibbs_samples, seed=self.seed
+        )
         if self.known_difficulties and set(self.estimators) - {"lmmse", "fisher_bound"}:
             raise ValueError(
                 "known_difficulties mode supports the lmmse estimator only"
@@ -612,8 +614,9 @@ class CvConfig:
 
     Like `SyntheticConfig`, the one place that holds the study's defaults
     and checks, built by the CLI from its flags or from a JSON config file.
-    Integer settings must be integers, and the Gibbs settings are checked
-    as `GibbsConfig` checks them, so no fold fails because of a setting.
+    Integer settings must be integers, and the Gibbs settings and the seed
+    are checked as `GibbsConfig` checks them, so no fold fails because of
+    a setting.
     """
 
     folds: int = 10
@@ -641,7 +644,9 @@ class CvConfig:
                 "tuning over a variance grid needs folds >= 3 (one validation "
                 "fold inside the training split)"
             )
-        GibbsConfig(burn_in=self.gibbs_burn_in, samples=self.gibbs_samples)
+        GibbsConfig(
+            burn_in=self.gibbs_burn_in, samples=self.gibbs_samples, seed=self.seed
+        )
 
 
 @dataclass

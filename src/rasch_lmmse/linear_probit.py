@@ -65,9 +65,6 @@ class GeneralProbitModel:
     def num_observations(self):
         return self.D.shape[0]
 
-    def is_zero_mean(self):
-        return not (np.any(self.x_mean != 0) or np.any(self.m != 0))
-
 
 @dataclass(frozen=True)
 class LinearizedQuantities:
@@ -111,34 +108,24 @@ def sign_covariance(c_i, c_j, rho):
     return 4.0 * (binorm_cdf(c_i, c_j, rho) - norm_cdf(c_i) * norm_cdf(c_j))
 
 
-def _symmetrized_cz(D, C_x):
-    C_z = D @ C_x @ D.T
-    C_z = 0.5 * (C_z + C_z.T)
-    C_z[np.diag_indices_from(C_z)] += 1.0
-    return C_z
+def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
+    """Compute y_mean, C_y and E, the moments that define the linear estimators.
 
-
-def _linearize_zero_mean(model):
-    D, C_x = model.D, model.C_x
-    # C_z is scaled in place into the arcsine argument, which becomes C_y.
-    C_y = _symmetrized_cz(D, C_x)
-    denom = np.sqrt(np.diag(C_y))
-    C_y /= denom[:, None]
-    C_y /= denom[None, :]
-    # The clip guards rounding pushing |argument| past 1 for near-duplicate rows.
-    np.clip(C_y, -1.0, 1.0, out=C_y)
-    np.arcsin(C_y, out=C_y)
-    C_y *= 2.0 / np.pi
-    np.fill_diagonal(C_y, 1.0)  # var(sign) = 1 - y_mean^2 = 1
-    E = np.sqrt(2.0 / np.pi) * (D @ C_x) / denom[:, None]
-    return LinearizedQuantities(y_mean=np.zeros(D.shape[0]), C_y=C_y, E=E)
-
-
-def _linearize_general(model):
+    Forms the latent covariance C_z = D C_x D^T + I and the standardized
+    means c = (D x_mean + m) / sqrt(diag C_z), and evaluates the bivariate
+    normal CDF once per off-diagonal pair (`sign_covariance`), with the
+    correlation taken on the upper triangle only.  One path serves every
+    model: at c = 0 the bivariate CDF is Sheppard's orthant probability
+    1/4 + asin(rho) / (2 pi), so C_y is the arcsine law (2/pi) asin(rho).
+    C_y is a full M x M matrix; for Rasch designs of any size use
+    rasch.rasch_lmmse_fit, which never forms C_y.
+    """
     D, C_x = model.D, model.C_x
     M = D.shape[0]
     z_mean = D @ model.x_mean + model.m
-    C_z = _symmetrized_cz(D, C_x)
+    C_z = D @ C_x @ D.T
+    C_z = 0.5 * (C_z + C_z.T)
+    C_z[np.diag_indices_from(C_z)] += 1.0
     sz = np.sqrt(np.diag(C_z))
     c = z_mean / sz
 
@@ -161,21 +148,6 @@ def _linearize_general(model):
         C_y[:, saturated] = 0.0
     np.fill_diagonal(C_y, 1.0 - y_mean**2)
     return LinearizedQuantities(y_mean=y_mean, C_y=C_y, E=E)
-
-
-def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
-    """Compute y_mean, C_y and E, the moments that define the linear estimators.
-
-    Both cases form the latent covariance C_z = D C_x D^T + I.  The
-    zero-mean case (x_mean = 0, m = 0) uses the exact arcsine formula for
-    C_y; the general case evaluates the bivariate normal CDF once per
-    off-diagonal pair (`sign_covariance`), with the correlation taken on
-    the upper triangle only.  C_y is a full M x M matrix; for Rasch
-    designs of any size use rasch.rasch_lmmse_fit, which never forms C_y.
-    """
-    if model.is_zero_mean():
-        return _linearize_zero_mean(model)
-    return _linearize_general(model)
 
 
 def _solve_spd(A, B):

@@ -93,23 +93,6 @@ def test_map_zero_design_returns_prior_mean():
     np.testing.assert_allclose(x_hat, [0.4, -1.2], atol=1e-12)
 
 
-def test_ml_divergence_guard():
-    # separable data with a shallow design: the iterate walks past the norm
-    # guard while the gradient is still well above tolerance
-    model = GeneralProbitModel(D=[[0.01]], m=[0.0], x_mean=[0.0], C_x=[[1.0]])
-    with pytest.raises(RuntimeError, match="diverged"):
-        map_fit(
-            model,
-            [1.0],
-            MapConfig(
-                use_prior=False,
-                link="logit",
-                gradient_tolerance=1e-12,
-                max_iterations=10_000,
-            ),
-        )
-
-
 def test_map_nonconvergence_is_reported():
     rng = np.random.default_rng(0)
     model = GeneralProbitModel(
@@ -399,7 +382,8 @@ def test_config_integer_fields_are_python_ints():
     cfg = GibbsConfig(burn_in=np.int64(3), samples=np.int32(4), seed=np.uint64(7))
     assert [type(v) for v in (cfg.burn_in, cfg.samples, cfg.seed)] == [int] * 3
     assert type(MapConfig(max_iterations=np.int64(5)).max_iterations) is int
-    assert GibbsConfig(seed=-1).seed == -1  # the seed has no range check
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        GibbsConfig(seed=-1)
 
 
 def test_pm_exact_scalar_facts():
@@ -451,8 +435,6 @@ def test_fisher_zero_design_is_prior_variance():
     )
     fb = fisher_lower_bound(model, np.zeros(2))
     np.testing.assert_allclose(fb.per_component_bound, [2.0, 5.0], atol=1e-12)
-    with pytest.raises(np.linalg.LinAlgError):
-        fisher_lower_bound(model, np.zeros(2), include_prior=False)
 
 
 def test_fisher_known_difficulty_closed_form():

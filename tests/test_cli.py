@@ -323,6 +323,91 @@ def test_invalid_settings_fail_before_any_cell(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_zero_difficulties_match_arcsine_closed_form(tmp_path):
+    # --difficulty-sigma2 0 draws d = 0, a zero-mean one-column model: the
+    # ability MSE is s2 - (2/pi) s2^2/(s2 + 1) Q / (1 + (Q - 1) s) with
+    # s = (2/pi) asin(s2/(s2 + 1)).  At 20 dB, rho = 50/51 > 0.925 takes
+    # the bivariate CDF's near-unit branch.
+    out = tmp_path / "kd0.csv"
+    assert main(["analyze", "--users", "1", "--items", "5,200",
+                 "--snr-db", "-10,0,10,20", "--known-difficulties",
+                 "--difficulty-sigma2", "0", "--output", str(out)]) == 0
+    rows = [dict(zip(ANALYZE_COLUMNS, line.split(",")))
+            for line in out.read_text().splitlines()[1:]]
+    assert [(r["Q"], r["snr_db"]) for r in rows] == [
+        (Q, snr) for Q in ("5", "200") for snr in ("-10.0", "0.0", "10.0", "20.0")
+    ]
+    for row in rows:
+        s2, Q = float(row["sigma2_x"]), int(row["Q"])
+        s = 2.0 / np.pi * np.arcsin(s2 / (s2 + 1.0))
+        expected = s2 - 2.0 / np.pi * s2**2 / (s2 + 1.0) * Q / (1.0 + (Q - 1) * s)
+        assert float(row["mse_ability_closed_form"]) == pytest.approx(
+            expected, rel=1e-12
+        ), row
+    assert float(rows[3]["mse_ability_closed_form"]) == pytest.approx(
+        15.286334774583608, rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--users", ["--users", ",", "--items", "5", "--sigma2", "1"]),
+    ("--items", ["--users", "2", "--items", ",", "--sigma2", "1"]),
+    ("--snr-db", ["--users", "2", "--items", "4", "--snr-db", ","]),
+    ("--sigma2", ["--users", "2", "--items", "4", "--sigma2", ","]),
+])
+def test_analyze_empty_list_writes_nothing(tmp_path, capsys, flag, argv):
+    out = tmp_path / "x.csv"
+    assert main(["analyze", *argv, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "wrote" not in captured.out
+    assert not out.exists()
+
+
+def test_negative_seed_fails_before_any_cell_or_fold(tmp_path, capsys):
+    data = tmp_path / "cv.csv"
+    write_rasch_csv(data, U=6, Q=4, seed=1)
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "cfg.json"
+    grid = {"users_grid": [3], "items_grid": [4], "snr_db_grid": [0.0], "trials": 2}
+    sim = ["simulate", "--output", str(out)]
+    cv = ["crossval", "--data", str(missing), "--output", str(out)]
+    for argv, payload in (
+        (sim + ["--users", "3", "--items", "4", "--snr-db", "0", "--trials", "2",
+                "--seed", "-1"], None),
+        (sim + ["--config", str(cfg)], {**grid, "seed": -1}),
+        (cv + ["--folds", "3", "--seed", "-1"], None),
+        (cv + ["--config", str(cfg)], {"folds": 3, "seed": -1}),
+        (["fit", "--data", str(data), "--estimator", "pm_gibbs", "--seed", "-1",
+          "--output", str(out)], None),
+        (["analyze", "--users", "1", "--items", "4", "--sigma2", "1",
+          "--known-difficulties", "--difficulty-sigma2", "1", "--seed", "-1",
+          "--output", str(out)], None),
+    ):
+        if payload is not None:
+            cfg.write_text(json.dumps(payload))
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "seed must be nonnegative" in captured.err, argv
+        # Settings are checked before any cell runs or any data is read.
+        assert "failed:" not in captured.out and "missing.csv" not in captured.err
+        assert not out.exists()
+
+
+def test_output_files_get_the_umask_mode(tmp_path):
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    old = os.umask(0o022)
+    try:
+        assert main(["analyze", "--users", "2", "--items", "4", "--sigma2", "1",
+                     "--output", str(tmp_path / "a.csv")]) == 0
+        assert main(["fit", "--data", str(responses),
+                     "--output", str(tmp_path / "f.csv")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"a.csv": 0o644, "f.csv": 0o644, "f.json": 0o644}
+
+
 def test_crossval_checks_settings_before_reading_data(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     out = tmp_path / "x.csv"

@@ -69,17 +69,32 @@ def test_lmmse_estimate_matches_conditional_mean_scalar():
     assert sol.estimate[0] == pytest.approx(0.5641895835477564, abs=1e-15)
 
 
-def test_zero_mean_path_agrees_with_general_path():
-    from rasch_lmmse.linear_probit import _linearize_general
-
+def test_zero_mean_moments_follow_arcsine_law():
+    # At zero mean the bivariate CDF is Sheppard's orthant probability, so
+    # C_y is (2/pi) asin of the latent correlations (the arcsine law) and
+    # E = sqrt(2/pi) D C_x / sqrt(diag C_z).  Near-duplicate rows, of
+    # either sign, put some |rho| past 0.925, the CDF's near-unit branch.
     rng = np.random.default_rng(5)
-    model = random_model(rng, M=7, N=4, zero_mean=True)
-    lin_fast = linearize(model)
-    lin_slow = _linearize_general(model)
-    np.testing.assert_allclose(lin_fast.C_y, lin_slow.C_y, atol=1e-10)
-    np.testing.assert_allclose(lin_fast.E, lin_slow.E, atol=1e-12)
-    np.testing.assert_allclose(lin_fast.y_mean, 0.0, atol=1e-16)
-    assert np.all(np.diag(lin_fast.C_y) == 1.0)
+    for M, N in [(7, 4), (12, 3), (2, 1), (9, 9)]:
+        model = random_model(rng, M=M, N=N, zero_mean=True)
+        D = model.D.copy()
+        D[0] *= 10.0
+        D[-1] = -D[0] + 1e-2 * rng.normal(size=N)
+        model = GeneralProbitModel(D=D, m=model.m, x_mean=model.x_mean, C_x=model.C_x)
+        lin = linearize(model)
+        C_z = D @ model.C_x @ D.T + np.eye(M)
+        sz = np.sqrt(np.diag(C_z))
+        rho = C_z / np.outer(sz, sz)
+        assert np.max(np.abs(rho[np.triu_indices(M, 1)])) > 0.925
+        arcsine = 2.0 / np.pi * np.arcsin(np.clip(rho, -1.0, 1.0))
+        np.fill_diagonal(arcsine, 1.0)
+        np.testing.assert_allclose(lin.C_y, arcsine, rtol=0, atol=1e-12)
+        assert np.all(np.diag(lin.C_y) == 1.0)
+        np.testing.assert_allclose(
+            lin.E, np.sqrt(2.0 / np.pi) * (D @ model.C_x) / sz[:, None],
+            rtol=0, atol=1e-12,
+        )
+        assert np.all(lin.y_mean == 0.0)
 
 
 def test_lmmse_weights_and_mse_match_direct_solve():

@@ -509,15 +509,6 @@ def test_structured_map_matches_dense_on_random_masks(instance, link):
     assert np.all(dense[unseen] == 0.0)
 
 
-def test_structured_map_needs_prior():
-    # The Rasch likelihood is flat along [1_U; -1_Q]: ML is not unique.
-    design = RaschDesign(U=2, Q=2, sigma2_a=1.0, sigma2_d=1.0)
-    data = ResponseSet(users=[0, 1], items=[0, 1], responses=[1.0, -1.0],
-                       num_users=2, num_items=2)
-    with pytest.raises(ValueError, match="not unique"):
-        rasch_map_fit(design, data, MapConfig(use_prior=False))
-
-
 @pytest.mark.parametrize("seed, link", [(74, "probit"), (171, "logit")])
 def test_structured_map_converges_past_the_precision_floor(seed, link):
     # Seeded partial masks on which the Newton loop reaches the objective's
