@@ -26,6 +26,17 @@ from .rasch import RaschDesign, _BipartiteSampler, _BipartiteSchur, _check_obser
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def _as_int(value, name):
+    """`value` as an exact int; TypeError for a bool (JSON's true is not
+    1) or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MapConfig:
     """Settings for the damped-Newton MAP solver."""
@@ -35,7 +46,9 @@ class MapConfig:
     link: str = "probit"
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
+        object.__setattr__(
+            self, "max_iterations", _as_int(self.max_iterations, "max_iterations")
+        )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.gradient_tolerance > 0:
@@ -54,7 +67,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         for name in ("burn_in", "samples", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if self.samples < 1:

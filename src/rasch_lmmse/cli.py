@@ -4,13 +4,17 @@ Exit codes: 0 on success, 1 on runtime errors (bad data, failed fits),
 2 on usage errors.  File outputs are written atomically (temp file in the
 target directory, then rename), with the mode open() gives a new file.
 Relative output paths resolve against RASCH_LMMSE_OUTPUT_DIR when set,
-else the working directory.
+else the working directory.  While a command runs, SciPy's OpenBLAS runs
+on one thread (`_one_lapack_thread`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
+import glob
 import json
 import logging
 import math
@@ -19,6 +23,7 @@ import re
 import sys
 
 import numpy as np
+import scipy
 
 from .baselines import (
     GibbsConfig,
@@ -76,6 +81,8 @@ _GIBBS_ITER_PER_OBS = 5.9e-8
 _GIBBS_ITER_PER_KEPT2 = 8.6e-9
 _GIBBS_WARN_SECONDS = 60.0
 
+logger = logging.getLogger(__name__)
+
 
 class UsageError(Exception):
     """Command-line usage problem: reported on stderr, exit code 2."""
@@ -107,6 +114,56 @@ def _positive_int(text):
 
 def _estimator_list(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _scipy_openblas():
+    """SciPy's bundled OpenBLAS, as (path, library), if this process has
+    loaded it; else None.
+
+    It is the library behind scipy.linalg's LAPACK (cho_factor, cho_solve,
+    cholesky, dtrtri).  A wheel keeps it in `scipy.libs` beside the package;
+    RTLD_NOLOAD finds it only when it is already loaded.  NumPy's own copy
+    (`numpy.libs`, 64-bit symbols) is not matched.
+    """
+    site = glob.escape(os.path.dirname(os.path.dirname(scipy.__file__)))
+    pattern = os.path.join(site, "scipy.libs", "libscipy_openblas-*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get_threads = lib.scipy_openblas_get_num_threads
+            set_threads = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return path, lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_lapack_thread():
+    """Run SciPy's OpenBLAS on one thread inside the block, then set back
+    the thread count it had.
+
+    A threaded factorization wakes OpenBLAS's worker, which then spins
+    through the non-BLAS work that follows, and the thread count moves
+    results in the last bits.  The commands' parallelism is their own
+    thread pools (`experiments._workers`).  Without the library the block
+    runs as it is.
+    """
+    found = _scipy_openblas()
+    if found is None:
+        logger.info("SciPy's OpenBLAS is not loaded; LAPACK threads left as they are")
+        yield
+        return
+    path, lib = found
+    previous = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    logger.info("LAPACK on 1 thread: %s (was %d)", os.path.basename(path), previous)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(previous)
 
 
 def _resolve_output(path):
@@ -536,7 +593,8 @@ def main(argv=None) -> int:
     package_logger.addHandler(handler)
     package_logger.setLevel(args.log_level)
     try:
-        return args.func(args)
+        with _one_lapack_thread():
+            return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import io
 import json
 import logging
 import math
-import operator
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -28,6 +28,7 @@ import numpy as np
 from .baselines import (
     GibbsConfig,
     MapConfig,
+    _as_int,
     _rasch_gibbs_block,
     fisher_known_difficulty_bound,
     fisher_rasch_ability_bound,
@@ -79,12 +80,21 @@ def snr_to_sigma2(snr_db) -> float:
 
 def _check_types(config, ints, bools=()):
     """Replace each field in `ints` by its exact int value and require each
-    field in `bools` to be a bool; TypeError otherwise."""
+    field in `bools` to be a bool; TypeError otherwise, also for a bool
+    where an int is expected."""
     for name in ints:
-        object.__setattr__(config, name, operator.index(getattr(config, name)))
+        object.__setattr__(config, name, _as_int(getattr(config, name), name))
     for name in bools:
         if not isinstance(getattr(config, name), bool):
             raise TypeError(f"{name} must be true or false")
+
+
+def _as_float(value, name):
+    """`value` as a float; TypeError for a non-number, a bool included
+    (JSON's true is not 1.0) and a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _normalize_estimators(estimators, allowed):
@@ -110,8 +120,8 @@ class SyntheticConfig:
     The one place that holds the study's defaults and checks: the CLI
     builds it from its flags or from a JSON config file with these field
     names, and every setting is checked here, so no cell fails because of
-    one.  Integer settings must be integers and flags bools (TypeError
-    otherwise).  The Gibbs settings and the seed are checked as
+    one.  Integer settings must be integers, the SNRs numbers and flags
+    bools (TypeError otherwise; a bool is not a number).  The Gibbs settings and the seed are checked as
     `GibbsConfig` checks them, whichever estimators are selected.
     `known_difficulties` runs the lmmse estimator (and `fisher_bound`) only.
     """
@@ -130,10 +140,12 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("users_grid", "items_grid"):
             object.__setattr__(
-                self, name, tuple(operator.index(v) for v in getattr(self, name))
+                self, name, tuple(_as_int(v, name) for v in getattr(self, name))
             )
         object.__setattr__(
-            self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid)
+            self,
+            "snr_db_grid",
+            tuple(_as_float(s, "snr_db_grid") for s in self.snr_db_grid),
         )
         for snr_db in self.snr_db_grid:
             snr_to_sigma2(snr_db)
@@ -479,12 +491,15 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     Each user's ability is the general L-MMSE fit on the one-column model
     D = 1_Q, m = -d.  The fit is linear, a_hat = W y + b, and (W, b) depend
     only on d, so one fit per trial gives the weights for all U users.
+    `lmmse_jitter` is the largest jitter those fits added to C_y's
+    diagonal, as a multiple of its mean (0.0 when none was needed).
     """
     sigma2 = snr_to_sigma2(snr_db)
     errs = np.empty(config.trials)
     predicted = np.empty(config.trials)
     fisher = np.empty(config.trials)
     t_lmmse = 0.0
+    jitter = 0.0
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, cell_idx, trial)
         d = rng.standard_normal(Q)
@@ -498,6 +513,7 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         sol = lmmse_fit(model, Y[0])
         a_hat = Y @ sol.W[0] + sol.b[0]
         t_lmmse += time.perf_counter() - t0
+        jitter = max(jitter, sol.jitter)
         errs[trial] = float(np.mean((a_hat - a) ** 2))
         predicted[trial] = sol.predicted_mse
         if "fisher_bound" in config.estimators:
@@ -516,6 +532,7 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
             else None
         ),
         "error": None,
+        "lmmse_jitter": jitter,
         "wall_time_seconds": {"lmmse": round(t_lmmse, 6)},
     }
     if "fisher_bound" in config.estimators:
@@ -614,7 +631,8 @@ class CvConfig:
 
     Like `SyntheticConfig`, the one place that holds the study's defaults
     and checks, built by the CLI from its flags or from a JSON config file.
-    Integer settings must be integers, and the Gibbs settings and the seed
+    Integer settings must be integers and the variances numbers (TypeError
+    otherwise; a bool is not a number), and the Gibbs settings and the seed
     are checked as `GibbsConfig` checks them, so no fold fails because of
     a setting.
     """
@@ -630,7 +648,9 @@ class CvConfig:
         _check_types(self, ("folds", "seed", "gibbs_burn_in", "gibbs_samples"))
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        grid = tuple(float(v) for v in self.prior_variance_grid)
+        grid = tuple(
+            _as_float(v, "prior_variance_grid") for v in self.prior_variance_grid
+        )
         if not grid or not all(math.isfinite(v) and v > 0 for v in grid):
             raise ValueError(
                 "prior_variance_grid must be nonempty, finite and positive"

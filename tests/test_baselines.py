@@ -386,6 +386,17 @@ def test_config_integer_fields_are_python_ints():
         GibbsConfig(seed=-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GibbsConfig(burn_in=True),
+    lambda: GibbsConfig(samples=True),
+    lambda: GibbsConfig(seed=False),
+    lambda: MapConfig(max_iterations=True),
+])
+def test_config_integers_reject_bools(make):
+    with pytest.raises(TypeError, match="must be an integer, got (True|False)"):
+        make()
+
+
 def test_pm_exact_scalar_facts():
     model = scalar_model()
     est, mse = pm_exact(model, [1.0])

@@ -1,5 +1,6 @@
 """CLI behavior: flags, exit codes, file outputs, determinism."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import rasch_lmmse
+from rasch_lmmse import cli
 from rasch_lmmse.baselines import probit_information
 from rasch_lmmse import experiments
 from rasch_lmmse.cli import (
@@ -312,6 +314,30 @@ def test_config_file_bad_keys_exit_1(tmp_path, capsys):
         assert str(cfg) in err and "Traceback" not in err, payload
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"users_grid": [2], "items_grid": [2], "snr_db_grid": [0],
+                  "trials": True, "seed": False}),
+    ("simulate", {"users_grid": [True], "items_grid": [2], "snr_db_grid": [0],
+                  "trials": 2}),
+    ("crossval", {"folds": 3, "seed": False}),
+    ("crossval", {"folds": 3, "gibbs_samples": True}),
+    ("simulate", {"users_grid": [2], "items_grid": [2], "snr_db_grid": [True]}),
+    ("crossval", {"folds": 3, "prior_variance_grid": ["1"]}),
+])
+def test_config_json_booleans_are_not_numbers(tmp_path, capsys, command, payload):
+    # JSON's true and false are not the numbers 1 and 0, nor is "1".
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg), "--output", str(out)]
+    if command == "crossval":
+        argv += ["--data", str(Path(__file__).parent.parent / "sample_data" / "responses.csv")]
+    assert main(argv) == 1
+    assert re.search(r"must be an? (integer|number), got (True|False|'1')",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_invalid_settings_fail_before_any_cell(tmp_path, capsys):
     out = tmp_path / "x.csv"
     grid = ["simulate", "--users", "2", "--items", "2", "--snr-db", "0",
@@ -609,6 +635,90 @@ def test_log_level_info_shows_binarization(tmp_path, capsys):
     assert "INFO rasch_lmmse.data: binarized 64 ratings" in err
     assert main(argv) == 0  # the level does not outlive its command
     assert "binarized" not in capsys.readouterr().err
+
+
+def _scipy_openblas_threads():
+    """(get, set) for the thread count of SciPy's bundled OpenBLAS, or None
+    when this process has not loaded it."""
+    import scipy.linalg  # noqa: F401  (loads the library)
+
+    libs = Path(scipy.linalg.__file__).parents[2] / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get_threads = lib.scipy_openblas_get_num_threads
+            set_threads = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@pytest.fixture
+def scipy_openblas():
+    found = _scipy_openblas_threads()
+    if found is None:
+        pytest.skip("SciPy's bundled OpenBLAS is not loaded")
+    get_threads, set_threads = found
+    ambient = get_threads()
+    yield get_threads, set_threads
+    set_threads(ambient)
+
+
+def test_outputs_do_not_depend_on_the_lapack_thread_count(tmp_path, scipy_openblas):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs at least 2 CPUs")
+    _, set_threads = scipy_openblas
+    outputs = []
+    for threads in (1, 2):
+        set_threads(threads)
+        out = tmp_path / f"analyze_{threads}.csv"
+        assert main(["analyze", "--known-difficulties", "--users", "1", "--items", "400",
+                     "--snr-db", "-10,0,10", "--difficulty-sigma2", "1",
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_main_runs_lapack_on_one_thread_and_sets_back_the_count(
+    tmp_path, capsys, monkeypatch, scipy_openblas
+):
+    get_threads, set_threads = scipy_openblas
+    set_threads(2)
+    ambient = get_threads()
+    seen = []
+    analyze = cli._cmd_analyze
+
+    def watched_analyze(args):
+        seen.append(get_threads())
+        return analyze(args)
+
+    monkeypatch.setattr(cli, "_cmd_analyze", watched_analyze)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user,item,response\nu0,q0,7\n")
+    out = str(tmp_path / "out.csv")
+    for argv, code in (
+        (["analyze", "--users", "2", "--items", "3", "--sigma2", "1", "--output", out], 0),
+        (["fit", "--data", str(bad), "--output", out], 1),
+        (["analyze", "--users", "1", "--items", "3", "--sigma2", "1",
+          "--known-difficulties", "--output", out], 2),
+    ):
+        assert main(argv + ["--log-level", "INFO"]) == code, argv
+        assert get_threads() == ambient, argv
+        err = capsys.readouterr().err
+        assert re.search(r"INFO rasch_lmmse\.cli: LAPACK on 1 thread: "
+                         rf"libscipy_openblas-\w+\.so \(was {ambient}\)", err), err
+    assert seen == [1, 1]
+
+
+def test_main_runs_without_scipy_openblas(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_scipy_openblas", lambda: None)
+    assert main(["analyze", "--users", "2", "--items", "3", "--sigma2", "1",
+                 "--output", str(tmp_path / "a.csv"), "--log-level", "INFO"]) == 0
+    assert ("INFO rasch_lmmse.cli: SciPy's OpenBLAS is not loaded; LAPACK threads "
+            "left as they are") in capsys.readouterr().err
 
 
 def test_fit_dataset_flag_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Synthetic grid study, scoring metrics, and cross-validation."""
 
+import dataclasses
 import json
 import threading
 import tracemalloc
@@ -104,7 +105,10 @@ def test_synthetic_config_validation():
         SyntheticConfig(**ok, gibbs_burn_in=-1)
     # an ill-typed setting is rejected, not coerced
     for bad in (dict(trials=2.5), dict(trials="5"), dict(users_grid=(2.5,)),
-                dict(known_difficulties="false")):
+                dict(known_difficulties="false"), dict(trials=True),
+                dict(seed=False), dict(users_grid=(True,)), dict(items_grid=(2, True)),
+                dict(snr_db_grid=(True,)), dict(snr_db_grid=("0",)),
+                dict(gibbs_samples=True)):
         with pytest.raises(TypeError):
             SyntheticConfig(**{**ok, **bad})
     # estimator list is normalized to a sorted, deduplicated tuple
@@ -130,6 +134,11 @@ def test_cv_config_validation():
         CvConfig(gibbs_burn_in=-1)
     with pytest.raises(TypeError):
         CvConfig(folds=3.0)
+    # JSON's true is not the number 1, nor is a numeric string
+    for bad in (dict(folds=True), dict(seed=False), dict(gibbs_burn_in=True),
+                dict(prior_variance_grid=(True,)), dict(prior_variance_grid=("1",))):
+        with pytest.raises(TypeError):
+            CvConfig(**bad)
 
 
 def test_run_synthetic_deterministic_across_threads():
@@ -188,6 +197,26 @@ def test_known_difficulty_mode():
             estimators=("map",),
             known_difficulties=True,
         )
+
+
+def test_known_difficulty_cell_reports_the_largest_lmmse_jitter(monkeypatch):
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(4,), snr_db_grid=(0.0,), trials=3,
+        known_difficulties=True,
+    )
+    result = run_synthetic(config)
+    assert result.cells[0]["lmmse_jitter"] == 0.0
+    assert json.loads(result.to_json())["cells"][0]["lmmse_jitter"] == 0.0
+    assert "lmmse_jitter" not in result.csv_columns()
+
+    # The cell keeps the largest jitter any trial's fit needed.
+    jitters = iter([0.0, 1e-9, 1e-10])
+
+    def jittered_fit(*args, **kwargs):
+        return dataclasses.replace(lmmse_fit(*args, **kwargs), jitter=next(jitters))
+
+    monkeypatch.setattr(experiments, "lmmse_fit", jittered_fit)
+    assert run_synthetic(config).cells[0]["lmmse_jitter"] == 1e-9
 
 
 def test_error_cells_recorded_not_raised(monkeypatch):
