@@ -24,6 +24,9 @@ from .linear_probit import GeneralProbitModel, _check_pm_one
 from .rasch import RaschDesign, _BipartiteSampler, _BipartiteSchur, _check_observed
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+# The damped-Newton MAP solver's iteration cap and gradient-norm tolerance.
+_MAP_MAX_ITERATIONS = 100
+_MAP_GRADIENT_TOLERANCE = 1e-8
 
 
 def _as_int(value, name):
@@ -39,20 +42,11 @@ def _as_int(value, name):
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Settings for the damped-Newton MAP solver."""
+    """Settings for the damped-Newton MAP solver: the link, probit or logit."""
 
-    max_iterations: int = 100
-    gradient_tolerance: float = 1e-8
     link: str = "probit"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "max_iterations", _as_int(self.max_iterations, "max_iterations")
-        )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
         if self.link not in ("probit", "logit"):
             raise ValueError(f"unknown link {self.link!r}")
 
@@ -144,7 +138,7 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
     (D^T diag(omega) D + C_x^{-1}) s = -grad.  The objective is smooth and
     strictly convex (the prior penalty makes it so), so Newton with Armijo
     backtracking reaches the unique optimum.  Stops when the gradient norm
-    falls below gradient_tolerance, or, once the objective is flat to
+    falls below `_MAP_GRADIENT_TOLERANCE`, or, once the objective is flat to
     machine precision, when the gradient norm stops improving (the
     gradient-norm floor of an instance can sit above any fixed tolerance).
     """
@@ -164,10 +158,10 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
     f = objective(x)
     best_x, best_gnorm = x, np.inf
     stalled = 0
-    for it in range(config.max_iterations):
+    for it in range(_MAP_MAX_ITERATIONS):
         grad, omega = gradient(x)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.gradient_tolerance:
+        if gnorm <= _MAP_GRADIENT_TOLERANCE:
             return MapSolution(x, it, gnorm, False)
         made_progress = gnorm < 0.9 * best_gnorm
         if gnorm < best_gnorm:
@@ -205,10 +199,10 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
         x, f = x_new, f_new
     grad, _ = gradient(x)
     gnorm = float(np.linalg.norm(grad))
-    if gnorm <= config.gradient_tolerance:
-        return MapSolution(x, config.max_iterations, gnorm, False)
+    if gnorm <= _MAP_GRADIENT_TOLERANCE:
+        return MapSolution(x, _MAP_MAX_ITERATIONS, gnorm, False)
     raise RuntimeError(
-        f"MAP did not converge in {config.max_iterations} iterations "
+        f"MAP did not converge in {_MAP_MAX_ITERATIONS} iterations "
         f"(gradient norm {gnorm:.3e})"
     )
 

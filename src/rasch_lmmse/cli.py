@@ -400,9 +400,9 @@ def _load_dataset(args):
 
 def _cmd_fit(args):
     data = _load_dataset(args)
-    gibbs = GibbsConfig(
-        burn_in=args.gibbs_burnin, samples=args.gibbs_samples, seed=args.seed
-    )
+    given = {"burn_in": args.gibbs_burnin, "samples": args.gibbs_samples,
+             "seed": args.seed}
+    gibbs = GibbsConfig(**{k: v for k, v in given.items() if v is not None})
     out = fit_response_set(
         data, estimator=args.estimator, sigma2_x=args.sigma2, gibbs_config=gibbs
     )
@@ -542,9 +542,9 @@ def build_parser():
     p_fit.add_argument("--estimator", choices=CV_ESTIMATORS, default="lmmse")
     p_fit.add_argument("--sigma2", type=float, default=1.0,
                        help="prior variance for both parameter blocks")
-    p_fit.add_argument("--seed", type=int, default=0, help="Gibbs seed")
-    p_fit.add_argument("--gibbs-burnin", type=int, default=10_000)
-    p_fit.add_argument("--gibbs-samples", type=int, default=20_000)
+    p_fit.add_argument("--seed", type=int, help="Gibbs seed")
+    p_fit.add_argument("--gibbs-burnin", type=int)
+    p_fit.add_argument("--gibbs-samples", type=int)
     p_fit.add_argument("--output", default="fit.csv")
     p_fit.set_defaults(func=_cmd_fit)
 

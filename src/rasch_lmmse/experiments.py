@@ -36,12 +36,11 @@ from .baselines import (
     rasch_pm_gibbs,
 )
 from .data import ResponseSet
-from .linear_probit import lmmse_fit
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
     _full_response_set,
-    _one_column_model,
+    known_difficulty_fit,
     rasch_closed_form_mse,
     rasch_lmmse_fit,
     split_estimate,
@@ -133,9 +132,8 @@ class SyntheticConfig:
     estimators: tuple = ("lmmse",)
     seed: int = 0
     known_difficulties: bool = False
-    gibbs_burn_in: int = 10_000
-    gibbs_samples: int = 20_000
-    include_difficulty_mse: bool = False
+    gibbs_burn_in: int = GibbsConfig.burn_in
+    gibbs_samples: int = GibbsConfig.samples
 
     def __post_init__(self):
         for name in ("users_grid", "items_grid"):
@@ -152,7 +150,7 @@ class SyntheticConfig:
         _check_types(
             self,
             ("trials", "seed", "gibbs_burn_in", "gibbs_samples"),
-            ("known_difficulties", "include_difficulty_mse"),
+            ("known_difficulties",),
         )
         if not (self.users_grid and self.items_grid and self.snr_db_grid):
             raise ValueError("grids must be nonempty")
@@ -188,7 +186,6 @@ class ExperimentResult:
             "snr_db",
             "sigma2_x",
             "analytical_lmmse_mse",
-            "predicted_lmmse_mse",
         ]
         for name in self.config["estimators"]:
             if name == "fisher_bound":
@@ -197,8 +194,6 @@ class ExperimentResult:
             cols += [f"empirical_{stem}_mse", f"empirical_{stem}_stderr"]
         if "fisher_bound" in self.config["estimators"]:
             cols.append("fisher_bound")
-        if self.config.get("include_difficulty_mse"):
-            cols.append("analytical_difficulty_mse")
         cols.append("error")
         return cols
 
@@ -303,20 +298,55 @@ def _trial_rng(seed, cell_idx, trial_idx):
     return np.random.default_rng(np.random.SeedSequence((seed, cell_idx, trial_idx)))
 
 
-def _gibbs_seed(seed, cell_idx, trial_idx):
-    ss = np.random.SeedSequence((seed, cell_idx, trial_idx, 1))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _gibbs_config(config, *key):
+    """The GibbsConfig of one pm_gibbs chain of the study `config`: its
+    burn-in and samples, and the first 64-bit word of
+    SeedSequence((config.seed, *key)) as seed.  A simulate trial's chain
+    has key (cell, trial, 1) and a crossval fold's (fold, 2); the last
+    entry keeps them apart from `_trial_rng`'s (seed, cell, trial)."""
+    ss = np.random.SeedSequence((config.seed, *key))
+    return GibbsConfig(
+        burn_in=config.gibbs_burn_in,
+        samples=config.gibbs_samples,
+        seed=int(ss.generate_state(1, dtype=np.uint64)[0]),
+    )
 
 
-def _error_cell(U, Q, snr_db, err):
-    """The record of a cell that an estimator failure aborted."""
+def _cell_head(U, Q, snr_db, err=None):
+    """The keys every cell record starts with; `error` names `err`, the
+    estimator failure that aborted the cell, and is None for a finished
+    cell, whose `_cell_record` adds the rest.  An aborted cell's record
+    is its head alone."""
     return {
         "U": U,
         "Q": Q,
         "snr_db": snr_db,
         "sigma2_x": snr_to_sigma2(snr_db),
-        "error": f"{type(err).__name__}: {err}",
+        "error": None if err is None else f"{type(err).__name__}: {err}",
     }
+
+
+def _cell_record(U, Q, snr_db, analytical, errs, times, fisher):
+    """The record of a finished cell, in both simulate modes.
+
+    `analytical` is the cell's analytical L-MMSE ability MSE, `errs` maps
+    each point estimator to its per-trial ability MSEs and `times` to its
+    wall time (JSON only); `fisher` is the Fisher bound, None unless
+    selected.  Each estimator gets its mean MSE and that mean's standard
+    error (None for one trial).
+    """
+    cell = _cell_head(U, Q, snr_db)
+    cell["analytical_lmmse_mse"] = analytical
+    for name, e in errs.items():
+        stem = _STEM[name]
+        cell[f"empirical_{stem}_mse"] = float(np.mean(e))
+        cell[f"empirical_{stem}_stderr"] = (
+            float(np.std(e, ddof=1) / np.sqrt(len(e))) if len(e) > 1 else None
+        )
+    if fisher is not None:
+        cell["fisher_bound"] = fisher
+    cell["wall_time_seconds"] = {k: round(v, 6) for k, v in times.items()}
+    return cell
 
 
 class _Pattern:
@@ -335,7 +365,15 @@ class _Pattern:
     def finish(self, config):
         """The pattern's cell records, in the order of its cells."""
         for cell_idx, snr_db, design, errs, times, _ in self.reached:
-            self.records[cell_idx] = _standard_record(config, snr_db, design, errs, times)
+            fisher = None
+            if "fisher_bound" in config.estimators:
+                t0 = time.perf_counter()
+                fisher = fisher_rasch_ability_bound(design.U, design.Q, design.sigma2_a)
+                times["fisher_bound"] = time.perf_counter() - t0
+            self.records[cell_idx] = _cell_record(
+                design.U, design.Q, snr_db, rasch_closed_form_mse(design)[0],
+                errs, times, fisher,
+            )
         return [self.records[cell[0]] for cell in self.cells]
 
 
@@ -374,18 +412,14 @@ def _run_standard_pattern(config, cells):
                 truth.append(a)
                 responses.append(data.responses)
         except Exception as err:  # recorded, not raised: other cells continue
-            pattern.records[cell_idx] = _error_cell(U, Q, snr_db, err)
+            pattern.records[cell_idx] = _cell_head(U, Q, snr_db, err)
             continue
         pattern.reached.append((cell_idx, snr_db, design, errs, times, truth))
         if "pm_gibbs" in point:
             # Every trial's ResponseSet has the pattern; the last one drawn serves.
             pattern.data = data
             pattern.chains += [
-                (design, y, GibbsConfig(
-                    burn_in=config.gibbs_burn_in,
-                    samples=config.gibbs_samples,
-                    seed=_gibbs_seed(config.seed, cell_idx, trial),
-                ))
+                (design, y, _gibbs_config(config, cell_idx, trial, 1))
                 for trial, y in enumerate(responses)
             ]
     return pattern
@@ -444,7 +478,7 @@ def _run_gibbs_phase(config, patterns, threads):
         err = next((e for e in parts if isinstance(e, Exception)), None)
         if err is not None:
             for cell_idx, snr_db, design, *_ in p.reached:
-                p.records[cell_idx] = _error_cell(design.U, design.Q, snr_db, err)
+                p.records[cell_idx] = _cell_head(design.U, design.Q, snr_db, err)
             p.reached = []
             continue
         means = np.concatenate([m for part in parts for m in part])
@@ -454,45 +488,13 @@ def _run_gibbs_phase(config, patterns, threads):
             times["pm_gibbs"] = per_latent * config.trials * len(p.data)
 
 
-def _standard_record(config, snr_db, design, errs, times):
-    """A full-design cell's record from its per-trial ability errors."""
-    U, Q, sigma2 = design.U, design.Q, design.sigma2_a
-    mse_a, mse_d = rasch_closed_form_mse(design)
-    cell = {
-        "U": U,
-        "Q": Q,
-        "snr_db": snr_db,
-        "sigma2_x": sigma2,
-        "analytical_lmmse_mse": mse_a,
-        "predicted_lmmse_mse": mse_a,
-        "error": None,
-    }
-    if config.include_difficulty_mse:
-        cell["analytical_difficulty_mse"] = mse_d
-    for name, e in errs.items():
-        stem = _STEM[name]
-        cell[f"empirical_{stem}_mse"] = float(np.mean(e))
-        cell[f"empirical_{stem}_stderr"] = (
-            float(np.std(e, ddof=1) / np.sqrt(config.trials))
-            if config.trials > 1
-            else None
-        )
-    if "fisher_bound" in config.estimators:
-        t0 = time.perf_counter()
-        cell["fisher_bound"] = fisher_rasch_ability_bound(U, Q, sigma2)
-        times["fisher_bound"] = time.perf_counter() - t0
-    cell["wall_time_seconds"] = {k: round(v, 6) for k, v in times.items()}
-    return cell
-
-
 def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     """Known-difficulty variant: d ~ N(0,1) treated as known, abilities estimated.
 
-    Each user's ability is the general L-MMSE fit on the one-column model
-    D = 1_Q, m = -d.  The fit is linear, a_hat = W y + b, and (W, b) depend
-    only on d, so one fit per trial gives the weights for all U users.
-    `lmmse_jitter` is the largest jitter those fits added to C_y's
-    diagonal, as a multiple of its mean (0.0 when none was needed).
+    Each trial's abilities come from one `known_difficulty_fit` of its
+    U x Q responses.  `lmmse_jitter` is the largest jitter those fits
+    added to C_y's diagonal, as a multiple of its mean (0.0 when none was
+    needed).
     """
     sigma2 = snr_to_sigma2(snr_db)
     errs = np.empty(config.trials)
@@ -506,40 +508,22 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         a = rng.normal(scale=np.sqrt(sigma2), size=U)
         w = rng.standard_normal((U, Q))
         Y = np.where(a[:, None] - d[None, :] + w >= 0, 1.0, -1.0)
-        model = _one_column_model(
-            KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
-        )
+        model = KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
         t0 = time.perf_counter()
-        sol = lmmse_fit(model, Y[0])
-        a_hat = Y @ sol.W[0] + sol.b[0]
+        sol = known_difficulty_fit(model, Y)
         t_lmmse += time.perf_counter() - t0
         jitter = max(jitter, sol.jitter)
-        errs[trial] = float(np.mean((a_hat - a) ** 2))
+        errs[trial] = float(np.mean((sol.estimate - a) ** 2))
         predicted[trial] = sol.predicted_mse
         if "fisher_bound" in config.estimators:
             fisher[trial] = fisher_known_difficulty_bound(d, sigma2)
-    cell = {
-        "U": U,
-        "Q": Q,
-        "snr_db": snr_db,
-        "sigma2_x": sigma2,
-        "analytical_lmmse_mse": float(np.mean(predicted)),
-        "predicted_lmmse_mse": float(np.mean(predicted)),
-        "empirical_lmmse_mse": float(np.mean(errs)),
-        "empirical_lmmse_stderr": (
-            float(np.std(errs, ddof=1) / np.sqrt(config.trials))
-            if config.trials > 1
-            else None
-        ),
-        "error": None,
-        "lmmse_jitter": jitter,
-        "wall_time_seconds": {"lmmse": round(t_lmmse, 6)},
-    }
-    if "fisher_bound" in config.estimators:
-        cell["fisher_bound"] = float(np.mean(fisher))
+    cell = _cell_record(
+        U, Q, snr_db, float(np.mean(predicted)), {"lmmse": errs},
+        {"lmmse": t_lmmse},
+        float(np.mean(fisher)) if "fisher_bound" in config.estimators else None,
+    )
+    cell["lmmse_jitter"] = jitter
     return cell
-
-
 
 
 def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> ExperimentResult:
@@ -573,7 +557,7 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
             try:
                 return _run_known_difficulty_cell(config, *cell)
             except Exception as err:  # recorded, not raised: other cells continue
-                return _error_cell(*cell[1:], err)
+                return _cell_head(*cell[1:], err)
     else:
         tasks = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
         entries = sum(U * Q + min(U, Q) ** 2 for (_, U, Q, _), *_ in tasks)
@@ -641,8 +625,8 @@ class CvConfig:
     seed: int = 0
     prior_variance_grid: tuple = (0.1, 0.25, 0.5, 1.0, 2.0)
     estimators: tuple = ("lmmse",)
-    gibbs_burn_in: int = 10_000
-    gibbs_samples: int = 20_000
+    gibbs_burn_in: int = GibbsConfig.burn_in
+    gibbs_samples: int = GibbsConfig.samples
 
     def __post_init__(self):
         _check_types(self, ("folds", "seed", "gibbs_burn_in", "gibbs_samples"))
@@ -852,16 +836,8 @@ def run_cross_validation(
         fallback = int(np.count_nonzero(~(seen_u[test_u] & seen_i[test_i])))
 
         fold_out = {}
+        gibbs_config = _gibbs_config(config, f, 2)
         for name in config.estimators:
-            gibbs_config = GibbsConfig(
-                burn_in=config.gibbs_burn_in,
-                samples=config.gibbs_samples,
-                seed=int(
-                    np.random.SeedSequence((config.seed, f, 2)).generate_state(
-                        1, dtype=np.uint64
-                    )[0]
-                ),
-            )
             if val is not None:
                 scores = []
                 val_u, val_i, val_y = _subset(data, val)

@@ -14,7 +14,7 @@ model with one column, D = 1_Q, and offset m = -d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +24,7 @@ from .data import ResponseSet
 from .linear_probit import (
     GeneralProbitModel,
     LmmseSolution,
+    _check_pm_one,
     lmmse_fit,
     lmmse_predicted_mse,
 )
@@ -469,15 +470,25 @@ def _one_column_model(model: KnownDifficultyModel) -> GeneralProbitModel:
     )
 
 
-def known_difficulty_fit(model: KnownDifficultyModel, y):
-    """L-MMSE ability estimate for one user against known item difficulties.
+def known_difficulty_fit(model: KnownDifficultyModel, Y) -> LmmseSolution:
+    """L-MMSE ability estimates against known item difficulties.
 
     Observes y_i = sign(a - d_i + w_i) with a ~ N(x_bar, sigma2_x): the
     general probit L-MMSE (`lmmse_fit`) on the one-column model D = 1_Q,
-    m = -d.  Returns (a_hat, predicted_mse); the MSE is data-independent.
+    m = -d.  Y is one user's (Q,) responses or a (U, Q) block, one row
+    per user.  The fit is linear, a_hat = W y + b, and (W, b) depend only
+    on the model, so one `lmmse_fit` gives every row's W y_u + b.
+    Returns that fit with `estimate` holding one ability per row, shape
+    (1,) for one user (as from `lmmse_fit`) and (U,) for a block;
+    `predicted_mse`, each user's MSE, is data-independent.
     """
-    sol = lmmse_fit(_one_column_model(model), y)
-    return float(sol.estimate[0]), sol.predicted_mse
+    Y = np.asarray(Y, dtype=np.float64)
+    Q = model.d.size
+    if Y.ndim not in (1, 2) or Y.shape[-1] != Q or Y.size == 0:
+        raise ValueError(f"Y has shape {Y.shape}, expected ({Q},) or (U, {Q})")
+    Y = _check_pm_one(Y, Y.size).reshape(-1, Q)
+    sol = lmmse_fit(_one_column_model(model), Y[0])
+    return replace(sol, estimate=Y @ sol.W[0] + sol.b[0])
 
 
 def known_difficulty_predicted_mse(model: KnownDifficultyModel) -> float:

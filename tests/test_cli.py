@@ -15,7 +15,7 @@ import pytest
 
 import rasch_lmmse
 from rasch_lmmse import cli
-from rasch_lmmse.baselines import probit_information
+from rasch_lmmse.baselines import GibbsConfig, probit_information
 from rasch_lmmse import experiments
 from rasch_lmmse.cli import (
     ANALYZE_COLUMNS,
@@ -302,6 +302,7 @@ def test_config_file_bad_keys_exit_1(tmp_path, capsys):
         (["simulate"], {**grid, "trails": 5}),
         (["simulate"], {**grid, "users_grid": 5}),
         (["simulate"], {**grid, "trials": 2.5}),
+        (["simulate"], {**grid, "include_difficulty_mse": True}),
         (["crossval", "--data", str(data)], {"fold": 3}),
         (["crossval", "--data", str(data)], {"folds": "3"}),
     ]
@@ -596,6 +597,24 @@ def test_fit_sidecar_reports_solver(tmp_path):
             assert isinstance(solver["at_floor"], bool)
             if not solver["at_floor"]:
                 assert solver["gradient_norm"] <= 1e-8
+
+
+def test_fit_gibbs_flags_default_to_gibbs_config(tmp_path, monkeypatch):
+    # fit passes only the Gibbs flags given; GibbsConfig holds the defaults.
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    seen = []
+
+    def recording_fit(data, estimator, sigma2_x, gibbs_config):
+        seen.append(gibbs_config)
+        return fit(data, estimator, sigma2_x=sigma2_x, gibbs_config=gibbs_config)
+
+    fit = cli.fit_response_set
+    monkeypatch.setattr(cli, "fit_response_set", recording_fit)
+    out = str(tmp_path / "fit.csv")
+    assert main(["fit", "--data", str(responses), "--output", out]) == 0
+    assert main(["fit", "--data", str(responses), "--gibbs-samples", "7",
+                 "--seed", "3", "--output", out]) == 0
+    assert seen == [GibbsConfig(), GibbsConfig(samples=7, seed=3)]
 
 
 def test_fit_movielens(tmp_path):

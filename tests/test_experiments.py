@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rasch_lmmse import experiments, linear_probit
-from rasch_lmmse.baselines import GibbsConfig, pm_gibbs
+from rasch_lmmse import experiments, linear_probit, rasch
+from rasch_lmmse.baselines import pm_gibbs
 from rasch_lmmse.data import ResponseSet, load_triplets
 from rasch_lmmse.experiments import (
     CvConfig,
@@ -23,7 +23,7 @@ from rasch_lmmse.experiments import (
     run_synthetic,
     snr_to_sigma2,
 )
-from rasch_lmmse.linear_probit import lmmse_fit
+from rasch_lmmse.linear_probit import GeneralProbitModel, lmmse_fit
 from rasch_lmmse.rasch import (
     KnownDifficultyModel,
     RaschDesign,
@@ -215,7 +215,7 @@ def test_known_difficulty_cell_reports_the_largest_lmmse_jitter(monkeypatch):
     def jittered_fit(*args, **kwargs):
         return dataclasses.replace(lmmse_fit(*args, **kwargs), jitter=next(jitters))
 
-    monkeypatch.setattr(experiments, "lmmse_fit", jittered_fit)
+    monkeypatch.setattr(rasch, "lmmse_fit", jittered_fit)
     assert run_synthetic(config).cells[0]["lmmse_jitter"] == 1e-9
 
 
@@ -258,10 +258,7 @@ def test_standard_cell_matches_dense_references():
         d = rng.normal(scale=np.sqrt(sigma2), size=Q)
         w = rng.standard_normal((U, Q))
         y = np.where(a[:, None] - d[None, :] + w >= 0, 1.0, -1.0).flatten(order="F")
-        gibbs = GibbsConfig(
-            burn_in=50, samples=100,
-            seed=experiments._gibbs_seed(config.seed, 0, trial),
-        )
+        gibbs = experiments._gibbs_config(config, 0, trial, 1)
         errs["lmmse"].append(np.mean((lmmse_fit(model, y).estimate[:U] - a) ** 2))
         errs["pm"].append(np.mean((pm_gibbs(model, y, gibbs)[:U] - a) ** 2))
     for stem, e in errs.items():
@@ -401,7 +398,7 @@ def _crossval_outputs(threads):
 
 @pytest.mark.parametrize("wrapped, run", [
     ("fit_response_set", _synthetic_outputs(estimators=("lmmse", "map"))),
-    ("lmmse_fit", _synthetic_outputs(known_difficulties=True)),
+    ("known_difficulty_fit", _synthetic_outputs(known_difficulties=True)),
     ("fit_response_set", _crossval_outputs),
 ], ids=["fit_phase", "known_difficulty", "crossval"])
 def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped, run):
@@ -434,20 +431,19 @@ def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped,
 
 def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
     linearize = linear_probit.linearize
-    fit = experiments.lmmse_fit
+    fit = experiments.known_difficulty_fit
     calls, fits = [], []
 
     def counting(model):
         calls.append(model)
         return linearize(model)
 
-    def counting_fit(*args, **kwargs):
-        fits.append(args)
-        return fit(*args, **kwargs)
+    def counting_fit(model, Y):
+        fits.append((model, Y, fit(model, Y)))
+        return fits[-1][2]
 
     monkeypatch.setattr(linear_probit, "linearize", counting)
-    monkeypatch.setattr(experiments, "linearize", counting, raising=False)
-    monkeypatch.setattr(experiments, "lmmse_fit", counting_fit)
+    monkeypatch.setattr(experiments, "known_difficulty_fit", counting_fit)
     U, Q, snr_db = 6, 5, 0.0
     config = SyntheticConfig(
         users_grid=(U,), items_grid=(Q,), snr_db_grid=(snr_db,), trials=3,
@@ -459,7 +455,18 @@ def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
     assert len(fits) == config.trials
     monkeypatch.undo()
 
+    # Each user's estimate is its own dense fit on the one-column model.
     sigma2 = snr_to_sigma2(snr_db)
+    for model, Y, sol in fits:
+        dense = GeneralProbitModel(
+            D=np.ones((Q, 1)), m=-model.d, x_mean=[0.0], C_x=[[sigma2]]
+        )
+        assert Y.shape == (U, Q)
+        for u in range(U):
+            assert sol.estimate[u] == pytest.approx(
+                lmmse_fit(dense, Y[u]).estimate[0], abs=1e-12
+            )
+
     predicted, errs = [], []
     for trial in range(config.trials):
         # The same draws as the cell: d, then a, then the noise.
@@ -469,7 +476,7 @@ def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
         Y = np.where(a[:, None] - d[None, :] + rng.standard_normal((U, Q)) >= 0, 1.0, -1.0)
         model = KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
         predicted.append(known_difficulty_predicted_mse(model))
-        a_hat = [known_difficulty_fit(model, Y[u])[0] for u in range(U)]
+        a_hat = [known_difficulty_fit(model, Y[u]).estimate[0] for u in range(U)]
         errs.append(np.mean((np.array(a_hat) - a) ** 2))
     assert cell["analytical_lmmse_mse"] == pytest.approx(np.mean(predicted), abs=1e-12)
     assert cell["empirical_lmmse_mse"] == pytest.approx(np.mean(errs), abs=1e-12)
@@ -478,15 +485,14 @@ def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
 def test_result_serialization():
     config = SyntheticConfig(
         users_grid=(2,), items_grid=(2,), snr_db_grid=(0.0,), trials=3,
-        estimators=("lmmse", "fisher_bound"), include_difficulty_mse=True,
+        estimators=("lmmse", "fisher_bound"),
     )
     result = run_synthetic(config)
     header = result.to_csv().splitlines()[0].split(",")
     assert header == [
-        "U", "Q", "snr_db", "sigma2_x",
-        "analytical_lmmse_mse", "predicted_lmmse_mse",
+        "U", "Q", "snr_db", "sigma2_x", "analytical_lmmse_mse",
         "empirical_lmmse_mse", "empirical_lmmse_stderr",
-        "fisher_bound", "analytical_difficulty_mse", "error",
+        "fisher_bound", "error",
     ]
     # timing lives in the JSON payload only; CSV stays byte-reproducible
     assert "wall" not in result.to_csv()
@@ -494,6 +500,52 @@ def test_result_serialization():
     assert payload["schema_version"] == 1
     assert "wall_time_seconds" in payload["cells"][0]
     assert payload["config"]["estimators"] == ["fisher_bound", "lmmse"]
+
+
+def test_every_cell_carries_the_csv_columns(monkeypatch):
+    # Both modes build a finished cell's record in one place: exactly the
+    # CSV columns plus the JSON-only keys.  An aborted cell's record is the
+    # columns every record starts with.
+    head = {"U", "Q", "snr_db", "sigma2_x", "error"}
+    grid = {"users_grid": (3,), "items_grid": (2, 4), "snr_db_grid": (0.0,),
+            "trials": 2}
+    standard = SyntheticConfig(
+        **grid, estimators=("lmmse", "pm_gibbs", "map", "fisher_bound"),
+        gibbs_burn_in=5, gibbs_samples=10,
+    )
+    known = SyntheticConfig(
+        **grid, estimators=("lmmse", "fisher_bound"), known_difficulties=True
+    )
+
+    def check(config, json_only, aborted=()):
+        result = run_synthetic(config)
+        columns = set(result.csv_columns())
+        assert head <= columns
+        for cell in result.cells:
+            if cell["Q"] in aborted:
+                assert set(cell) == head and cell["error"].startswith("RuntimeError")
+            else:
+                assert set(cell) == columns | json_only and cell["error"] is None
+
+    check(standard, {"wall_time_seconds"})
+    check(known, {"wall_time_seconds", "lmmse_jitter"})
+
+    fit, known_fit = experiments.fit_response_set, experiments.known_difficulty_fit
+
+    def fit_failing_at_q4(data, name, **kwargs):
+        if data.num_items == 4:
+            raise RuntimeError("forced")
+        return fit(data, name, **kwargs)
+
+    def known_fit_failing_at_q4(model, Y):
+        if model.d.size == 4:
+            raise RuntimeError("forced")
+        return known_fit(model, Y)
+
+    monkeypatch.setattr(experiments, "fit_response_set", fit_failing_at_q4)
+    monkeypatch.setattr(experiments, "known_difficulty_fit", known_fit_failing_at_q4)
+    check(standard, {"wall_time_seconds"}, aborted=(4,))
+    check(known, {"wall_time_seconds", "lmmse_jitter"}, aborted=(4,))
 
 
 def test_csv_text_cells():

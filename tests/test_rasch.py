@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr
 
 from rasch_lmmse.baselines import (
+    _MAP_GRADIENT_TOLERANCE,
     GibbsConfig,
     MapConfig,
     _rasch_gibbs_block,
@@ -496,7 +497,7 @@ def test_structured_map_matches_dense_on_random_masks(instance, link):
     # the tolerance is at most 2e-8 max(sigma2) when both stop on it; 1e-12
     # covers rounding in evaluating the gradients.
     g_dense = np.linalg.norm(dense_map_gradient(model, data.responses, dense, link))
-    assert sol.at_floor or sol.gradient_norm <= config.gradient_tolerance
+    assert sol.at_floor or sol.gradient_norm <= _MAP_GRADIENT_TOLERANCE
     atol = (sol.gradient_norm + g_dense) * max(design.sigma2_a, design.sigma2_d)
     np.testing.assert_allclose(sol.estimate, dense, rtol=0, atol=atol + 1e-12)
 
@@ -531,7 +532,7 @@ def test_structured_map_converges_past_the_precision_floor(seed, link):
         MapConfig(link=link),
     )
     assert not sol.at_floor
-    assert sol.gradient_norm <= MapConfig().gradient_tolerance
+    assert sol.gradient_norm <= _MAP_GRADIENT_TOLERANCE
     assert sol.iterations <= 10
 
 
@@ -560,30 +561,42 @@ def test_known_difficulty_matches_general_path():
         sigma2 = float(10 ** rng.uniform(-1, 0.7))
         y = np.where(rng.random(Q) < 0.5, 1.0, -1.0)
         km = KnownDifficultyModel(d=d, x_bar=x_bar, sigma2_x=sigma2)
-        a_hat, pmse = known_difficulty_fit(km, y)
+        fit = known_difficulty_fit(km, y)
+        pmse = fit.predicted_mse
 
         model = GeneralProbitModel(
             D=np.ones((Q, 1)), m=-d, x_mean=[x_bar], C_x=[[sigma2]]
         )
         sol = lmmse_fit(model, y)
-        assert a_hat == pytest.approx(sol.estimate[0], abs=1e-10)
+        assert fit.estimate.shape == (1,)
+        assert fit.estimate[0] == pytest.approx(sol.estimate[0], abs=1e-10)
         assert pmse == pytest.approx(sol.predicted_mse, abs=1e-10)
         assert known_difficulty_predicted_mse(km) == pytest.approx(pmse, abs=1e-15)
+
+        # A block of users takes one fit; each row's estimate is its own.
+        Y = np.where(rng.random((3, Q)) < 0.5, 1.0, -1.0)
+        block = known_difficulty_fit(km, Y)
+        assert block.estimate.shape == (3,)
+        assert block.predicted_mse == pmse
+        for u in range(3):
+            assert block.estimate[u] == pytest.approx(
+                lmmse_fit(model, Y[u]).estimate[0], abs=1e-12
+            )
 
 
 def test_known_difficulty_single_item_value():
     # one observation at the prior mean with unit variance
     km = KnownDifficultyModel(d=np.zeros(1), x_bar=0.0, sigma2_x=1.0)
-    _, pmse = known_difficulty_fit(km, np.array([1.0]))
+    pmse = known_difficulty_fit(km, np.array([1.0])).predicted_mse
     assert pmse == pytest.approx(1.0 - 1.0 / np.pi, abs=1e-14)
 
 
 def test_known_difficulty_uninformative_items():
     # items far from the ability carry no information
     km = KnownDifficultyModel(d=np.full(3, 1e9), x_bar=0.0, sigma2_x=2.0)
-    a_hat, pmse = known_difficulty_fit(km, np.array([-1.0, -1.0, -1.0]))
-    assert a_hat == pytest.approx(0.0, abs=1e-8)
-    assert pmse == pytest.approx(2.0, abs=1e-8)
+    sol = known_difficulty_fit(km, np.array([-1.0, -1.0, -1.0]))
+    assert sol.estimate[0] == pytest.approx(0.0, abs=1e-8)
+    assert sol.predicted_mse == pytest.approx(2.0, abs=1e-8)
 
 
 def test_known_difficulty_validation():
@@ -592,6 +605,11 @@ def test_known_difficulty_validation():
         known_difficulty_fit(km, np.array([1.0]))
     with pytest.raises(ValueError):
         known_difficulty_fit(km, np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        known_difficulty_fit(km, np.array([[1.0, -1.0], [1.0, 0.5]]))
+    for shape in ((0, 2), (2, 3), (1, 1, 2)):
+        with pytest.raises(ValueError, match="expected"):
+            known_difficulty_fit(km, np.ones(shape))
     with pytest.raises(ValueError):
         KnownDifficultyModel(d=np.zeros(2), x_bar=0.0, sigma2_x=0.0)
 
