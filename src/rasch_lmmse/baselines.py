@@ -21,7 +21,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data import ResponseSet
 from .linear_probit import GeneralProbitModel, _check_pm_one
-from .rasch import RaschDesign, _BipartiteSampler, _BipartiteSchur, _check_observed
+from .rasch import RaschDesign, _BipartiteSampler, _BipartiteSchur, _Incidence
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # The damped-Newton MAP solver's iteration cap and gradient-norm tolerance.
@@ -240,38 +240,25 @@ def rasch_map_fit(
     """MAP estimate of x = [a; -d] from observed Rasch responses.
 
     Runs the Newton loop of `map_fit` on the Rasch structure, without a
-    design matrix: D x is x[user] + x[U + item] per response, D^T r is
-    two bincounts, the prior precision is diagonal, and the Hessian
-    H = diag(h) + [[0, B], [B^T, 0]] has the U x Q weight matrix B with one
-    entry omega_m per response.  Each Newton system is solved by
-    `rasch._BipartiteSchur`: block elimination onto the smaller of the
-    observed user and item blocks, a sparse product (nnz(B) = M) and one
-    dense min(U, Q)^2 Cholesky factorization per iteration; nothing of size
-    (U+Q)^2 or U Q is formed.  Users and items with no responses decouple
-    and stay at exactly 0.0.  The prior also fixes the direction
-    [1_U; -1_Q], along which the Rasch likelihood is flat.
+    design matrix: D x, D^T r and the diagonal prior come from
+    `rasch._Incidence`, and the Hessian H = diag(h) + [[0, B], [B^T, 0]],
+    B holding one weight omega_m per response, is solved by
+    `rasch._BipartiteSchur` in each Newton step (a sparse product and one
+    min(U, Q)^2 Cholesky factorization; nothing of size (U+Q)^2 or U Q).
+    Users and items with no responses decouple and stay at exactly 0.0.
+    The prior also fixes the direction [1_U; -1_Q], along which the Rasch
+    likelihood is flat.
     """
     if config is None:
         config = MapConfig()
-    _check_observed(design, data)
-    U, Q = design.U, design.Q
-    users, params_i = data.users, U + data.items
-    cols = np.concatenate([users, params_i])
-    inv_var = np.concatenate(
-        [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
-    )
-
-    def forward(x):
-        return x[users] + x[params_i]
-
-    def adjoint(r):
-        return np.bincount(cols, weights=np.tile(r, 2), minlength=U + Q)
+    inc = _Incidence(design, data)
+    inv_var = 1.0 / inc.prior
 
     def newton_step(omega, grad):
-        return _BipartiteSchur(adjoint(omega) + inv_var, data, omega).solve(-grad)
+        return _BipartiteSchur(inc.adjoint(omega) + inv_var, inc, omega).solve(-grad)
 
     return _damped_newton(
-        np.zeros(U + Q), data.responses, 0.0, forward, adjoint,
+        np.zeros_like(inv_var), data.responses, 0.0, inc.forward, inc.adjoint,
         lambda dx: inv_var * dx, newton_step, config,
     )
 
@@ -380,13 +367,12 @@ def rasch_pm_gibbs(
     """Posterior mean of x = [a; -d] from observed Rasch responses, by Gibbs.
 
     The sampler of `pm_gibbs` on the Rasch structure, without a design
-    matrix: D x is x[user] + x[U + item] per response, D^T z is one
-    bincount over the stacked parameter indices, and the fixed x | z
-    precision H = diag(degree + 1/sigma2) + [[0, B], [B^T, 0]] (B the U x Q
-    incidence block) is factored once by `rasch._BipartiteSchur`, and
-    `rasch._BipartiteSampler` draws x | z.  Each step draws M uniforms,
-    then U + Q standard normals, as `pm_gibbs` does; when the items are the kept side of the
-    factor the chain is `pm_gibbs`'s on the dense design, up to rounding.
+    matrix: D x and D^T z come from `rasch._Incidence`, and the fixed x | z
+    precision H = diag(degree + 1/sigma2) + [[0, B], [B^T, 0]] is factored
+    once by `rasch._BipartiteSchur`, from which `rasch._BipartiteSampler`
+    draws x | z.  Each step draws M uniforms, then U + Q standard normals,
+    as `pm_gibbs` does; when the items are the kept side of the factor
+    the chain is `pm_gibbs`'s on the dense design, up to rounding.
     Users and items with no responses return exactly the prior mean 0.
     This is one chain of `_rasch_gibbs_block`, which runs many chains on
     one observation pattern together.
@@ -403,41 +389,25 @@ def _rasch_gibbs_block(data: ResponseSet, chains):
     chain's own +-1 responses on data's pairs (data's own responses are not
     used), and its Gibbs settings (its own seed; one burn-in and sample
     count for the block).  The chains run as the rows of (T, M) and
-    (T, U + Q) arrays through `_gibbs_chains`, so a step costs a fixed
-    number of array operations whatever T; each run of consecutive chains
-    with one prior shares one Schur factor (`rasch._BipartiteSampler`).
+    (T, U + Q) arrays through `_gibbs_chains` and the block forms of
+    `rasch._Incidence`'s D x and D^T z, so a step costs a fixed number of
+    array operations whatever T; each run of consecutive chains with one
+    prior has one incidence and one Schur factor (`rasch._BipartiteSampler`).
     Every operation on a row is the one a lone chain would run, so row t
     is bitwise `rasch_pm_gibbs(design_t, data with responses_t, config_t)`.
     Returns the (T, U + Q) posterior means.
     """
-    T, U, Q = len(chains), data.num_users, data.num_items
-    cols = np.concatenate([data.users, U + data.items])
-    degree = np.bincount(cols, minlength=U + Q)
     runs = []
     for design, run in groupby(c[0] for c in chains):
-        _check_observed(design, data)
-        inv_var = np.concatenate(
-            [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
-        )
-        schur = _BipartiteSchur(degree + inv_var, data, np.ones(len(data)))
+        inc = _Incidence(design, data)
+        schur = _BipartiteSchur(inc.degree + 1.0 / inc.prior, inc, np.ones(len(data)))
         runs.append((schur, len(list(run))))
-    sampler = _BipartiteSampler(runs)
-    # D^T z for every chain in one bincount: chain t's sums land in bins
-    # t (U + Q) + k, each summed in the order of the single-chain bincount.
-    flat_cols = (np.arange(T)[:, None] * (U + Q) + cols).ravel()
-
-    def adjoint(Z):
-        return np.bincount(
-            flat_cols, weights=np.concatenate((Z, Z), axis=1).ravel(),
-            minlength=T * (U + Q),
-        ).reshape(T, U + Q)
-
     means = _gibbs_chains(
         np.array([_check_pm_one(c[1], len(data)) for c in chains]),
-        [c[2] for c in chains], np.zeros(U + Q),
-        lambda X: X[:, data.users] + X[:, U + data.items], adjoint, sampler.sample,
+        [c[2] for c in chains], np.zeros_like(inc.prior),
+        inc.forward, inc.adjoint, _BipartiteSampler(runs).sample,
     )
-    means[:, degree == 0] = 0.0
+    means[:, inc.degree == 0] = 0.0
     return means
 
 

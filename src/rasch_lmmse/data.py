@@ -122,11 +122,12 @@ def load_triplets(path, label_convention: str = "pm_one") -> ResponseSet:
     With label_convention "zero_one", 0 maps to -1 and 1 to +1.  IDs are
     arbitrary strings, densified in first-appearance order.  Malformed rows
     and duplicate pairs raise ValueError naming the line; rows are checked
-    in file order before any pair is compared.
+    in file order before any pair is compared.  A leading UTF-8 byte-order
+    mark, as Excel's "CSV UTF-8" writes, is skipped.
     """
     labels = _label_table(label_convention)
     uids, iids, responses, lines = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

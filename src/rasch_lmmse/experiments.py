@@ -492,15 +492,17 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     """Known-difficulty variant: d ~ N(0,1) treated as known, abilities estimated.
 
     Each trial's abilities come from one `known_difficulty_fit` of its
-    U x Q responses.  `lmmse_jitter` is the largest jitter those fits
-    added to C_y's diagonal, as a multiple of its mean (0.0 when none was
-    needed).
+    U x Q responses; that fit also gives the analytical MSE, so it runs
+    even when only the Fisher bound is selected.  The record carries the
+    errors and wall times of the selected estimators only, as a standard
+    cell's does.  `lmmse_jitter` is the largest jitter those fits added to
+    C_y's diagonal, as a multiple of its mean (0.0 when none was needed).
     """
     sigma2 = snr_to_sigma2(snr_db)
     errs = np.empty(config.trials)
     predicted = np.empty(config.trials)
     fisher = np.empty(config.trials)
-    t_lmmse = 0.0
+    times = dict.fromkeys(("lmmse", "fisher_bound"), 0.0)
     jitter = 0.0
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, cell_idx, trial)
@@ -511,16 +513,20 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         model = KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
         t0 = time.perf_counter()
         sol = known_difficulty_fit(model, Y)
-        t_lmmse += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        if "fisher_bound" in config.estimators:
+            fisher[trial] = fisher_known_difficulty_bound(d, sigma2)
+        times["lmmse"] += t1 - t0
+        times["fisher_bound"] += time.perf_counter() - t1
         jitter = max(jitter, sol.jitter)
         errs[trial] = float(np.mean((sol.estimate - a) ** 2))
         predicted[trial] = sol.predicted_mse
-        if "fisher_bound" in config.estimators:
-            fisher[trial] = fisher_known_difficulty_bound(d, sigma2)
+    selected = [e for e in times if e in config.estimators]
     cell = _cell_record(
-        U, Q, snr_db, float(np.mean(predicted)), {"lmmse": errs},
-        {"lmmse": t_lmmse},
-        float(np.mean(fisher)) if "fisher_bound" in config.estimators else None,
+        U, Q, snr_db, float(np.mean(predicted)),
+        {"lmmse": errs} if "lmmse" in selected else {},
+        {e: times[e] for e in selected},
+        float(np.mean(fisher)) if "fisher_bound" in selected else None,
     )
     cell["lmmse_jitter"] = jitter
     return cell

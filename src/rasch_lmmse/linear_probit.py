@@ -72,11 +72,15 @@ class LinearizedQuantities:
 
     y_mean = E[y] and C_y = Cov(y) are the moments of the sign vector, and
     E = E[(y - y_mean)(x - x_mean)^T] is its cross-covariance with x.
+    saturated counts the observations taken as deterministic: those whose
+    standardized mean c has |c| > 37, where Phi(|c|) is 1 in double
+    precision.
     """
 
     y_mean: np.ndarray
     C_y: np.ndarray
     E: np.ndarray
+    saturated: int
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,9 @@ def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
         C_y[saturated, :] = 0.0
         C_y[:, saturated] = 0.0
     np.fill_diagonal(C_y, 1.0 - y_mean**2)
-    return LinearizedQuantities(y_mean=y_mean, C_y=C_y, E=E)
+    return LinearizedQuantities(
+        y_mean=y_mean, C_y=C_y, E=E, saturated=int(np.count_nonzero(saturated))
+    )
 
 
 def _solve_spd(A, B):
@@ -199,7 +205,8 @@ def lmmse_fit(model: GeneralProbitModel, y) -> LmmseSolution:
 
     Exact among linear estimators of x from the sign vector y.  One solve
     C_y X = E gives the weights W = X^T and the exact MSE together; W and b
-    serve every response vector of the model.
+    serve every response vector of the model.  metadata["saturated"] counts
+    the observations `linearize` took as deterministic.
     """
     y = _check_pm_one(y, model.num_observations)
     lin = linearize(model)
@@ -213,7 +220,7 @@ def lmmse_fit(model: GeneralProbitModel, y) -> LmmseSolution:
         W=W,
         b=b,
         jitter=jitter,
-        metadata={"path": "dense"},
+        metadata={"path": "dense", "saturated": lin.saturated},
     )
 
 

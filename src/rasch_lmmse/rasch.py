@@ -261,28 +261,62 @@ def _check_observed(design: RaschDesign, data: ResponseSet):
         raise ValueError("observed ResponseSet is empty")
 
 
+class _Incidence:
+    """The Rasch model y = sign(D x + w), x = [a; -d], on data's pairs: row
+    m of D has ones at columns users[m] and U + items[m], stacked in `cols`;
+    `degree` counts each column's ones and `prior` is diag(C_x).  D x and
+    D^T r take one row or a (T, .) block of rows, and a block row runs the
+    operations of the one-row call, so it is bitwise that call's result.
+    """
+
+    def __init__(self, design: RaschDesign, data: ResponseSet):
+        _check_observed(design, data)
+        U, Q = design.U, design.Q
+        self.U, self.cols = U, np.concatenate([data.users, U + data.items])
+        self.user_cols, self.item_cols = np.split(self.cols, 2)
+        self.degree = np.bincount(self.cols, minlength=U + Q)
+        self.prior = np.repeat(np.float64([design.sigma2_a, design.sigma2_d]), [U, Q])
+        self._block_cols = self.cols  # the bins of `adjoint` for T = 1
+
+    def forward(self, X):
+        """D x per row of X: x[user] + x[U + item] for each response."""
+        return X[..., self.user_cols] + X[..., self.item_cols]
+
+    def adjoint(self, R):
+        """D^T r per row of R, by one bincount over `cols`: row t's sums land
+        in bins t (U + Q) + k, each summed in the one-row order.  The bins
+        are built once per block height T."""
+        N, rows = self.prior.size, np.atleast_2d(R)
+        if self._block_cols.size != 2 * rows.size:
+            self._block_cols = (np.arange(len(rows))[:, None] * N + self.cols).ravel()
+        return np.bincount(
+            self._block_cols, weights=np.concatenate((rows, rows), axis=1).ravel(),
+            minlength=len(rows) * N,
+        ).reshape(np.shape(R)[:-1] + (N,))
+
+
 _ROW_BLOCK = 256  # rows of B^T C^{-1} held at once by diag_inverse
 
 
 class _BipartiteSchur:
     """H = diag(h) + [[0, B], [B^T, 0]], factored once by block elimination.
 
-    h holds users then items; B is U x Q with weights[m] at the m-th
-    (user, item) pair of `data`.  The kept side s is the observed users or
-    items, whichever are fewer; all other parameters are eliminated, which
-    leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C (C upper triangular),
-    of size min(U, Q).  `solve` (MAP Newton steps, the L-MMSE estimate)
-    runs on the Cholesky factor C; `diag_inverse` (the exact L-MMSE MSE)
-    and `sample` (the Gibbs x | z draw, by `_BipartiteSampler`) run on its
+    h holds users then items; B is U x Q with weights[m] at the m-th pair
+    of the incidence `inc`.  The kept side s is the observed users or
+    items (by `inc.degree`), whichever are fewer; all other parameters are
+    eliminated, which leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C
+    (C upper triangular), of size min(U, Q).  `solve` (MAP Newton steps,
+    the L-MMSE estimate) runs on the Cholesky factor C; `diag_inverse` (the
+    exact MSE) and `_BipartiteSampler` (the Gibbs x | z draw) run on its
     inverse C^{-1}, formed by LAPACK dtrtri, since S^{-1} = C^{-1} C^{-T}.
     """
 
-    def __init__(self, h, data: ResponseSet, weights):
-        kept_of, elim_of, self.side = data.users, data.num_users + data.items, "users"
-        n_seen = [np.count_nonzero(np.bincount(i)) for i in (data.users, data.items)]
-        if n_seen[0] > n_seen[1]:
+    def __init__(self, h, inc: _Incidence, weights):
+        seen = inc.degree > 0
+        kept_of, elim_of, self.side = inc.user_cols, inc.item_cols, "users"
+        if np.count_nonzero(seen[: inc.U]) > np.count_nonzero(seen[inc.U :]):
             kept_of, elim_of, self.side = elim_of, kept_of, "items"
-        seen = np.bincount(kept_of, minlength=h.size) > 0
+        seen[elim_of] = False
         self.kept = np.flatnonzero(seen)
         rows = (np.cumsum(seen) - 1)[kept_of]
         self._h, self._B = h, scipy.sparse.csr_matrix(
@@ -402,23 +436,19 @@ def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     mean 0 and its MSE the prior variance, both exactly.  metadata names
     the kept side and its size.
     """
-    _check_observed(design, data)
-    U, Q = design.U, design.Q
+    inc = _Incidence(design, data)
     v = design.sigma2_a + design.sigma2_d + 1.0
     kappa = np.sqrt(2.0 / np.pi / v)
-    c = np.concatenate([np.full(U, design.sigma2_a), np.full(Q, design.sigma2_d)])
+    c = inc.prior
     s = (2.0 / np.pi) * np.arcsin(c / v)
     alpha = 1.0 - s[0] - s[-1]  # 1 - s_a - s_d
-    cols = np.concatenate([data.users, U + data.items])
-    degree = np.bincount(cols, minlength=U + Q)
-    schur = _BipartiteSchur(alpha / s + degree, data, np.ones(len(data)))
-    dty = np.bincount(cols, weights=np.tile(data.responses, 2), minlength=U + Q)
+    schur = _BipartiteSchur(alpha / s + inc.degree, inc, np.ones(len(data)))
     # (degree > 0) keeps unobserved parameters at exactly the prior variance.
-    per_component = c - (degree > 0) * kappa**2 * c**2 * (
+    per_component = c - (inc.degree > 0) * kappa**2 * c**2 * (
         1.0 - alpha * schur.diag_inverse() / s
     ) / s
     return LmmseSolution(
-        estimate=kappa * c / s * schur.solve(dty),
+        estimate=kappa * c / s * schur.solve(inc.adjoint(data.responses)),
         predicted_mse=float(np.sum(per_component)),
         per_component_mse=per_component,
         W=None,

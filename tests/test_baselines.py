@@ -29,7 +29,12 @@ from rasch_lmmse.linear_probit import (
     lmmse_fit,
     lmmse_predicted_mse,
 )
-from rasch_lmmse.rasch import RaschDesign, _BipartiteSchur, rasch_design_matrix
+from rasch_lmmse.rasch import (
+    RaschDesign,
+    _BipartiteSchur,
+    _Incidence,
+    rasch_design_matrix,
+)
 
 from oracles import MAP_SCALAR_ROOT, PM_SCALAR_ESTIMATE, numeric_gradient
 
@@ -246,7 +251,8 @@ def sparse_reference_rasch_chain(design, data, config):
     inv_var = np.concatenate(
         [np.full(U, 1.0 / design.sigma2_a), np.full(Q, 1.0 / design.sigma2_d)]
     )
-    schur = _BipartiteSchur(degree + inv_var, data, np.ones(len(data)))
+    schur = _BipartiteSchur(degree + inv_var, _Incidence(design, data),
+                            np.ones(len(data)))
     h, kept, B = schur._h, schur.kept, schur._B
     c_inv = np.triu(scipy.linalg.lapack.dtrtri(schur._factor[0])[0])
     Bt, inv_sqrt_h = B.T.tocsr(), 1.0 / np.sqrt(h)
@@ -305,7 +311,8 @@ def test_rasch_gibbs_block_matches_single_chains():
                                  np.bincount(data.items, minlength=Q) == 0])
         h = np.bincount(np.concatenate([data.users, U + data.items]),
                         minlength=U + Q) + 1.0
-        sides.add(_BipartiteSchur(h, data, np.ones(len(data))).side)
+        inc = _Incidence(RaschDesign(U, Q, 1.0, 1.0), data)
+        sides.add(_BipartiteSchur(h, inc, np.ones(len(data))).side)
         chains = [
             (design, np.where(rng.random(len(data)) < 0.5, 1.0, -1.0),
              GibbsConfig(burn_in=40, samples=80, seed=int(rng.integers(2**32))))

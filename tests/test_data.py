@@ -1,6 +1,7 @@
 """Triplet and ratings I/O: parsing, validation, binarization."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def test_triplet_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.responses, data.responses)
     assert loaded.user_ids == data.user_ids
     assert loaded.item_ids == data.item_ids
+
+
+def test_load_triplets_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" files begin with a UTF-8 byte-order mark.
+    sample = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    want, got = load_triplets(sample), load_triplets(path)
+    for name in ("users", "items", "responses"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+    assert (got.user_ids, got.item_ids) == (want.user_ids, want.item_ids)
 
 
 def test_triplet_round_trip_zero_one(tmp_path):

@@ -505,7 +505,8 @@ def test_result_serialization():
 def test_every_cell_carries_the_csv_columns(monkeypatch):
     # Both modes build a finished cell's record in one place: exactly the
     # CSV columns plus the JSON-only keys.  An aborted cell's record is the
-    # columns every record starts with.
+    # columns every record starts with.  A finished cell times exactly the
+    # selected estimators, in both modes.
     head = {"U", "Q", "snr_db", "sigma2_x", "error"}
     grid = {"users_grid": (3,), "items_grid": (2, 4), "snr_db_grid": (0.0,),
             "trials": 2}
@@ -515,6 +516,9 @@ def test_every_cell_carries_the_csv_columns(monkeypatch):
     )
     known = SyntheticConfig(
         **grid, estimators=("lmmse", "fisher_bound"), known_difficulties=True
+    )
+    known_fisher = SyntheticConfig(
+        **grid, estimators=("fisher_bound",), known_difficulties=True
     )
 
     def check(config, json_only, aborted=()):
@@ -526,9 +530,11 @@ def test_every_cell_carries_the_csv_columns(monkeypatch):
                 assert set(cell) == head and cell["error"].startswith("RuntimeError")
             else:
                 assert set(cell) == columns | json_only and cell["error"] is None
+                assert set(cell["wall_time_seconds"]) == set(config.estimators)
 
     check(standard, {"wall_time_seconds"})
     check(known, {"wall_time_seconds", "lmmse_jitter"})
+    check(known_fisher, {"wall_time_seconds", "lmmse_jitter"})
 
     fit, known_fit = experiments.fit_response_set, experiments.known_difficulty_fit
 
@@ -546,6 +552,7 @@ def test_every_cell_carries_the_csv_columns(monkeypatch):
     monkeypatch.setattr(experiments, "known_difficulty_fit", known_fit_failing_at_q4)
     check(standard, {"wall_time_seconds"}, aborted=(4,))
     check(known, {"wall_time_seconds", "lmmse_jitter"}, aborted=(4,))
+    check(known_fisher, {"wall_time_seconds", "lmmse_jitter"}, aborted=(4,))
 
 
 def test_csv_text_cells():

@@ -107,7 +107,7 @@ def test_lmmse_weights_and_mse_match_direct_solve():
         y[y == 0] = 1.0
         lin = linearize(model)
         sol = lmmse_fit(model, y)
-        assert sol.metadata == {"path": "dense"}
+        assert sol.metadata == {"path": "dense", "saturated": 0}
         estimate = model.x_mean + lin.E.T @ np.linalg.solve(lin.C_y, y - lin.y_mean)
         per_component = np.diag(model.C_x) - np.diag(
             lin.E.T @ np.linalg.solve(lin.C_y, lin.E)

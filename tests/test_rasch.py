@@ -25,6 +25,7 @@ from rasch_lmmse.rasch import (
     RaschDesign,
     _BipartiteSampler,
     _BipartiteSchur,
+    _Incidence,
     known_difficulty_fit,
     known_difficulty_predicted_mse,
     rasch_asymptotic_mse,
@@ -336,7 +337,7 @@ def test_bipartite_sample_matches_dense_cholesky_draw(instance, seed):
     weights = rng.uniform(0.1, 2.0, size=len(data))
     cols = np.concatenate([data.users, U + data.items])
     h = np.bincount(cols, weights=np.tile(weights, 2), minlength=N) + 0.5
-    schur = _BipartiteSchur(h, data, weights)
+    schur = _BipartiteSchur(h, _Incidence(design, data), weights)
     H = np.diag(h)
     H[data.users, U + data.items] = weights
     H[U + data.items, data.users] = weights
@@ -348,6 +349,43 @@ def test_bipartite_sample_matches_dense_cholesky_draw(instance, seed):
     dense[order] = np.linalg.solve(L.T, np.linalg.solve(L, r[order]) + xi[order])
     draw = _BipartiteSampler([(schur, 1)]).sample(r[None], xi[None])[0]
     np.testing.assert_allclose(draw, dense, rtol=0, atol=1e-10)
+
+
+def test_incidence_block_rows_are_bitwise_one_row_calls():
+    # D x and D^T r of a (T, .) block, T = 1 and 3, against the one-row
+    # calls, and each one-row call against its definition (D^T r as one
+    # bincount per side), on skewed masks with an empty user and an empty
+    # item and the pairs in random order.  The Schur factor keeps the side
+    # a count over data's users and items picks (users on a tie).
+    rng = np.random.default_rng(2020)
+    for U, Q in ((7, 12), (12, 7), (9, 9)):
+        users, items = np.nonzero(skewed_mask(rng, U, Q))
+        order = rng.permutation(users.size)
+        users, items = users[order], items[order]
+        data = ResponseSet(users, items, np.ones(users.size), num_users=U, num_items=Q)
+        design = RaschDesign(U=U, Q=Q, sigma2_a=0.7, sigma2_d=1.8)
+        inc = _Incidence(design, data)
+        assert np.array_equal(inc.prior, np.diag(rasch_design_matrix(design).C_x))
+        for T in (1, 3, 1):
+            X = rng.standard_normal((T, U + Q))
+            R = rng.standard_normal((T, users.size))
+            block_dx, block_dtr = inc.forward(X), inc.adjoint(R)
+            assert block_dx.shape == R.shape and block_dtr.shape == X.shape
+            for x, r, dx, dtr in zip(X, R, block_dx, block_dtr):
+                one_dx, one_dtr = inc.forward(x), inc.adjoint(r)
+                assert np.array_equal(dx, one_dx) and np.array_equal(dtr, one_dtr)
+                assert np.array_equal(one_dx, x[users] + x[U + items])
+                assert np.array_equal(one_dtr, np.concatenate([
+                    np.bincount(users, weights=r, minlength=U),
+                    np.bincount(items, weights=r, minlength=Q),
+                ]))
+        seen_users, seen_items = np.unique(users), np.unique(items)
+        assert seen_users.size < U and seen_items.size < Q
+        schur = _BipartiteSchur(inc.degree + 1.0, inc, np.ones(users.size))
+        if seen_users.size <= seen_items.size:
+            assert schur.side == "users" and np.array_equal(schur.kept, seen_users)
+        else:
+            assert schur.side == "items" and np.array_equal(schur.kept, U + seen_items)
 
 
 def test_rasch_lmmse_fit_memory_below_dense_k():
@@ -597,6 +635,9 @@ def test_known_difficulty_uninformative_items():
     sol = known_difficulty_fit(km, np.array([-1.0, -1.0, -1.0]))
     assert sol.estimate[0] == pytest.approx(0.0, abs=1e-8)
     assert sol.predicted_mse == pytest.approx(2.0, abs=1e-8)
+    # Each of the three responses was taken as deterministic, and the fit
+    # records it.
+    assert sol.metadata["saturated"] == 3
 
 
 def test_known_difficulty_validation():
