@@ -306,8 +306,8 @@ def _cmd_analyze(args):
 
 
 def _projected_gibbs_seconds(cfg):
-    """CPU seconds of a simulate's Gibbs phase, as one block per (U, Q) on
-    one thread; its wall time is about this divided by its workers."""
+    """CPU seconds of a simulate's pm_gibbs chains, as one block per (U, Q)
+    on one thread; their wall time is about this divided by the workers."""
     priors = len(cfg.snr_db_grid)
     total = 0.0
     for U in cfg.users_grid:
@@ -383,8 +383,7 @@ def _cmd_simulate(args):
                 file=sys.stderr,
             )
 
-    threads = args.threads if args.threads is not None else os.cpu_count()
-    result = run_synthetic(cfg, threads=threads)
+    result = run_synthetic(cfg, threads=args.threads)
     print(result.summary_table())
     _write_result(args, result)
     return 0
@@ -455,8 +454,7 @@ def _cmd_fit(args):
 def _cmd_crossval(args):
     cfg = _study_config(args, CvConfig)
     data = _load_dataset(args)
-    threads = args.threads if args.threads is not None else os.cpu_count()
-    result = run_cross_validation(data, cfg, threads=threads)
+    result = run_cross_validation(data, cfg, threads=args.threads)
     print(result.summary_table())
     for name, rec in result.per_estimator.items():
         for f in rec["auc_undefined_folds"]:

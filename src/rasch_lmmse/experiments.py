@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -265,7 +266,7 @@ def _json_text(payload):
 # Latents per step of one Gibbs block, T chains x M responses: bounds each
 # (T, M) array of a simulate block at 8 MB.
 _GIBBS_BLOCK_LATENTS = 1 << 20
-# Array entries that a simulate or crossval stage's concurrent calls must
+# Array entries that a simulate or crossval run's concurrent calls must
 # hold per worker thread (`_workers`).  Below this the calls are too short
 # for two threads to overlap: they pass the interpreter lock back and
 # forth and cost CPU for little wall time.  Measured with pm_gibbs on
@@ -279,10 +280,12 @@ _WORKER_ENTRIES = 1 << 16
 
 
 def _workers(threads, entries):
-    """Worker threads for a stage whose concurrent calls hold `entries`
-    array entries in all: one per `_WORKER_ENTRIES`, at least one and at
-    most `threads`."""
-    return max(1, min(threads or 1, entries // _WORKER_ENTRIES))
+    """Worker threads for a run whose concurrent calls hold `entries` array
+    entries in all: one per `_WORKER_ENTRIES`, at least one and at most
+    `threads` (the CPU count when None)."""
+    if threads is None:
+        threads = os.cpu_count() or 1
+    return max(1, min(threads, entries // _WORKER_ENTRIES))
 
 
 def _thread_map(func, tasks, workers):
@@ -349,56 +352,39 @@ def _cell_record(U, Q, snr_db, analytical, errs, times, fisher):
     return cell
 
 
-class _Pattern:
-    """One (U, Q) pattern between the fit and the Gibbs phases: its cells
-    (cell_idx, U, Q, snr_db), the records of its failed cells, the cells
-    that reached the Gibbs phase, their pm_gibbs chains and the pattern's
-    ResponseSet (None until a chain is collected)."""
+def _run_standard_slice(config, cells, lo, hi):
+    """Pairs [lo, hi) of one full U x Q pattern's (cell, trial) pairs in
+    cell-major order: cells holds the pattern's (cell_idx, U, Q, snr_db),
+    and pair p is trial p % trials of cells[p // trials].
 
-    def __init__(self, cells):
-        self.cells = cells
-        self.records = {}
-        self.reached = []
-        self.chains = []
-        self.data = None
+    Each pair draws its trial (`_trial_rng`) as one ResponseSet, which
+    lmmse and map fit through `fit_response_set`, and collects its pm_gibbs
+    chain: its cell's prior and its own seed (`_gibbs_config`).  A fit
+    failure stops its cell's trials in the slice and drops the cell's
+    chains.  The chains then run in blocks of at most `_GIBBS_BLOCK_LATENTS`
+    latents (`baselines._rasch_gibbs_block`); a chain's draws do not depend
+    on its block or slice.  A cell's pm_gibbs wall time is its chains'
+    share of the blocks' wall time.
 
-    def finish(self, config):
-        """The pattern's cell records, in the order of its cells."""
-        for cell_idx, snr_db, design, errs, times, _ in self.reached:
-            fisher = None
-            if "fisher_bound" in config.estimators:
-                t0 = time.perf_counter()
-                fisher = fisher_rasch_ability_bound(design.U, design.Q, design.sigma2_a)
-                times["fisher_bound"] = time.perf_counter() - t0
-            self.records[cell_idx] = _cell_record(
-                design.U, design.Q, snr_db, rasch_closed_form_mse(design)[0],
-                errs, times, fisher,
-            )
-        return [self.records[cell[0]] for cell in self.cells]
-
-
-def _run_standard_pattern(config, cells):
-    """Draws and fits of every SNR cell of one full U x Q design; cells holds
-    (cell_idx, U, Q, snr_db).
-
-    Each trial's U x Q responses become one ResponseSet, which lmmse and
-    map fit through `fit_response_set`.  pm_gibbs is left to the Gibbs
-    phase (`_run_gibbs_phase`): the pattern's chains are collected here,
-    one per trial, with its cell's prior and the trial's own seed, each
-    cell's chains a contiguous run.  A failure aborts its cell.  Returns
-    the pattern's `_Pattern`.
+    Returns (parts, gibbs_err): parts maps each cell of the slice to the
+    failure that aborted it or to (errs, times), its per-trial ability
+    MSEs and wall times per estimator, over its trials in the slice;
+    gibbs_err is the blocks' failure, None if they ran.
     """
     point = [e for e in config.estimators if e != "fisher_bound"]
     fitted = [e for e in point if e != "pm_gibbs"]
-    pattern = _Pattern(cells)
-    for cell_idx, U, Q, snr_db in cells:
+    T = config.trials
+    parts, chains, reached = {}, [], []
+    for k in range(lo // T, -(-hi // T)):
+        cell_idx, U, Q, snr_db = cells[k]
+        trials = range(max(lo - k * T, 0), min(hi - k * T, T))
         sigma2 = snr_to_sigma2(snr_db)
         design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2)
-        errs = {e: np.empty(config.trials) for e in point}
+        errs = {e: np.empty(len(trials)) for e in point}
         times = dict.fromkeys(point, 0.0)
-        truth, responses = [], []
+        truth, own = [], []
         try:
-            for trial in range(config.trials):
+            for j, trial in enumerate(trials):
                 rng = _trial_rng(config.seed, cell_idx, trial)
                 a = rng.normal(scale=np.sqrt(sigma2), size=U)
                 d = rng.normal(scale=np.sqrt(sigma2), size=Q)
@@ -408,84 +394,59 @@ def _run_standard_pattern(config, cells):
                 for name in fitted:
                     out = fit_response_set(data, name, sigma2_x=sigma2)
                     times[name] += out["wall_time_seconds"]
-                    errs[name][trial] = float(np.mean((out["abilities"] - a) ** 2))
-                truth.append(a)
-                responses.append(data.responses)
+                    errs[name][j] = float(np.mean((out["abilities"] - a) ** 2))
+                if "pm_gibbs" in point:
+                    truth.append(a)
+                    own.append((design, data.responses,
+                                _gibbs_config(config, cell_idx, trial, 1)))
         except Exception as err:  # recorded, not raised: other cells continue
-            pattern.records[cell_idx] = _cell_head(U, Q, snr_db, err)
+            parts[cell_idx] = err
             continue
-        pattern.reached.append((cell_idx, snr_db, design, errs, times, truth))
-        if "pm_gibbs" in point:
-            # Every trial's ResponseSet has the pattern; the last one drawn serves.
-            pattern.data = data
-            pattern.chains += [
-                (design, y, _gibbs_config(config, cell_idx, trial, 1))
-                for trial, y in enumerate(responses)
-            ]
-    return pattern
+        parts[cell_idx] = (errs, times)
+        if own:
+            chains += own
+            reached.append((errs, times, truth))
+    if chains:
+        # Every trial's ResponseSet has the pattern; the last one drawn serves.
+        n = max(1, _GIBBS_BLOCK_LATENTS // len(data))
+        t0 = time.perf_counter()
+        try:
+            means = np.concatenate([
+                _rasch_gibbs_block(data, chains[s : s + n])
+                for s in range(0, len(chains), n)
+            ])
+        except Exception as err:  # recorded, not raised: other patterns continue
+            return parts, err
+        per_chain = (time.perf_counter() - t0) / len(chains)
+        rows = iter(means)
+        for errs, times, truth in reached:
+            errs["pm_gibbs"][:] = [np.mean((next(rows)[:U] - a) ** 2) for a in truth]
+            times["pm_gibbs"] = per_chain * len(truth)
+    return parts, None
 
 
-def _run_gibbs_phase(config, patterns, threads):
-    """Run the pm_gibbs chains of every pattern and store each cell's errors.
-
-    The phase's entries are L, the latents per step over all chains
-    (chains x responses, summed over patterns), and `_workers` sizes it.
-    With one worker each pattern's blocks run one after another on the
-    calling thread; with w > 1 each pattern's chains are cut into w
-    near-equal contiguous slices and worker k runs slice k of every
-    pattern.  Each slice runs in blocks of at most
-    `_GIBBS_BLOCK_LATENTS` latents (`baselines._rasch_gibbs_block`).  A
-    chain's draws do not depend on its block or slice, so neither do the
-    results.  A cell's pm_gibbs wall time is its share of the phase's wall
-    time, in proportion to its latents per step.  A failure in any slice
-    aborts every cell of its pattern that reached the phase, and only
-    those; with several, the first slice's failure is recorded.
-    """
-    work = [p for p in patterns if p.chains]
-    if not work:
-        return
-    latents = sum(len(p.chains) * len(p.data) for p in work)
-    workers = _workers(threads, latents)
-    # Slice k of a pattern with n chains is chains [k n // w, (k + 1) n // w).
-    bounds = [
-        [len(p.chains) * k // workers for k in range(workers + 1)] for p in work
-    ]
-    per_block = [max(1, _GIBBS_BLOCK_LATENTS // len(p.data)) for p in work]
-    logger.info(
-        "gibbs phase: %d worker(s), %d latents per step, %d block(s)",
-        workers, latents,
-        sum(-(-(hi - lo) // n) for b, n in zip(bounds, per_block)
-            for lo, hi in zip(b, b[1:])),
+def _standard_cell(config, U, Q, snr_db, parts, gibbs_err):
+    """The record of a standard cell from `parts`, its slices' parts in
+    trial order (`_run_standard_slice`), and `gibbs_err`, the first Gibbs
+    failure among its pattern's slices.  A fit failure aborts the cell with
+    its first failing trial's error; a Gibbs failure aborts every cell of
+    the pattern that no fit failure aborted.  The analytical MSE and the
+    Fisher bound are computed here."""
+    err = next((p for p in parts if isinstance(p, Exception)), gibbs_err)
+    if err is not None:
+        return _cell_head(U, Q, snr_db, err)
+    errs = {e: np.concatenate([p[0][e] for p in parts]) for e in parts[0][0]}
+    times = {e: sum(p[1][e] for p in parts) for e in parts[0][1]}
+    sigma2 = snr_to_sigma2(snr_db)
+    fisher = None
+    if "fisher_bound" in config.estimators:
+        t0 = time.perf_counter()
+        fisher = fisher_rasch_ability_bound(U, Q, sigma2)
+        times["fisher_bound"] = time.perf_counter() - t0
+    design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2)
+    return _cell_record(
+        U, Q, snr_db, rasch_closed_form_mse(design)[0], errs, times, fisher
     )
-
-    def run_slice(k):
-        out = []
-        for p, b, n in zip(work, bounds, per_block):
-            try:
-                out.append([
-                    _rasch_gibbs_block(p.data, p.chains[start : min(start + n, b[k + 1])])
-                    for start in range(b[k], b[k + 1], n)
-                ])
-            except Exception as err:  # recorded, not raised: other patterns continue
-                out.append(err)
-        return out
-
-    t0 = time.perf_counter()
-    slices = _thread_map(run_slice, range(workers), workers)
-    per_latent = (time.perf_counter() - t0) / latents
-    for j, p in enumerate(work):
-        parts = [s[j] for s in slices]
-        err = next((e for e in parts if isinstance(e, Exception)), None)
-        if err is not None:
-            for cell_idx, snr_db, design, *_ in p.reached:
-                p.records[cell_idx] = _cell_head(design.U, design.Q, snr_db, err)
-            p.reached = []
-            continue
-        means = np.concatenate([m for part in parts for m in part])
-        for k, (_, _, design, errs, times, truth) in enumerate(p.reached):
-            rows = means[k * config.trials : (k + 1) * config.trials, : design.U]
-            errs["pm_gibbs"][:] = [np.mean((x - a) ** 2) for x, a in zip(rows, truth)]
-            times["pm_gibbs"] = per_latent * config.trials * len(p.data)
 
 
 def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
@@ -536,18 +497,19 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     """Run the synthetic grid study.
 
     Each (U, Q, snr) cell draws `trials` Rasch instances and accumulates
-    per-trial mean squared errors on the ability components.  The standard
-    mode runs in two phases.  First one task per (U, Q) pattern draws
-    every SNR cell of a full U x Q design, fits lmmse and map and collects
-    the pm_gibbs chains (`_run_standard_pattern`).  Then one Gibbs phase
-    runs the chains of every pattern (`_run_gibbs_phase`).  In
-    known-difficulty mode each cell is its own task.  Each stage runs on
-    `_workers(threads, entries)` threads, entries summing over its tasks
-    one trial's responses and its Schur complement, U Q + min(U, Q)^2 per
-    pattern, or its C_y, U Q + Q^2 per known-difficulty cell.  An
-    estimator failure aborts its cell (recorded in the cell's `error`
-    field) without stopping the run.  Deterministic for a given config,
-    regardless of thread count.
+    per-trial mean squared errors on the ability components.  In
+    known-difficulty mode each cell is its own task, holding its C_y and
+    one trial's responses, U Q + Q^2 array entries.  In the standard mode
+    each (U, Q) pattern holds U Q + min(U, Q)^2 entries, one trial's
+    responses and its Schur complement, plus U Q latents per step for each
+    of its pm_gibbs chains (cells x trials); its (cell, trial) pairs are
+    cut into w near-equal contiguous slices, and each slice is one task
+    that fits and samples its pairs (`_run_standard_slice`).  Either way
+    the tasks run on w = `_workers(threads, entries)` threads, entries
+    summed over the run.  An estimator failure aborts its cell (recorded in
+    the cell's `error` field) without stopping the run.  Deterministic for
+    a given config, whatever the thread count; `threads` defaults to the
+    CPU count.
     """
     indexed = [
         (cell_idx, *spec)
@@ -556,26 +518,44 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
         )
     ]
     if config.known_difficulties:
-        tasks = indexed
-        entries = sum(U * Q + Q * Q for _, U, Q, _ in tasks)
-
-        def run_task(cell):
+        def run_cell(cell):
             try:
                 return _run_known_difficulty_cell(config, *cell)
             except Exception as err:  # recorded, not raised: other cells continue
                 return _cell_head(*cell[1:], err)
-    else:
-        tasks = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
-        entries = sum(U * Q + min(U, Q) ** 2 for (_, U, Q, _), *_ in tasks)
 
-        def run_task(cells):
-            return _run_standard_pattern(config, cells)
+        entries = sum(U * Q + Q * Q for _, U, Q, _ in indexed)
+        cells = _thread_map(run_cell, indexed, _workers(threads, entries))
+        return ExperimentResult(config=asdict(config), cells=cells)
 
-    done = _thread_map(run_task, tasks, _workers(threads, entries))
-    if not config.known_difficulties:
-        _run_gibbs_phase(config, done, threads)
-        done = [cell for pattern in done for cell in pattern.finish(config)]
-    return ExperimentResult(config=asdict(config), cells=done)
+    patterns = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
+    entries = latents = 0
+    for pattern in patterns:
+        _, U, Q, _ = pattern[0]
+        entries += U * Q + min(U, Q) ** 2
+        if "pm_gibbs" in config.estimators:
+            latents += len(pattern) * config.trials * U * Q
+    workers = _workers(threads, entries + latents)
+    tasks = []
+    for pattern in patterns:
+        # Slice k of a pattern with n pairs is pairs [k n // w, (k + 1) n // w).
+        n = len(pattern) * config.trials
+        tasks += [(pattern, n * k // workers, n * (k + 1) // workers)
+                  for k in range(workers)]
+    logger.info(
+        "simulate: %d pattern(s) in %d slice(s) on %d worker(s), %d entries "
+        "(%d Gibbs latents per step)",
+        len(patterns), len(tasks), workers, entries + latents, latents,
+    )
+    done = _thread_map(lambda task: _run_standard_slice(config, *task), tasks, workers)
+    cells = []
+    for i, pattern in enumerate(patterns):
+        slices = done[i * workers : (i + 1) * workers]
+        gibbs_err = next((e for _, e in slices if e is not None), None)
+        for cell_idx, U, Q, snr_db in pattern:
+            parts = [p[cell_idx] for p, _ in slices if cell_idx in p]
+            cells.append(_standard_cell(config, U, Q, snr_db, parts, gibbs_err))
+    return ExperimentResult(config=asdict(config), cells=cells)
 
 
 def accuracy(predictions, labels) -> float:
@@ -814,7 +794,8 @@ def run_cross_validation(
     with ACC and AUC.  Users/items absent from training fall back to the
     prior mean 0 (counted per fold).  The folds run on `_workers(threads,
     entries)` threads, each fold holding len(data) + min(num_users,
-    num_items)^2 entries: its responses and its Schur complement.
+    num_items)^2 entries: its responses and its Schur complement;
+    `threads` defaults to the CPU count.
     """
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(data))

@@ -637,11 +637,14 @@ def test_log_level_info_shows_the_gibbs_plan(tmp_path, capsys):
             "--trials", "2", "--estimators", "pm_gibbs", "--gibbs-burnin", "5",
             "--gibbs-samples", "5", "--output", str(tmp_path / "s.csv")]
     assert main(argv) == 0
-    assert "gibbs phase" not in capsys.readouterr().err  # WARNING by default
+    assert "simulate:" not in capsys.readouterr().err  # WARNING by default
     assert main(argv + ["--log-level", "INFO"]) == 0
-    # 2 chains per pattern on 6 and 12 responses: 36 latents per step.
-    assert ("INFO rasch_lmmse.experiments: gibbs phase: 1 worker(s), "
-            "36 latents per step, 2 block(s)") in capsys.readouterr().err
+    # 2 chains per pattern on 6 and 12 responses: 36 latents per step, plus
+    # one trial's responses and Schur complement per pattern, 6 + 2^2 and
+    # 12 + 3^2 entries.  One worker runs one slice per pattern.
+    assert ("INFO rasch_lmmse.experiments: simulate: 2 pattern(s) in 2 "
+            "slice(s) on 1 worker(s), 67 entries (36 Gibbs latents per step)"
+            ) in capsys.readouterr().err
 
 
 def test_log_level_info_shows_binarization(tmp_path, capsys):

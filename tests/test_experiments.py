@@ -367,6 +367,49 @@ def test_gibbs_phase_sizes_its_workers_to_the_latents(monkeypatch):
     ]
 
 
+def test_a_cell_split_across_slices_reports_its_first_failing_trial(monkeypatch):
+    # Three cells of two trials, cut into two slices of pairs [0, 3) and
+    # [3, 6): the 0 dB cell's trial 0 is fit in the first slice and its
+    # trial 1 in the second.  Both fail, with different messages; the record
+    # names trial 0's, as on one thread.
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(2,), snr_db_grid=(-5.0, 0.0, 10.0),
+        trials=2, estimators=("lmmse", "map"), seed=5,
+    )
+    trial_rng, fit = experiments._trial_rng, experiments.fit_response_set
+    drawn, raised = threading.local(), []
+
+    def recording_rng(seed, cell_idx, trial):
+        drawn.pair = (cell_idx, trial)
+        return trial_rng(seed, cell_idx, trial)
+
+    def fit_failing_in_cell_1(data, name, **kwargs):
+        cell_idx, trial = drawn.pair
+        if cell_idx == 1:
+            raised.append(trial)
+            raise RuntimeError(f"trial {trial} failed")
+        return fit(data, name, **kwargs)
+
+    def outputs(result):
+        cells = json.loads(result.to_json())["cells"]
+        for cell in cells:
+            cell.pop("wall_time_seconds", None)
+        return result.to_csv(), json.dumps(cells)
+
+    monkeypatch.setattr(experiments, "_trial_rng", recording_rng)
+    monkeypatch.setattr(experiments, "fit_response_set", fit_failing_in_cell_1)
+    serial = run_synthetic(config, threads=1)
+    assert raised == [0]
+    errors = [c["error"] for c in serial.cells]
+    assert errors == [None, "RuntimeError: trial 0 failed", None]
+
+    raised.clear()
+    monkeypatch.setattr(experiments, "_WORKER_ENTRIES", 1)
+    split = run_synthetic(config, threads=2)
+    assert sorted(raised) == [0, 1]
+    assert outputs(split) == outputs(serial)
+
+
 def _synthetic_outputs(**kwargs):
     """Criterion 3's (U, Q, SNR) patterns at 2 trials: a run's CSV and its
     JSON cells without wall times, by thread count."""

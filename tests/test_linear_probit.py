@@ -139,13 +139,16 @@ def test_general_linearize_evaluates_one_bivariate_cdf_per_pair(monkeypatch):
 
 
 def test_saturated_observation_is_handled():
+    # c = 60 / sqrt(2) = 42.4 is past the saturation threshold of 37.
     model = GeneralProbitModel(
-        D=np.eye(2), m=[50.0, 0.0], x_mean=[0.0, 0.0], C_x=np.eye(2)
+        D=np.eye(2), m=[60.0, 0.0], x_mean=[0.0, 0.0], C_x=np.eye(2)
     )
     lin = linearize(model)
+    assert lin.saturated == 1
     assert lin.y_mean[0] == pytest.approx(1.0, abs=1e-15)
     assert abs(lin.C_y[0, 1]) == 0.0
     sol = lmmse_fit(model, [1.0, -1.0])
+    assert sol.metadata["saturated"] == 1
     assert np.all(np.isfinite(sol.estimate))
     # the saturated entry carries no information, the other one does
     assert abs(sol.estimate[1]) > 0.1
