@@ -11,7 +11,6 @@ they factor is positive definite.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -21,23 +20,20 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data import ResponseSet
 from .linear_probit import GeneralProbitModel, _check_pm_one
-from .rasch import RaschDesign, _BipartiteSampler, _BipartiteSchur, _Incidence
+from .rasch import (
+    RaschDesign,
+    _as_count,
+    _as_int,
+    _as_variance,
+    _BipartiteSampler,
+    _BipartiteSchur,
+    _Incidence,
+)
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # The damped-Newton MAP solver's iteration cap and gradient-norm tolerance.
 _MAP_MAX_ITERATIONS = 100
 _MAP_GRADIENT_TOLERANCE = 1e-8
-
-
-def _as_int(value, name):
-    """`value` as an exact int; TypeError for a bool (JSON's true is not
-    1) or a non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,22 +56,13 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("burn_in", "samples", "seed"):
+        for name in ("burn_in", "seed"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "samples", _as_count(self.samples, "samples"))
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class FisherBound:
-    """Per-component lower bounds on estimation MSE at an evaluation point."""
-
-    per_component_bound: np.ndarray
-    evaluation_point: np.ndarray
 
 
 def _weighted_gram(D, weights):
@@ -529,9 +516,8 @@ def fisher_rasch_ability_bound(U, Q, sigma2_x) -> float:
     block inverts in closed form through the Schur complement of the
     difficulty block, so the bound costs O(1) at any size.
     """
-    sigma2_x = float(sigma2_x)
-    if U < 1 or Q < 1 or sigma2_x <= 0:
-        raise ValueError("need U >= 1, Q >= 1, sigma2_x > 0")
+    U, Q = _as_count(U, "U"), _as_count(Q, "Q")
+    sigma2_x = _as_variance(sigma2_x, "sigma2_x")
     lam0 = 2.0 / np.pi
     alpha = lam0 * Q + 1.0 / sigma2_x
     beta = lam0 * U + 1.0 / sigma2_x
@@ -546,10 +532,11 @@ def fisher_known_difficulty_bound(d, sigma2_x) -> float:
     The information there is sum_i lambda(-d_i) + 1/sigma2_x, with lambda
     the probit information of each response.
     """
+    sigma2_x = _as_variance(sigma2_x, "sigma2_x")
     return float(1.0 / (probit_information(-d).sum() + 1.0 / sigma2_x))
 
 
-def fisher_lower_bound(model: GeneralProbitModel, evaluation_point) -> FisherBound:
+def fisher_lower_bound(model: GeneralProbitModel, evaluation_point) -> np.ndarray:
     """Bayesian Fisher-information lower bound on per-component MSE.
 
     Forms I = D^T diag(lambda) D + C_x^{-1} with the probit item
@@ -564,5 +551,4 @@ def fisher_lower_bound(model: GeneralProbitModel, evaluation_point) -> FisherBou
     t = np.asarray(model.D @ theta).ravel() + model.m
     info = _weighted_gram(model.D, probit_information(t)) + _prior_precision(model)
     cf = scipy.linalg.cho_factor(info)
-    bounds = np.diag(scipy.linalg.cho_solve(cf, np.eye(N))).copy()
-    return FisherBound(per_component_bound=bounds, evaluation_point=theta)
+    return np.diag(scipy.linalg.cho_solve(cf, np.eye(N))).copy()

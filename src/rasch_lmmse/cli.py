@@ -46,6 +46,8 @@ from .experiments import (
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _as_count,
+    _as_variance,
     known_difficulty_predicted_mse,
     rasch_asymptotic_mse,
     rasch_closed_form_mse,
@@ -104,12 +106,9 @@ def _float_list(text):
 
 def _positive_int(text):
     try:
-        value = int(text)
+        return _as_count(int(text), "value")
     except ValueError:
-        value = 0
-    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
 
 
 def _estimator_list(text):
@@ -166,11 +165,13 @@ def _one_lapack_thread():
         lib.scipy_openblas_set_num_threads(previous)
 
 
-def _resolve_output(path):
+def _output_path(args, extension="csv"):
+    """`--output`, by default `<command>.<extension>`; a relative path
+    resolves against RASCH_LMMSE_OUTPUT_DIR when set."""
+    path = args.output or f"{args.command}.{extension}"
     if os.path.isabs(path):
         return path
-    base = os.environ.get("RASCH_LMMSE_OUTPUT_DIR", ".")
-    return os.path.join(base, path)
+    return os.path.join(os.environ.get("RASCH_LMMSE_OUTPUT_DIR", "."), path)
 
 
 def _atomic_write(path, text):
@@ -227,17 +228,19 @@ def _cmd_analyze(args):
                          ("--snr-db", args.snr_db), ("--sigma2", args.sigma2)):
         if values is not None and not values:
             raise ValueError(f"{flag} must list at least one value")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    s2_d = args.difficulty_sigma2
-    if s2_d is not None and not 0 <= s2_d < math.inf:
-        raise ValueError(f"--difficulty-sigma2 must be finite and nonnegative, got {s2_d}")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
+    if args.difficulty_sigma2 is not None:
+        _as_variance(args.difficulty_sigma2, "--difficulty-sigma2", zero_ok=True)
     if args.snr_db is not None:
         levels = [(snr, snr_to_sigma2(snr)) for snr in args.snr_db]
-    elif all(0 <= s2 < math.inf for s2 in args.sigma2):
-        levels = [(None, s2) for s2 in args.sigma2]
     else:
-        raise ValueError("sigma2 must be finite and nonnegative")
+        levels = [
+            (None, _as_variance(s2, "--sigma2", zero_ok=True)) for s2 in args.sigma2
+        ]
+    users = [_as_count(U, "--users") for U in args.users]
+    items = [_as_count(Q, "--items") for Q in args.items]
     file_d = (
         _load_difficulties(args.difficulty_file)
         if args.difficulty_file is not None
@@ -246,10 +249,8 @@ def _cmd_analyze(args):
 
     rows = []
     row_idx = 0
-    for U in args.users:
-        for Q in args.items:
-            if U < 1 or Q < 1:
-                raise ValueError("users and items must be positive")
+    for U in users:
+        for Q in items:
             for snr_field, sigma2 in levels:
                 row = {"U": U, "Q": Q, "snr_db": snr_field, "sigma2_x": sigma2}
                 if sigma2 == 0.0:
@@ -270,7 +271,7 @@ def _cmd_analyze(args):
                         d = file_d
                     else:
                         rng = np.random.default_rng(
-                            np.random.SeedSequence((args.seed, row_idx))
+                            np.random.SeedSequence((seed, row_idx))
                         )
                         d = rng.normal(
                             scale=np.sqrt(args.difficulty_sigma2), size=Q
@@ -296,7 +297,7 @@ def _cmd_analyze(args):
                 rows.append(row)
                 row_idx += 1
 
-    path = _resolve_output(args.output)
+    path = _output_path(args)
     _atomic_write(
         path,
         _csv_text(ANALYZE_COLUMNS, ([row[c] for c in ANALYZE_COLUMNS] for row in rows)),
@@ -328,7 +329,7 @@ def _projected_gibbs_seconds(cfg):
 def _write_result(args, result):
     """Write a simulate or crossval result in `--format` to `--output`,
     which defaults to `<command>.<format>`."""
-    path = _resolve_output(args.output or f"{args.command}.{args.format}")
+    path = _output_path(args, args.format)
     _atomic_write(path, result.to_json() if args.format == "json" else result.to_csv())
     print(f"wrote {path}")
 
@@ -399,7 +400,7 @@ def _load_dataset(args):
 
 def _cmd_fit(args):
     data = _load_dataset(args)
-    given = {"burn_in": args.gibbs_burnin, "samples": args.gibbs_samples,
+    given = {"burn_in": args.gibbs_burn_in, "samples": args.gibbs_samples,
              "seed": args.seed}
     gibbs = GibbsConfig(**{k: v for k, v in given.items() if v is not None})
     out = fit_response_set(
@@ -412,7 +413,7 @@ def _cmd_fit(args):
         *(("ability", u, v) for u, v in zip(user_ids, out["abilities"], strict=True)),
         *(("difficulty", i, v) for i, v in zip(item_ids, out["difficulties"], strict=True)),
     ]
-    path = _resolve_output(args.output)
+    path = _output_path(args)
     _atomic_write(path, _csv_text(["kind", "id", "estimate"], rows))
 
     per_comp = out["per_component_mse"]
@@ -478,10 +479,26 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag that several commands take is declared once, in a parent.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--log-level", default="WARNING",
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                         help="stderr logging threshold (default: WARNING)")
+    common.add_argument("--seed", type=int, help="seed of random draws (default: 0)")
+    common.add_argument("--output", help="output file (default: <command>.csv or .<format>)")
+    gibbs = argparse.ArgumentParser(add_help=False)
+    gibbs.add_argument("--gibbs-burnin", dest="gibbs_burn_in", type=int)
+    gibbs.add_argument("--gibbs-samples", type=int)
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--format", choices=("csv", "json"), default="csv")
+    study.add_argument("--threads", type=_positive_int,
+                       help="at most this many worker threads; results are "
+                            "identical for any value (default: machine parallelism)")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--data", help="triplet CSV (user,item,response)")
+    dataset.add_argument("--movielens", help="MovieLens u.data style ratings file")
+    dataset.add_argument("--label-convention", choices=("pm_one", "zero_one"),
+                         default="pm_one")
 
     p_analyze = sub.add_parser(
         "analyze", parents=[common],
@@ -502,69 +519,39 @@ def build_parser():
                            help="file with one known difficulty per line")
     p_analyze.add_argument("--difficulty-sigma2", type=float,
                            help="draw known difficulties from N(0, s2)")
-    p_analyze.add_argument("--seed", type=int, default=0,
-                           help="seed for drawn difficulties")
-    p_analyze.add_argument("--output", default="analyze.csv")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[common],
+        "simulate", parents=[common, gibbs, study],
         help="synthetic MSE study over a (users, items, SNR) grid",
     )
     p_sim.add_argument("--users", dest="users_grid", type=_int_list)
     p_sim.add_argument("--items", dest="items_grid", type=_int_list)
     p_sim.add_argument("--snr-db", dest="snr_db_grid", type=_float_list)
     p_sim.add_argument("--trials", type=int)
-    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--estimators", type=_estimator_list,
                        help=f"comma-separated from: {', '.join(SYNTHETIC_ESTIMATORS)}")
-    p_sim.add_argument("--gibbs-burnin", dest="gibbs_burn_in", type=int)
-    p_sim.add_argument("--gibbs-samples", type=int)
     p_sim.add_argument("--known-difficulties", action="store_true", default=None)
-    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--output", default=None)
-    p_sim.add_argument("--threads", type=_positive_int, default=None,
-                       help="at most this many worker threads; results are "
-                            "identical for any value (default: machine parallelism)")
     p_sim.add_argument("--config",
                        help="JSON file with SyntheticConfig's fields "
                             "(conflicts with every config flag)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_fit = sub.add_parser("fit", parents=[common],
+    p_fit = sub.add_parser("fit", parents=[common, gibbs, dataset],
                            help="fit abilities/difficulties to a dataset")
-    p_fit.add_argument("--data", help="triplet CSV (user,item,response)")
-    p_fit.add_argument("--movielens", help="MovieLens u.data style ratings file")
-    p_fit.add_argument("--label-convention", choices=("pm_one", "zero_one"),
-                       default="pm_one")
     p_fit.add_argument("--estimator", choices=CV_ESTIMATORS, default="lmmse")
     p_fit.add_argument("--sigma2", type=float, default=1.0,
                        help="prior variance for both parameter blocks")
-    p_fit.add_argument("--seed", type=int, help="Gibbs seed")
-    p_fit.add_argument("--gibbs-burnin", type=int)
-    p_fit.add_argument("--gibbs-samples", type=int)
-    p_fit.add_argument("--output", default="fit.csv")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_cv = sub.add_parser(
-        "crossval", parents=[common], help="k-fold response prediction with ACC/AUC",
+        "crossval", parents=[common, gibbs, study, dataset],
+        help="k-fold response prediction with ACC/AUC",
     )
-    p_cv.add_argument("--data", help="triplet CSV (user,item,response)")
-    p_cv.add_argument("--movielens", help="MovieLens u.data style ratings file")
-    p_cv.add_argument("--label-convention", choices=("pm_one", "zero_one"),
-                      default="pm_one")
     p_cv.add_argument("--folds", type=int)
-    p_cv.add_argument("--seed", type=int)
     p_cv.add_argument("--estimators", type=_estimator_list,
                       help=f"comma-separated from: {', '.join(CV_ESTIMATORS)}")
     p_cv.add_argument("--sigma2-grid", dest="prior_variance_grid", type=_float_list)
-    p_cv.add_argument("--gibbs-burnin", dest="gibbs_burn_in", type=int)
-    p_cv.add_argument("--gibbs-samples", type=int)
-    p_cv.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cv.add_argument("--output", default=None)
-    p_cv.add_argument("--threads", type=_positive_int, default=None,
-                      help="at most this many worker threads; results are "
-                           "identical for any value (default: machine parallelism)")
     p_cv.add_argument("--config",
                       help="JSON file with CvConfig's fields "
                            "(conflicts with every config flag)")

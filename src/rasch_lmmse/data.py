@@ -75,15 +75,6 @@ class ResponseSet:
     def __len__(self):
         return len(self.users)
 
-    def user_index(self):
-        """Original user ID -> dense index."""
-        return {uid: k for k, uid in enumerate(self.user_ids)}
-
-    def item_index(self):
-        """Original item ID -> dense index."""
-        return {iid: k for k, iid in enumerate(self.item_ids)}
-
-
 # Response token -> +1/-1 per label convention; `save_triplets` writes the
 # first token listed for each sign.
 _LABELS = {

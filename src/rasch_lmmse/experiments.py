@@ -17,7 +17,6 @@ import io
 import json
 import logging
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,6 @@ import numpy as np
 from .baselines import (
     GibbsConfig,
     MapConfig,
-    _as_int,
     _rasch_gibbs_block,
     fisher_known_difficulty_bound,
     fisher_rasch_ability_bound,
@@ -40,6 +38,10 @@ from .data import ResponseSet
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _as_count,
+    _as_float,
+    _as_int,
+    _as_variance,
     _full_response_set,
     known_difficulty_fit,
     rasch_closed_form_mse,
@@ -64,18 +66,14 @@ def snr_to_sigma2(snr_db) -> float:
 
     Convention: the per-observation signal power Var(a_u - d_i) = 2 sigma2_x
     against unit noise power, so sigma2_x = 10^(snr_db/10) / 2.  Raises
-    ValueError unless that variance is finite and positive.
+    TypeError unless snr_db is a number and ValueError unless that
+    variance is finite and positive.
     """
     try:
-        sigma2 = 10.0 ** (float(snr_db) / 10.0) / 2.0
+        sigma2 = 10.0 ** (_as_float(snr_db, "snr_db") / 10.0) / 2.0
     except OverflowError:
         sigma2 = math.inf
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(
-            f"snr_db {snr_db!r} gives sigma2_x {sigma2!r}; "
-            "the prior variance must be finite and positive"
-        )
-    return sigma2
+    return _as_variance(sigma2, f"sigma2_x of snr_db {snr_db!r}")
 
 
 def _check_types(config, ints, bools=()):
@@ -87,14 +85,6 @@ def _check_types(config, ints, bools=()):
     for name in bools:
         if not isinstance(getattr(config, name), bool):
             raise TypeError(f"{name} must be true or false")
-
-
-def _as_float(value, name):
-    """`value` as a float; TypeError for a non-number, a bool included
-    (JSON's true is not 1.0) and a numeric string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _normalize_estimators(estimators, allowed):
@@ -139,7 +129,7 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("users_grid", "items_grid"):
             object.__setattr__(
-                self, name, tuple(_as_int(v, name) for v in getattr(self, name))
+                self, name, tuple(_as_count(v, name) for v in getattr(self, name))
             )
         object.__setattr__(
             self,
@@ -148,17 +138,12 @@ class SyntheticConfig:
         )
         for snr_db in self.snr_db_grid:
             snr_to_sigma2(snr_db)
+        object.__setattr__(self, "trials", _as_count(self.trials, "trials"))
         _check_types(
-            self,
-            ("trials", "seed", "gibbs_burn_in", "gibbs_samples"),
-            ("known_difficulties",),
+            self, ("seed", "gibbs_burn_in", "gibbs_samples"), ("known_difficulties",)
         )
         if not (self.users_grid and self.items_grid and self.snr_db_grid):
             raise ValueError("grids must be nonempty")
-        if any(u < 1 for u in self.users_grid) or any(q < 1 for q in self.items_grid):
-            raise ValueError("users and items must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         object.__setattr__(
             self,
             "estimators",
@@ -619,12 +604,10 @@ class CvConfig:
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         grid = tuple(
-            _as_float(v, "prior_variance_grid") for v in self.prior_variance_grid
+            _as_variance(v, "prior_variance_grid") for v in self.prior_variance_grid
         )
-        if not grid or not all(math.isfinite(v) and v > 0 for v in grid):
-            raise ValueError(
-                "prior_variance_grid must be nonempty, finite and positive"
-            )
+        if not grid:
+            raise ValueError("prior_variance_grid must be nonempty")
         object.__setattr__(self, "prior_variance_grid", grid)
         object.__setattr__(
             self, "estimators", _normalize_estimators(self.estimators, CV_ESTIMATORS)

@@ -14,6 +14,9 @@ model with one column, D = 1_Q, and offset m = -d.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +33,45 @@ from .linear_probit import (
 )
 
 
+# The checks of every number a caller passes in: a bool is not a number
+# (JSON's true is not 1), nor is a numeric string.
+
+
+def _as_int(value, name):
+    """`value` as an exact int; TypeError for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_float(value, name):
+    """`value` as a float; TypeError for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_count(value, name):
+    """`value` as an int (`_as_int`) of at least 1, else ValueError."""
+    value = _as_int(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _as_variance(value, name, zero_ok=False):
+    """`value` as a float (`_as_float`) that is finite and positive, or 0
+    where `zero_ok`; ValueError otherwise."""
+    value = _as_float(value, name)
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RaschDesign:
     """Problem dimensions and prior variances for a Rasch instance."""
@@ -40,10 +82,10 @@ class RaschDesign:
     sigma2_d: float
 
     def __post_init__(self):
-        if self.U < 1 or self.Q < 1:
-            raise ValueError("U and Q must be at least 1")
-        if not all(0 < v < np.inf for v in (self.sigma2_a, self.sigma2_d)):
-            raise ValueError("prior variances must be finite and positive")
+        for name in ("U", "Q"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
+        for name in ("sigma2_a", "sigma2_d"):
+            object.__setattr__(self, name, _as_variance(getattr(self, name), name))
 
     @property
     def equal_variances(self):
@@ -87,7 +129,7 @@ class KnownDifficultyModel:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).ravel()
-        x_bar, sigma2_x = float(self.x_bar), float(self.sigma2_x)
+        x_bar = _as_float(self.x_bar, "x_bar")
         if d.size < 1:
             raise ValueError("need at least one item difficulty")
         if not np.all(np.isfinite(d)):
@@ -95,11 +137,9 @@ class KnownDifficultyModel:
             raise ValueError(f"item difficulties must be finite, got {bad}")
         if not np.isfinite(x_bar):
             raise ValueError(f"x_bar must be finite, got {x_bar}")
-        if not 0 < sigma2_x < np.inf:
-            raise ValueError(f"sigma2_x must be finite and positive, got {sigma2_x}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "x_bar", x_bar)
-        object.__setattr__(self, "sigma2_x", sigma2_x)
+        object.__setattr__(self, "sigma2_x", _as_variance(self.sigma2_x, "sigma2_x"))
 
 
 def rasch_design_matrix(
@@ -151,9 +191,7 @@ def rasch_s(sigma2_x) -> float:
     Strictly below 1/3 for all finite sigma2 since the argument stays
     below 1/2.
     """
-    sigma2_x = float(sigma2_x)
-    if sigma2_x < 0:
-        raise ValueError("sigma2_x must be nonnegative")
+    sigma2_x = _as_variance(sigma2_x, "sigma2_x", zero_ok=True)
     return (2.0 / np.pi) * np.arcsin(sigma2_x / (2.0 * sigma2_x + 1.0))
 
 
@@ -188,9 +226,7 @@ def rasch_closed_form_mse(design: RaschDesign):
 
 def rasch_asymptotic_mse(sigma2_x) -> float:
     """Large-problem limit of the ability MSE as U, Q -> infinity."""
-    sigma2_x = float(sigma2_x)
-    if sigma2_x < 0:
-        raise ValueError("sigma2_x must be nonnegative")
+    sigma2_x = _as_variance(sigma2_x, "sigma2_x", zero_ok=True)
     if sigma2_x == 0.0:
         return 0.0
     arg = sigma2_x / (2.0 * sigma2_x + 1.0)

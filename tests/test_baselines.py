@@ -8,7 +8,6 @@ from scipy.special import expit, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from rasch_lmmse import baselines
 from rasch_lmmse.baselines import (
-    FisherBound,
     GibbsConfig,
     MapConfig,
     _draw_latent,
@@ -447,7 +446,7 @@ def test_fisher_zero_design_is_prior_variance():
         C_x=np.diag([2.0, 5.0]),
     )
     fb = fisher_lower_bound(model, np.zeros(2))
-    np.testing.assert_allclose(fb.per_component_bound, [2.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(fb, [2.0, 5.0], atol=1e-12)
 
 
 def test_fisher_known_difficulty_closed_form():
@@ -458,14 +457,14 @@ def test_fisher_known_difficulty_closed_form():
         )
         fb = fisher_lower_bound(model, np.zeros(1))
         expected = 1.0 / (Q * 2.0 / np.pi + 1.0 / sigma2)
-        assert fb.per_component_bound[0] == pytest.approx(expected, abs=1e-14)
+        assert fb[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_fisher_rasch_closed_form_matches_dense():
     for (U, Q, s2) in ((1, 1, 1.0), (3, 4, 0.5), (7, 2, 5.0), (20, 50, 0.05)):
         design = RaschDesign(U=U, Q=Q, sigma2_a=s2, sigma2_d=s2)
         model = rasch_design_matrix(design)
-        dense = fisher_lower_bound(model, np.zeros(U + Q)).per_component_bound
+        dense = fisher_lower_bound(model, np.zeros(U + Q))
         closed = fisher_rasch_ability_bound(U, Q, s2)
         np.testing.assert_allclose(dense[:U], closed, atol=1e-12)
 
@@ -485,7 +484,6 @@ def test_fisher_result_shape():
     model = random_model(rng, M=5, N=3)
     point = rng.normal(size=3)
     fb = fisher_lower_bound(model, point)
-    assert isinstance(fb, FisherBound)
-    assert fb.per_component_bound.shape == (3,)
-    np.testing.assert_array_equal(fb.evaluation_point, point)
-    assert np.all(fb.per_component_bound > 0)
+    assert isinstance(fb, np.ndarray)
+    assert fb.shape == (3,)
+    assert np.all(fb > 0)

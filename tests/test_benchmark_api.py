@@ -32,3 +32,16 @@ def test_workload_reference_checks_pass(name, tmp_path, monkeypatch):
     checks = workloads.Checks()
     wl.extra_ops(seed, str(in_dir), str(out_dir), cli.main, checks)
     assert checks.failures == []
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_commands_parse(name, tmp_path, monkeypatch):
+    # A renamed or removed flag that a timed command passes fails here,
+    # not only in a benchmark run.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    parser = cli.build_parser()
+    wl = workloads.WORKLOADS[name]
+    for label, argv in wl.commands(7, str(tmp_path / "inputs"), str(tmp_path / "out")):
+        assert parser.parse_args(argv).command == argv[0], label

@@ -293,6 +293,37 @@ def test_every_study_flag_is_a_config_field():
         assert set(args.config_flags) == dests, argv
 
 
+# Each flag that several commands take, and the commands that take it.
+SHARED_FLAGS = {
+    "--seed": {"analyze", "simulate", "fit", "crossval"},
+    "--output": {"analyze", "simulate", "fit", "crossval"},
+    "--gibbs-burnin": {"simulate", "fit", "crossval"},
+    "--gibbs-samples": {"simulate", "fit", "crossval"},
+    "--format": {"simulate", "crossval"},
+    "--threads": {"simulate", "crossval"},
+    "--data": {"fit", "crossval"},
+    "--movielens": {"fit", "crossval"},
+    "--label-convention": {"fit", "crossval"},
+}
+
+
+def test_shared_flags_are_declared_once():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for name, sub in commands.items():
+        strings = [s for a in sub._actions for s in a.option_strings]
+        assert len(strings) == len(set(strings)), name
+    for flag, takers in SHARED_FLAGS.items():
+        actions = {name: sub._option_string_actions[flag]
+                   for name, sub in commands.items()
+                   if flag in sub._option_string_actions}
+        assert set(actions) == takers, flag
+        # One declaration: every command holds the one action, so one dest,
+        # type, default and help.
+        assert len({id(a) for a in actions.values()}) == 1, flag
+    assert commands["fit"]._option_string_actions["--gibbs-burnin"].dest == "gibbs_burn_in"
+
+
 def test_config_file_bad_keys_exit_1(tmp_path, capsys):
     data = tmp_path / "cv.csv"
     write_rasch_csv(data, U=6, Q=4, seed=1)

@@ -30,8 +30,8 @@ def make_set():
 def test_response_set_basics():
     data = make_set()
     assert len(data) == 4
-    assert data.user_index() == {"alice": 0, "bob": 1, "carol": 2}
-    assert data.item_index() == {"q1": 0, "q2": 1}
+    assert data.user_ids == ("alice", "bob", "carol")
+    assert data.item_ids == ("q1", "q2")
 
 
 def test_response_set_validation():

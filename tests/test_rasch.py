@@ -653,6 +653,9 @@ def test_known_difficulty_validation():
             known_difficulty_fit(km, np.ones(shape))
     with pytest.raises(ValueError):
         KnownDifficultyModel(d=np.zeros(2), x_bar=0.0, sigma2_x=0.0)
+    for x_bar in (True, "0.5"):  # a bool or a string is not a number
+        with pytest.raises(TypeError, match="x_bar"):
+            KnownDifficultyModel(d=np.zeros(2), x_bar=x_bar, sigma2_x=1.0)
 
 
 @pytest.mark.parametrize("field, value", [
