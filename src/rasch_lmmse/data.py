@@ -9,12 +9,57 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+
+# The checks of every number a caller passes in, here because every other
+# module imports this one: a bool is not a number (JSON's true is not 1),
+# nor is a numeric string.
+
+
+def _as_int(value, name):
+    """`value` as an exact int; TypeError for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_float(value, name):
+    """`value` as a float; TypeError for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_count(value, name, zero_ok=False):
+    """`value` as an int (`_as_int`) of at least 1, or 0 where `zero_ok`;
+    ValueError otherwise."""
+    value = _as_int(value, name)
+    if value < (0 if zero_ok else 1):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    return value
+
+
+def _as_variance(value, name, zero_ok=False):
+    """`value` as a float (`_as_float`) that is finite and positive, or 0
+    where `zero_ok`; ValueError otherwise."""
+    value = _as_float(value, name)
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+    return value
 
 
 class _DuplicatePair(ValueError):
@@ -31,6 +76,7 @@ class ResponseSet:
 
     users, items, responses are parallel arrays; user_ids / item_ids map a
     dense index back to the original ID (first-appearance order).
+    num_users and num_items are ints (`_as_count`), 0 allowed.
     """
 
     users: np.ndarray
@@ -42,6 +88,9 @@ class ResponseSet:
     item_ids: tuple = ()
 
     def __post_init__(self):
+        for name in ("num_users", "num_items"):
+            count = _as_count(getattr(self, name), name, zero_ok=True)
+            object.__setattr__(self, name, count)
         users = np.asarray(self.users, dtype=np.int64).ravel()
         items = np.asarray(self.items, dtype=np.int64).ravel()
         responses = np.asarray(self.responses, dtype=np.float64).ravel()

@@ -34,14 +34,10 @@ from .baselines import (
     rasch_map_fit,
     rasch_pm_gibbs,
 )
-from .data import ResponseSet
+from .data import ResponseSet, _as_count, _as_float, _as_int, _as_variance
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
-    _as_count,
-    _as_float,
-    _as_int,
-    _as_variance,
     _full_response_set,
     known_difficulty_fit,
     rasch_closed_form_mse,
@@ -674,7 +670,7 @@ def _subset(data, idx):
 
 
 def _fit_estimator(name, data, idx, sigma2_x, gibbs_config):
-    """Fit one estimator on data[idx]; returns (abilities, difficulties)."""
+    """Fit one estimator on data[idx]; returns `fit_response_set`'s dict."""
     users, items, responses = _subset(data, idx)
     train = ResponseSet(
         users=users,
@@ -683,14 +679,12 @@ def _fit_estimator(name, data, idx, sigma2_x, gibbs_config):
         num_users=data.num_users,
         num_items=data.num_items,
     )
-    out = fit_response_set(
-        train, name, sigma2_x=sigma2_x, gibbs_config=gibbs_config
-    )
-    return out["abilities"], out["difficulties"]
+    return fit_response_set(train, name, sigma2_x=sigma2_x, gibbs_config=gibbs_config)
 
 
-def _predict(abilities, difficulties, users, items):
-    return norm_cdf(abilities[users] - difficulties[items])
+def _predict(fit, users, items):
+    """P(y = +1) for each (user, item) pair under `fit_response_set`'s fit."""
+    return norm_cdf(fit["abilities"][users] - fit["difficulties"][items])
 
 
 def fit_response_set(
@@ -775,7 +769,9 @@ def run_cross_validation(
     sigma2_x per estimator (by AUC); the estimator is refit on the full
     training split at the selected variance and scored on the test fold
     with ACC and AUC.  Users/items absent from training fall back to the
-    prior mean 0 (counted per fold).  The folds run on `_workers(threads,
+    prior mean 0 (counted per fold).  lmmse's record also holds, per fold,
+    the mean exact predicted MSE of the final fit's abilities and of its
+    difficulties (from its `per_component_mse`).  The folds run on `_workers(threads,
     entries)` threads, each fold holding len(data) + min(num_users,
     num_items)^2 entries: its responses and its Schur complement;
     `threads` defaults to the CPU count.
@@ -812,20 +808,16 @@ def run_cross_validation(
                 scores = []
                 val_u, val_i, val_y = _subset(data, val)
                 for sigma2 in grid:
-                    ab, diff = _fit_estimator(
-                        name, data, tune_train, sigma2, gibbs_config
-                    )
-                    pred = _predict(ab, diff, val_u, val_i)
+                    out = _fit_estimator(name, data, tune_train, sigma2, gibbs_config)
+                    pred = _predict(out, val_u, val_i)
                     scores.append(_score_auc_or_acc(pred, val_y))
                 selected = grid[int(np.argmax(scores))]
             else:
                 selected = grid[0]
 
             t0 = time.perf_counter()
-            ab, diff = _fit_estimator(
-                name, data, train_all, selected, gibbs_config
-            )
-            pred = _predict(ab, diff, test_u, test_i)
+            out = _fit_estimator(name, data, train_all, selected, gibbs_config)
+            pred = _predict(out, test_u, test_i)
             runtime = time.perf_counter() - t0
             acc_val = accuracy(pred, test_y)
             try:
@@ -837,6 +829,7 @@ def run_cross_validation(
                 "auc": auc_val,
                 "selected_sigma2_x": selected,
                 "runtime_seconds": runtime,
+                "per_component_mse": out["per_component_mse"],
             }
         return fold_out, fallback
 
@@ -864,6 +857,18 @@ def run_cross_validation(
                 f for f, v in enumerate(aucs) if v is None
             ],
         }
+        if name == "lmmse":
+            # The exact predicted MSE of each fold's final fit, averaged per
+            # block: users first, then items.
+            per_comp = [r[0][name]["per_component_mse"] for r in results]
+            per_estimator[name].update(
+                predicted_mse_ability_mean_per_fold=[
+                    float(np.mean(p[: data.num_users])) for p in per_comp
+                ],
+                predicted_mse_difficulty_mean_per_fold=[
+                    float(np.mean(p[data.num_users :])) for p in per_comp
+                ],
+            )
     return CvResult(
         config=asdict(config),
         per_estimator=per_estimator,

@@ -14,16 +14,13 @@ model with one column, D = 1_Q, and offset m = -d.
 
 from __future__ import annotations
 
-import math
-import numbers
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .data import ResponseSet
+from .data import ResponseSet, _as_count, _as_float, _as_variance
 from .linear_probit import (
     GeneralProbitModel,
     LmmseSolution,
@@ -31,45 +28,6 @@ from .linear_probit import (
     lmmse_fit,
     lmmse_predicted_mse,
 )
-
-
-# The checks of every number a caller passes in: a bool is not a number
-# (JSON's true is not 1), nor is a numeric string.
-
-
-def _as_int(value, name):
-    """`value` as an exact int; TypeError for a bool or a non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _as_float(value, name):
-    """`value` as a float; TypeError for a bool or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_count(value, name):
-    """`value` as an int (`_as_int`) of at least 1, else ValueError."""
-    value = _as_int(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _as_variance(value, name, zero_ok=False):
-    """`value` as a float (`_as_float`) that is finite and positive, or 0
-    where `zero_ok`; ValueError otherwise."""
-    value = _as_float(value, name)
-    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be finite and {sign}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -334,6 +292,12 @@ class _Incidence:
 _ROW_BLOCK = 256  # rows of B^T C^{-1} held at once by diag_inverse
 
 
+def _squared_row_norms(A):
+    # As a call's argument, diag_inverse's block of B^T C^{-1} is freed
+    # before the next block is formed.
+    return np.einsum("ij,ij->i", A, A)
+
+
 class _BipartiteSchur:
     """H = diag(h) + [[0, B], [B^T, 0]], factored once by block elimination.
 
@@ -341,10 +305,12 @@ class _BipartiteSchur:
     of the incidence `inc`.  The kept side s is the observed users or
     items (by `inc.degree`), whichever are fewer; all other parameters are
     eliminated, which leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C
-    (C upper triangular), of size min(U, Q).  `solve` (MAP Newton steps,
-    the L-MMSE estimate) runs on the Cholesky factor C; `diag_inverse` (the
-    exact MSE) and `_BipartiteSampler` (the Gibbs x | z draw) run on its
-    inverse C^{-1}, formed by LAPACK dtrtri, since S^{-1} = C^{-1} C^{-T}.
+    (C upper triangular), of size n = min(U, Q).  S is factored as L L^T,
+    L = C^T, and then inverted, in one n x n buffer.  `solve` (MAP Newton
+    steps, the L-MMSE estimate) runs on the Cholesky factor; `diag_inverse`
+    (the exact MSE) and `_BipartiteSampler` (the Gibbs x | z draw) run on
+    the inverse C^{-1}, since S^{-1} = C^{-1} C^{-T}.  The inverse is formed
+    in the factor's buffer, so a `solve` after it raises.
     """
 
     def __init__(self, h, inc: _Incidence, weights):
@@ -359,23 +325,35 @@ class _BipartiteSchur:
             (weights, (rows, elim_of)), shape=(self.kept.size, h.size)
         )
         B_scaled = self._B.copy()
-        B_scaled.data /= h[B_scaled.indices]
-        schur = -(B_scaled @ self._B.T).toarray()
+        B_scaled.data /= -h[B_scaled.indices]
+        schur = (B_scaled @ self._B.T).toarray()  # -B diag(h_b)^{-1} B^T
         schur[np.diag_indices_from(schur)] += h[self.kept]
+        # toarray's buffer is C-ordered: its F-ordered transpose holds S's
+        # upper triangle as a lower one, which LAPACK factors in place.
         self._factor = scipy.linalg.cho_factor(
-            schur, overwrite_a=True, check_finite=False
+            schur.T, lower=True, overwrite_a=True, check_finite=False
         )
 
     def _inverse_factor(self):
-        """C^{-1}, upper triangular, by LAPACK dtrtri on the Cholesky factor."""
-        c_inv, info = scipy.linalg.lapack.dtrtri(self._factor[0])
+        """C^{-1}, upper triangular and C-contiguous, by LAPACK dtrtri in the
+        factor's buffer: L^{-1} = C^{-T} there, read through its transpose.
+        This uses up the factor."""
+        if self._factor is None:
+            raise RuntimeError("the Schur factor has been inverted")
+        factor, self._factor = self._factor[0], None
+        l_inv, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
-        # dtrtri leaves cho_factor's unused lower triangle in place.
-        return np.triu(c_inv)
+        # cho_factor and dtrtri leave S's entries in the unused triangle.
+        c_inv = l_inv.T
+        for i in range(1, c_inv.shape[0]):
+            c_inv[i, :i] = 0.0
+        return c_inv
 
     def solve(self, r):
         """H^{-1} r: x_s = S^{-1}(r_s - B r_b / h_b), x_b = (r_b - B^T x_s) / h_b."""
+        if self._factor is None:
+            raise RuntimeError("the Schur factor has been inverted")
         x_kept = scipy.linalg.cho_solve(
             self._factor, r[self.kept] - self._B @ (r / self._h), check_finite=False
         )
@@ -388,15 +366,14 @@ class _BipartiteSchur:
 
         With S^{-1} = C^{-1} C^{-T}, diag(S^{-1}) is the row sums of
         C^{-1} * C^{-1}, and b_j^T S^{-1} b_j = ||b_j^T C^{-1}||^2 over the
-        rows of B^T C^{-1}.
+        rows of B^T C^{-1}.  Uses up the factor (`_inverse_factor`).
         """
         c_inv = self._inverse_factor()
         out, Bt = 1.0 / self._h, self._B.T.tocsr()
         for start in range(0, out.size, _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
-            rows = Bt[block] @ c_inv
-            out[block] += np.einsum("ij,ij->i", rows, rows) / self._h[block] ** 2
-        out[self.kept] = np.einsum("ij,ij->i", c_inv, c_inv)
+            out[block] += _squared_row_norms(Bt[block] @ c_inv) / self._h[block] ** 2
+        out[self.kept] = _squared_row_norms(c_inv)
         return out
 
 
@@ -447,6 +424,23 @@ class _BipartiteSampler:
         return X
 
 
+def _woodbury_terms(design: RaschDesign, inc: _Incidence):
+    """kappa, s (per parameter), alpha and K's diagonal h = alpha / s +
+    degree, as defined in `rasch_lmmse_fit`."""
+    v = design.sigma2_a + design.sigma2_d + 1.0
+    s = (2.0 / np.pi) * np.arcsin(inc.prior / v)
+    alpha = 1.0 - s[0] - s[-1]  # 1 - s_a - s_d
+    return np.sqrt(2.0 / np.pi / v), s, alpha, alpha / s + inc.degree
+
+
+def _decoupled_lmmse_estimate(design: RaschDesign, inc: _Incidence, y):
+    """`rasch_lmmse_fit`'s estimate kappa C_x S^{-1} K^{-1} D^T y with K
+    taken as its diagonal h, i.e. the user-item coupling B dropped: O(M),
+    no factorization.  A parameter without responses gets exactly 0."""
+    kappa, s, _, h = _woodbury_terms(design, inc)
+    return kappa * inc.prior / s * inc.adjoint(y) / h
+
+
 def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     """Exact L-MMSE fit and per-component MSE for any observed subset.
 
@@ -473,18 +467,17 @@ def rasch_lmmse_fit(design: RaschDesign, data: ResponseSet) -> LmmseSolution:
     the kept side and its size.
     """
     inc = _Incidence(design, data)
-    v = design.sigma2_a + design.sigma2_d + 1.0
-    kappa = np.sqrt(2.0 / np.pi / v)
+    kappa, s, alpha, h = _woodbury_terms(design, inc)
     c = inc.prior
-    s = (2.0 / np.pi) * np.arcsin(c / v)
-    alpha = 1.0 - s[0] - s[-1]  # 1 - s_a - s_d
-    schur = _BipartiteSchur(alpha / s + inc.degree, inc, np.ones(len(data)))
+    schur = _BipartiteSchur(h, inc, np.ones(len(data)))
+    # The estimate comes first: diag_inverse uses up the factor.
+    estimate = kappa * c / s * schur.solve(inc.adjoint(data.responses))
     # (degree > 0) keeps unobserved parameters at exactly the prior variance.
     per_component = c - (inc.degree > 0) * kappa**2 * c**2 * (
         1.0 - alpha * schur.diag_inverse() / s
     ) / s
     return LmmseSolution(
-        estimate=kappa * c / s * schur.solve(inc.adjoint(data.responses)),
+        estimate=estimate,
         predicted_mse=float(np.sum(per_component)),
         per_component_mse=per_component,
         W=None,

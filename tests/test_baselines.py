@@ -253,7 +253,7 @@ def sparse_reference_rasch_chain(design, data, config):
     schur = _BipartiteSchur(degree + inv_var, _Incidence(design, data),
                             np.ones(len(data)))
     h, kept, B = schur._h, schur.kept, schur._B
-    c_inv = np.triu(scipy.linalg.lapack.dtrtri(schur._factor[0])[0])
+    c_inv = np.tril(scipy.linalg.lapack.dtrtri(schur._factor[0], lower=1)[0]).T.copy()
     Bt, inv_sqrt_h = B.T.tocsr(), 1.0 / np.sqrt(h)
 
     rng = np.random.default_rng(config.seed)

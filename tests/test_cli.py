@@ -497,6 +497,24 @@ def test_unusable_prior_variance_exits_1_before_any_work(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--data", "CV", "--sigma2", "0"], "--sigma2"),
+    (["fit", "--data", "CV", "--sigma2", "inf"], "--sigma2"),
+    (["crossval", "--data", "CV", "--folds", "3", "--sigma2-grid", "1,inf"],
+     "--sigma2-grid"),
+], ids=["fit-zero", "fit-inf", "crossval-inf"])
+def test_prior_variance_errors_name_the_flag(tmp_path, capsys, argv, flag):
+    data = tmp_path / "cv.csv"
+    write_rasch_csv(data, U=6, Q=4, seed=1)
+    out = tmp_path / "x.csv"
+    argv = [str(data) if a == "CV" else a for a in argv]
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be finite and positive" in err
+    assert "sigma2_a" not in err and "prior_variance_grid" not in err
+    assert not out.exists()
+
+
 def test_config_estimators_string_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"users_grid": [2], "items_grid": [2],

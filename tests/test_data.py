@@ -57,6 +57,20 @@ def test_response_set_validation():
         )
 
 
+@pytest.mark.parametrize("num_users, num_items, error, name", [
+    (2.5, 1, TypeError, "num_users"), (2, True, TypeError, "num_items"),
+    ("2", 1, TypeError, "num_users"), (np.float64(2.0), 1, TypeError, "num_users"),
+    (-3, 0, ValueError, "num_users"), (2, -1, ValueError, "num_items"),
+])
+def test_response_set_counts_are_nonnegative_ints(num_users, num_items, error, name):
+    with pytest.raises(error, match=name):
+        ResponseSet(users=[], items=[], responses=[],
+                    num_users=num_users, num_items=num_items)
+    empty = ResponseSet(users=[], items=[], responses=[],
+                        num_users=np.int64(0), num_items=0)
+    assert type(empty.num_users) is int and empty.num_users == 0
+
+
 def test_response_set_duplicate_names_original_ids():
     with pytest.raises(ValueError) as err:
         ResponseSet(

@@ -656,6 +656,34 @@ def test_cross_validation_runs_and_is_deterministic():
     assert "lmmse" in table and "map" in table and "pm_gibbs" in table
 
 
+def test_crossval_reports_each_lmmse_folds_predicted_mse():
+    data = load_triplets(SAMPLE_DATA / "responses.csv")
+    config = CvConfig(folds=3, seed=4, prior_variance_grid=(0.5,),
+                      estimators=("lmmse", "map"))
+    result = run_cross_validation(data, config)
+    folds = np.array_split(
+        np.random.default_rng(config.seed).permutation(len(data)), config.folds
+    )
+    expected = []
+    for f in range(config.folds):
+        train = np.concatenate([folds[k] for k in range(config.folds) if k != f])
+        fit = fit_response_set(
+            ResponseSet(data.users[train], data.items[train], data.responses[train],
+                        num_users=data.num_users, num_items=data.num_items),
+            "lmmse", sigma2_x=0.5,
+        )
+        per_comp = fit["per_component_mse"]
+        expected.append((float(np.mean(per_comp[: data.num_users])),
+                         float(np.mean(per_comp[data.num_users :]))))
+    rec = result.per_estimator["lmmse"]
+    assert list(zip(rec["predicted_mse_ability_mean_per_fold"],
+                    rec["predicted_mse_difficulty_mean_per_fold"])) == expected
+    assert all(0.0 < v < 0.5 for pair in expected for v in pair)
+    assert "predicted_mse_ability_mean_per_fold" not in result.per_estimator["map"]
+    payload = json.loads(result.to_json())["per_estimator"]["lmmse"]
+    assert payload["predicted_mse_difficulty_mean_per_fold"] == [e[1] for e in expected]
+
+
 def test_cross_validation_tuning_and_fallback():
     # user 9 has a single response: the fold holding it cannot see the user
     drop = {(9, i) for i in range(1, 6)}

@@ -14,6 +14,7 @@ from rasch_lmmse.baselines import (
     _MAP_GRADIENT_TOLERANCE,
     GibbsConfig,
     MapConfig,
+    _damped_newton,
     _rasch_gibbs_block,
     map_fit,
     rasch_map_fit,
@@ -408,6 +409,28 @@ def test_rasch_lmmse_fit_memory_below_dense_k():
     assert sol.metadata["schur_side"] == "users"
 
 
+def test_diag_inverse_inverts_the_factor_in_its_own_buffer():
+    # n^2 >> M: 1000 observed users (the kept side) answer about 10 of 4000
+    # items each, so the Schur factor takes 8 MB and everything else
+    # diag_inverse holds (B^T, one 256-row block of B^T C^{-1}) about a
+    # quarter of that.  A copy of the factor alone would reach n^2 doubles.
+    U, Q, M = 1000, 4000, 10_000
+    rng = np.random.default_rng(12)
+    pairs = rng.choice(U * Q, size=M, replace=False)
+    data = ResponseSet(pairs % U, pairs // U, np.ones(M), num_users=U, num_items=Q)
+    inc = _Incidence(RaschDesign(U=U, Q=Q, sigma2_a=1.0, sigma2_d=1.0), data)
+    schur = _BipartiteSchur(inc.degree + 1.0, inc, np.ones(M))
+    n = schur.kept.size
+    assert schur.side == "users" and n == U
+    tracemalloc.start()
+    schur.diag_inverse()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 0.5 * n * n * 8
+    with pytest.raises(RuntimeError, match="inverted"):
+        schur.solve(np.ones(U + Q))
+
+
 def skewed_mask(rng, U, Q):
     """A U x Q observation mask with skewed user and item popularity and one
     empty user and one empty item."""
@@ -572,6 +595,45 @@ def test_structured_map_converges_past_the_precision_floor(seed, link):
     assert not sol.at_floor
     assert sol.gradient_norm <= _MAP_GRADIENT_TOLERANCE
     assert sol.iterations <= 10
+
+
+def prior_mean_start_map(design, data, config):
+    """`rasch_map_fit`'s Newton loop started at the prior mean 0."""
+    inc = _Incidence(design, data)
+    inv_var = 1.0 / inc.prior
+
+    def newton_step(omega, grad):
+        return _BipartiteSchur(inc.adjoint(omega) + inv_var, inc, omega).solve(-grad)
+
+    zero = np.zeros_like(inv_var)
+    return _damped_newton(zero, zero, data.responses, 0.0, inc.forward, inc.adjoint,
+                          lambda dx: inv_var * dx, newton_step, config)
+
+
+@pytest.mark.parametrize("link", ["probit", "logit"])
+def test_map_starts_at_the_decoupled_lmmse_estimate(link):
+    # Seeded skewed masks with an empty user and an empty item, both sides
+    # kept: the start changes the path, not the optimum, and on the larger
+    # instances it saves Newton steps.
+    rng = np.random.default_rng(77)
+    for U, Q in ((7, 12), (12, 7), (200, 400), (400, 200)):
+        users, items = np.nonzero(skewed_mask(rng, U, Q))
+        a = rng.normal(scale=np.sqrt(0.7), size=U)
+        d = rng.normal(scale=np.sqrt(1.8), size=Q)
+        y = np.where(a[users] - d[items] + rng.standard_normal(users.size) >= 0, 1.0, -1.0)
+        design = RaschDesign(U=U, Q=Q, sigma2_a=0.7, sigma2_d=1.8)
+        data = ResponseSet(users, items, y, num_users=U, num_items=Q)
+        sol = rasch_map_fit(design, data, MapConfig(link=link))
+        ref = prior_mean_start_map(design, data, MapConfig(link=link))
+        assert not sol.at_floor and not ref.at_floor
+        np.testing.assert_allclose(sol.estimate, ref.estimate, rtol=0, atol=1e-8)
+        if U * Q >= 200 * 400:
+            assert sol.iterations < ref.iterations
+        unseen = np.concatenate([
+            np.bincount(users, minlength=U) == 0,
+            np.bincount(items, minlength=Q) == 0,
+        ])
+        assert unseen.sum() >= 2 and np.all(sol.estimate[unseen] == 0.0)
 
 
 def test_fast_fit_response_validation():
