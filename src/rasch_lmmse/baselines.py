@@ -11,7 +11,7 @@ they factor is positive definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -32,6 +32,19 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # The damped-Newton MAP solver's iteration cap and gradient-norm tolerance.
 _MAP_MAX_ITERATIONS = 100
 _MAP_GRADIENT_TOLERANCE = 1e-8
+# `rasch_map_fit`'s PCG budget: a Newton step may run one conjugate-gradient
+# iteration per this many kept rows of the held Schur factor (n // 32 at n
+# kept rows) before it builds a new factor.  An iteration costs O(n^2 + M),
+# a build O(n^3) plus a sparse product, so a step that runs out of budget
+# costs about two builds.  Below 32 kept rows the budget is 0 and every
+# step factors, as in every 20-user simulate cell.  Measured as CPU per
+# probit fit (one LAPACK thread, 2-vCPU VM, NumPy 2.4, SciPy 1.17) against
+# a factor per step, divisors 8/16/32/64: a MovieLens-shaped 50k-response
+# fold 0.60/0.58/0.58/0.73x at sigma2 = 1 and 1.75/1.08/0.86/0.77x at
+# sigma2 = 100; a full 400 x 800 design 0.58/0.54/0.63/0.79x at sigma2 = 1
+# and 0.44/0.58/0.63/0.87x at sigma2 = 100; a 100 x 200 one 1.09/1.30/
+# 1.24/1.39x at sigma2 = 100 (67 ms a fit).
+_KEPT_ROWS_PER_PCG_ITERATION = 32
 
 
 @dataclass(frozen=True)
@@ -106,13 +119,18 @@ class MapSolution:
     of the gradient at the returned estimate; at_floor is true when the
     solver stopped at the machine-precision floor (the objective could no
     longer decrease measurably and the gradient norm had stalled above the
-    tolerance) and returned the best iterate seen.
+    tolerance) and returned the best iterate seen.  factorizations counts
+    the Schur factors `rasch_map_fit` built and cg_iterations the
+    preconditioned conjugate-gradient iterations it ran (the shared Newton
+    loop alone leaves both 0).
     """
 
     estimate: np.ndarray
     iterations: int
     gradient_norm: float
     at_floor: bool
+    factorizations: int = 0
+    cg_iterations: int = 0
 
 
 def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
@@ -121,7 +139,8 @@ def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
 
     The design enters only through forward(x) = D x and adjoint(r) = D^T r;
     precision(dx) applies C_x^{-1}, and newton_step(omega, grad) solves
-    (D^T diag(omega) D + C_x^{-1}) s = -grad.  The objective is smooth and
+    (D^T diag(omega) D + C_x^{-1}) s = -grad, directly or to a relative
+    residual of `_MAP_GRADIENT_TOLERANCE`.  The objective is smooth and
     strictly convex (the prior penalty makes it so), so Newton with Armijo
     backtracking reaches the unique optimum.  Stops when the gradient norm
     falls below `_MAP_GRADIENT_TOLERANCE`, or, once the objective is flat to
@@ -220,6 +239,32 @@ def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):
     ).estimate
 
 
+def _pcg(apply, precondition, b, max_iterations):
+    """Preconditioned conjugate gradients for A s = b from s = 0, A SPD.
+
+    apply(v) = A v and precondition(r) = M r with M SPD.  Returns (s,
+    iterations) once the residual norm is at most `_MAP_GRADIENT_TOLERANCE`
+    times ||b||, or (None, max_iterations) if max_iterations (>= 1) do not
+    get there.
+    """
+    s = np.zeros_like(b)
+    r = b.copy()
+    p = z = precondition(r)
+    rz = float(r @ z)
+    target = _MAP_GRADIENT_TOLERANCE * float(np.linalg.norm(b))
+    for k in range(1, max_iterations + 1):
+        q = apply(p)
+        alpha = rz / float(p @ q)
+        s += alpha * p
+        r -= alpha * q
+        if float(np.linalg.norm(r)) <= target:
+            return s, k
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return None, max_iterations
+
+
 def rasch_map_fit(
     design: RaschDesign, data: ResponseSet, config: MapConfig | None = None
 ) -> MapSolution:
@@ -227,30 +272,55 @@ def rasch_map_fit(
 
     Runs the Newton loop of `map_fit` on the Rasch structure, without a
     design matrix: D x, D^T r and the diagonal prior come from
-    `rasch._Incidence`, and the Hessian H = diag(h) + [[0, B], [B^T, 0]],
-    B holding one weight omega_m per response, is solved by
-    `rasch._BipartiteSchur` in each Newton step (a sparse product and one
-    min(U, Q)^2 Cholesky factorization; nothing of size (U+Q)^2 or U Q).
-    Newton starts at the L-MMSE estimate with the user-item coupling
-    dropped (`rasch._decoupled_lmmse_estimate`, O(M) and no factorization),
-    which saves about two of the seven steps the prior mean 0 takes on a
-    MovieLens-shaped set.  Users and items with no responses start at
-    exactly 0.0 and stay there.  The prior also fixes the direction
-    [1_U; -1_Q], along which the Rasch likelihood is flat.
+    `rasch._Incidence`.  The Hessian H_k = diag(h) + [[0, B], [B^T, 0]],
+    B holding one weight omega_m per response, changes between Newton
+    steps only through omega.  The first step factors it by
+    `rasch._BipartiteSchur` (a sparse product and one min(U, Q)^2 Cholesky
+    factorization; nothing of size (U+Q)^2 or U Q) and solves directly;
+    the fit holds that factor, and each later step solves H_k s = -g_k to
+    a relative residual of `_MAP_GRADIENT_TOLERANCE` by conjugate gradients
+    preconditioned with it (`_pcg`; H_k v = v / sigma2 + D^T(omega D v), no
+    matrix is built).  A step whose PCG has not converged within n // 32
+    iterations (n the factor's kept-side size; `_KEPT_ROWS_PER_PCG_ITERATION`)
+    drops the held factor, factors H_k and solves directly, as does every
+    step when n < 32.  On a MovieLens-shaped crossval fold one fit builds
+    one factor.  Newton starts at the L-MMSE estimate with the user-item
+    coupling dropped (`rasch._decoupled_lmmse_estimate`, O(M) and no
+    factorization), which saves about two of the seven steps the prior
+    mean 0 takes on a MovieLens-shaped set.  Users and items with no
+    responses start at exactly 0.0 and stay there.  The prior also fixes
+    the direction [1_U; -1_Q], along which the Rasch likelihood is flat.
+    The returned `MapSolution` counts the factors built and the PCG
+    iterations run.
     """
     if config is None:
         config = MapConfig()
     inc = _Incidence(design, data)
     inv_var = 1.0 / inc.prior
+    held, work = None, {"factorizations": 0, "cg_iterations": 0}
 
     def newton_step(omega, grad):
-        return _BipartiteSchur(inc.adjoint(omega) + inv_var, inc, omega).solve(-grad)
+        nonlocal held
+        budget = 0 if held is None else held.kept.size // _KEPT_ROWS_PER_PCG_ITERATION
+        if budget:
+            step, iterations = _pcg(
+                lambda v: inv_var * v + inc.adjoint(omega * inc.forward(v)),
+                held.solve, -grad, budget,
+            )
+            work["cg_iterations"] += iterations
+            if step is not None:
+                return step
+        held = None  # freed before its replacement is built
+        held = _BipartiteSchur(inc.adjoint(omega) + inv_var, inc, omega)
+        work["factorizations"] += 1
+        return held.solve(-grad)
 
-    return _damped_newton(
+    sol = _damped_newton(
         _decoupled_lmmse_estimate(design, inc, data.responses), np.zeros_like(inv_var),
         data.responses, 0.0, inc.forward, inc.adjoint,
         lambda dx: inv_var * dx, newton_step, config,
     )
+    return replace(sol, **work)
 
 
 def _truncated_std_normal(lower, u):

@@ -414,14 +414,17 @@ def _cmd_fit(args):
 
     user_ids = data.user_ids or range(data.num_users)
     item_ids = data.item_ids or range(data.num_items)
+    per_comp = out["per_component_mse"]
+    mse = [None] * (data.num_users + data.num_items) if per_comp is None else per_comp
     rows = [
-        *(("ability", u, v) for u, v in zip(user_ids, out["abilities"], strict=True)),
-        *(("difficulty", i, v) for i, v in zip(item_ids, out["difficulties"], strict=True)),
+        *(("ability", u, v, e) for u, v, e in
+          zip(user_ids, out["abilities"], mse[: data.num_users], strict=True)),
+        *(("difficulty", i, v, e) for i, v, e in
+          zip(item_ids, out["difficulties"], mse[data.num_users :], strict=True)),
     ]
     path = _output_path(args)
-    _atomic_write(path, _csv_text(["kind", "id", "estimate"], rows))
+    _atomic_write(path, _csv_text(["kind", "id", "estimate", "predicted_mse"], rows))
 
-    per_comp = out["per_component_mse"]
     sidecar = {
         "estimator": args.estimator,
         "sigma2_x": args.sigma2,

@@ -707,8 +707,9 @@ def fit_response_set(
     (total; exact for lmmse, None for the other estimators),
     `per_component_mse` when available, `solver` (the solver path; for
     lmmse the side kept by its Schur complement and that side's size; for
-    MAP its Newton iterations, final gradient norm and whether it stopped
-    at the machine-precision floor) and `wall_time_seconds`.
+    MAP its Newton iterations, final gradient norm, whether it stopped
+    at the machine-precision floor, the Schur factors it built and its PCG
+    iterations) and `wall_time_seconds`.
     """
     if estimator not in CV_ESTIMATORS:
         raise ValueError(
@@ -738,6 +739,8 @@ def fit_response_set(
             "iterations": sol.iterations,
             "gradient_norm": sol.gradient_norm,
             "at_floor": sol.at_floor,
+            "factorizations": sol.factorizations,
+            "cg_iterations": sol.cg_iterations,
         }
     wall = time.perf_counter() - t0
     abilities, difficulties = split_estimate(design, est)
@@ -769,7 +772,9 @@ def run_cross_validation(
     sigma2_x per estimator (by AUC); the estimator is refit on the full
     training split at the selected variance and scored on the test fold
     with ACC and AUC.  Users/items absent from training fall back to the
-    prior mean 0 (counted per fold).  lmmse's record also holds, per fold,
+    prior mean 0 (counted per fold).  Each estimator's record holds the
+    `solver` record of each fold's final fit (`solver_per_fold`), and
+    lmmse's record also holds, per fold,
     the mean exact predicted MSE of the final fit's abilities and of its
     difficulties (from its `per_component_mse`).  The folds run on `_workers(threads,
     entries)` threads, each fold holding len(data) + min(num_users,
@@ -830,6 +835,7 @@ def run_cross_validation(
                 "selected_sigma2_x": selected,
                 "runtime_seconds": runtime,
                 "per_component_mse": out["per_component_mse"],
+                "solver": out["solver"],
             }
         return fold_out, fallback
 
@@ -853,6 +859,7 @@ def run_cross_validation(
             "auc_per_fold": aucs,
             "selected_sigma2_x": [r[0][name]["selected_sigma2_x"] for r in results],
             "runtime_seconds": [r[0][name]["runtime_seconds"] for r in results],
+            "solver_per_fold": [r[0][name]["solver"] for r in results],
             "auc_undefined_folds": [
                 f for f, v in enumerate(aucs) if v is None
             ],

@@ -307,7 +307,8 @@ class _BipartiteSchur:
     eliminated, which leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C
     (C upper triangular), of size n = min(U, Q).  S is factored as L L^T,
     L = C^T, and then inverted, in one n x n buffer.  `solve` (MAP Newton
-    steps, the L-MMSE estimate) runs on the Cholesky factor; `diag_inverse`
+    steps and their PCG preconditioner, the L-MMSE estimate) runs on the
+    Cholesky factor; `diag_inverse`
     (the exact MSE) and `_BipartiteSampler` (the Gibbs x | z draw) run on
     the inverse C^{-1}, since S^{-1} = C^{-1} C^{-T}.  The inverse is formed
     in the factor's buffer, so a `solve` after it raises.

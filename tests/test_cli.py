@@ -1,5 +1,6 @@
 """CLI behavior: flags, exit codes, file outputs, determinism."""
 
+import csv
 import ctypes
 import dataclasses
 import json
@@ -24,6 +25,7 @@ from rasch_lmmse.cli import (
     build_parser,
     main,
 )
+from rasch_lmmse.data import load_triplets
 from rasch_lmmse.experiments import CvConfig, SyntheticConfig
 
 
@@ -585,7 +587,7 @@ def test_fit_outputs_and_sign_convention(tmp_path):
     assert main(["fit", "--data", str(data), "--output", str(out)]) == 0
 
     rows = [line.split(",") for line in out.read_text().splitlines()]
-    assert rows[0] == ["kind", "id", "estimate"]
+    assert rows[0] == ["kind", "id", "estimate", "predicted_mse"]
     abilities = {r[1]: float(r[2]) for r in rows[1:] if r[0] == "ability"}
     difficulties = {r[1]: float(r[2]) for r in rows[1:] if r[0] == "difficulty"}
     assert set(abilities) == {"p0", "p1", "p2", "p3"}
@@ -646,6 +648,33 @@ def test_fit_sidecar_reports_solver(tmp_path):
             assert isinstance(solver["at_floor"], bool)
             if not solver["at_floor"]:
                 assert solver["gradient_norm"] <= 1e-8
+            # 12 items kept: below 32 rows every Newton step factors.
+            assert solver["factorizations"] == solver["iterations"]
+            assert solver["cg_iterations"] == 0
+
+
+def test_fit_csv_carries_each_parameters_predicted_mse(tmp_path):
+    # lmmse writes each parameter's exact MSE beside its estimate, in the
+    # order of fit_response_set's per_component_mse (users, then items);
+    # the other estimators leave the column empty.
+    responses = Path(__file__).parent.parent / "sample_data" / "responses.csv"
+    data = load_triplets(responses)
+    want = experiments.fit_response_set(data, "lmmse")["per_component_mse"]
+    for estimator in ("lmmse", "map", "logit_map", "pm_gibbs"):
+        out = tmp_path / f"{estimator}.csv"
+        assert main(["fit", "--data", str(responses), "--estimator", estimator,
+                     "--gibbs-burnin", "20", "--gibbs-samples", "50",
+                     "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [r["kind"] for r in rows] == (
+            ["ability"] * data.num_users + ["difficulty"] * data.num_items
+        )
+        got = [r["predicted_mse"] for r in rows]
+        if estimator == "lmmse":
+            assert [float(v) for v in got] == list(want)
+        else:
+            assert got == [""] * len(rows)
 
 
 def test_fit_gibbs_flags_default_to_gibbs_config(tmp_path, monkeypatch):

@@ -684,6 +684,35 @@ def test_crossval_reports_each_lmmse_folds_predicted_mse():
     assert payload["predicted_mse_difficulty_mean_per_fold"] == [e[1] for e in expected]
 
 
+def test_crossval_reports_each_folds_final_solver():
+    # Each estimator's record carries the solver record of each fold's final
+    # fit.  sample_data has 12 items, below 32 kept rows, so every MAP
+    # Newton step builds its own factor and runs no PCG.
+    data = load_triplets(SAMPLE_DATA / "responses.csv")
+    config = CvConfig(folds=3, seed=4, prior_variance_grid=(0.5,),
+                      estimators=("lmmse", "map"))
+    result = run_cross_validation(data, config)
+    folds = np.array_split(
+        np.random.default_rng(config.seed).permutation(len(data)), config.folds
+    )
+    payload = json.loads(result.to_json())["per_estimator"]
+    for name in config.estimators:
+        expected = []
+        for f in range(config.folds):
+            train = np.concatenate([folds[k] for k in range(config.folds) if k != f])
+            expected.append(fit_response_set(
+                ResponseSet(data.users[train], data.items[train], data.responses[train],
+                            num_users=data.num_users, num_items=data.num_items),
+                name, sigma2_x=0.5,
+            )["solver"])
+        assert result.per_estimator[name]["solver_per_fold"] == expected
+        assert payload[name]["solver_per_fold"] == expected
+    for solver in result.per_estimator["map"]["solver_per_fold"]:
+        assert solver["path"] == "rasch_newton"
+        assert solver["factorizations"] == solver["iterations"] >= 1
+        assert solver["cg_iterations"] == 0
+
+
 def test_cross_validation_tuning_and_fallback():
     # user 9 has a single response: the fold holding it cannot see the user
     drop = {(9, i) for i in range(1, 6)}

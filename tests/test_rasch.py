@@ -26,6 +26,7 @@ from rasch_lmmse.rasch import (
     RaschDesign,
     _BipartiteSampler,
     _BipartiteSchur,
+    _decoupled_lmmse_estimate,
     _Incidence,
     known_difficulty_fit,
     known_difficulty_predicted_mse,
@@ -597,8 +598,10 @@ def test_structured_map_converges_past_the_precision_floor(seed, link):
     assert sol.iterations <= 10
 
 
-def prior_mean_start_map(design, data, config):
-    """`rasch_map_fit`'s Newton loop started at the prior mean 0."""
+def per_step_factor_map(design, data, config, decoupled_start=True):
+    """`rasch_map_fit`'s Newton loop with a Schur factor built and solved
+    directly in every Newton step, started at the decoupled L-MMSE estimate
+    or at the prior mean 0."""
     inc = _Incidence(design, data)
     inv_var = 1.0 / inc.prior
 
@@ -606,8 +609,14 @@ def prior_mean_start_map(design, data, config):
         return _BipartiteSchur(inc.adjoint(omega) + inv_var, inc, omega).solve(-grad)
 
     zero = np.zeros_like(inv_var)
-    return _damped_newton(zero, zero, data.responses, 0.0, inc.forward, inc.adjoint,
+    x0 = _decoupled_lmmse_estimate(design, inc, data.responses) if decoupled_start else zero
+    return _damped_newton(x0, zero, data.responses, 0.0, inc.forward, inc.adjoint,
                           lambda dx: inv_var * dx, newton_step, config)
+
+
+def prior_mean_start_map(design, data, config):
+    """`rasch_map_fit`'s Newton loop started at the prior mean 0."""
+    return per_step_factor_map(design, data, config, decoupled_start=False)
 
 
 @pytest.mark.parametrize("link", ["probit", "logit"])
@@ -634,6 +643,63 @@ def test_map_starts_at_the_decoupled_lmmse_estimate(link):
             np.bincount(items, minlength=Q) == 0,
         ])
         assert unseen.sum() >= 2 and np.all(sol.estimate[unseen] == 0.0)
+
+
+@pytest.mark.parametrize("sigma2", [0.1, 1.0, 100.0])
+@pytest.mark.parametrize("link", ["probit", "logit"])
+def test_map_held_factor_matches_a_factor_per_step(link, sigma2):
+    # Seeded skewed masks with an empty user and an empty item and unequal
+    # prior variances, both sides kept.  Newton steps solved by PCG on the
+    # held factor take the path of steps that each factor their Hessian:
+    # below 32 kept rows the budget is 0 and the fit is that path bit for
+    # bit; on the larger masks (149 kept rows, a budget of 4) later steps
+    # reuse the factor.
+    rng = np.random.default_rng(91)
+    for U, Q in ((12, 20), (20, 12), (150, 260), (260, 150)):
+        users, items = np.nonzero(skewed_mask(rng, U, Q))
+        a = rng.normal(scale=np.sqrt(sigma2), size=U)
+        d = rng.normal(scale=np.sqrt(2.5 * sigma2), size=Q)
+        y = np.where(a[users] - d[items] + rng.standard_normal(users.size) >= 0, 1.0, -1.0)
+        design = RaschDesign(U=U, Q=Q, sigma2_a=sigma2, sigma2_d=2.5 * sigma2)
+        data = ResponseSet(users, items, y, num_users=U, num_items=Q)
+        sol = rasch_map_fit(design, data, MapConfig(link=link))
+        ref = per_step_factor_map(design, data, MapConfig(link=link))
+        assert sol.iterations == ref.iterations
+        np.testing.assert_allclose(sol.estimate, ref.estimate, rtol=0, atol=1e-10)
+        unseen = np.concatenate([
+            np.bincount(users, minlength=U) == 0,
+            np.bincount(items, minlength=Q) == 0,
+        ])
+        assert unseen.sum() >= 2 and np.all(sol.estimate[unseen] == 0.0)
+        n = min(np.unique(users).size, np.unique(items).size)
+        if n < 32:
+            assert np.array_equal(sol.estimate, ref.estimate)
+            assert (sol.factorizations, sol.cg_iterations) == (sol.iterations, 0)
+        if n >= 64:
+            assert 1 <= sol.factorizations < sol.iterations
+            assert sol.cg_iterations >= sol.iterations - sol.factorizations
+
+
+def test_map_frees_the_held_factor_before_building_another():
+    # 1000 observed users (the kept side) x 4000 items, 40k responses, at a
+    # weak prior: the weights move enough between Newton steps that PCG runs
+    # out of budget and the fit builds a second factor.  One build peaks
+    # near 1.8 n^2 doubles; holding the stale factor through it adds n^2.
+    U, Q, M = 1000, 4000, 40_000
+    rng = np.random.default_rng(12)
+    pairs = rng.choice(U * Q, size=M, replace=False)
+    users, items = pairs % U, pairs // U
+    a, d = rng.normal(scale=10.0, size=U), rng.normal(scale=10.0, size=Q)
+    y = np.where(a[users] - d[items] + rng.standard_normal(M) >= 0, 1.0, -1.0)
+    data = ResponseSet(users, items, y, num_users=U, num_items=Q)
+    design = RaschDesign(U=U, Q=Q, sigma2_a=100.0, sigma2_d=100.0)
+    tracemalloc.start()
+    sol = rasch_map_fit(design, data)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    n = U
+    assert sol.factorizations >= 2
+    assert peak < 2.3 * n * n * 8
 
 
 def test_fast_fit_response_validation():
