@@ -669,17 +669,16 @@ def _subset(data, idx):
     )
 
 
-def _fit_estimator(name, data, idx, sigma2_x, gibbs_config):
-    """Fit one estimator on data[idx]; returns `fit_response_set`'s dict."""
+def _training_set(data, idx):
+    """data's responses at idx, as a ResponseSet of data's dimensions."""
     users, items, responses = _subset(data, idx)
-    train = ResponseSet(
+    return ResponseSet(
         users=users,
         items=items,
         responses=responses,
         num_users=data.num_users,
         num_items=data.num_items,
     )
-    return fit_response_set(train, name, sigma2_x=sigma2_x, gibbs_config=gibbs_config)
 
 
 def _predict(fit, users, items):
@@ -792,28 +791,27 @@ def run_cross_validation(
         val_f = (f + 1) % config.folds
         train_folds = [k for k in range(config.folds) if k != f]
         tune_folds = [k for k in train_folds if k != val_f]
-        train_all = np.concatenate([fold_idx[k] for k in train_folds])
+        # One training set per split, shared by every estimator and variance.
+        train = _training_set(data, np.concatenate([fold_idx[k] for k in train_folds]))
         grid = config.prior_variance_grid
         if len(grid) > 1:
-            tune_train = np.concatenate([fold_idx[k] for k in tune_folds])
-            val = fold_idx[val_f]
-        else:
-            tune_train = train_all
-            val = None
+            tune = _training_set(data, np.concatenate([fold_idx[k] for k in tune_folds]))
+            val_u, val_i, val_y = _subset(data, fold_idx[val_f])
 
         test_u, test_i, test_y = _subset(data, test)
-        seen_u = np.bincount(data.users[train_all], minlength=data.num_users) > 0
-        seen_i = np.bincount(data.items[train_all], minlength=data.num_items) > 0
+        seen_u = np.bincount(train.users, minlength=data.num_users) > 0
+        seen_i = np.bincount(train.items, minlength=data.num_items) > 0
         fallback = int(np.count_nonzero(~(seen_u[test_u] & seen_i[test_i])))
 
         fold_out = {}
         gibbs_config = _gibbs_config(config, f, 2)
         for name in config.estimators:
-            if val is not None:
+            if len(grid) > 1:
                 scores = []
-                val_u, val_i, val_y = _subset(data, val)
                 for sigma2 in grid:
-                    out = _fit_estimator(name, data, tune_train, sigma2, gibbs_config)
+                    out = fit_response_set(
+                        tune, name, sigma2_x=sigma2, gibbs_config=gibbs_config
+                    )
                     pred = _predict(out, val_u, val_i)
                     scores.append(_score_auc_or_acc(pred, val_y))
                 selected = grid[int(np.argmax(scores))]
@@ -821,7 +819,7 @@ def run_cross_validation(
                 selected = grid[0]
 
             t0 = time.perf_counter()
-            out = _fit_estimator(name, data, train_all, selected, gibbs_config)
+            out = fit_response_set(train, name, sigma2_x=selected, gibbs_config=gibbs_config)
             pred = _predict(out, test_u, test_i)
             runtime = time.perf_counter() - t0
             acc_val = accuracy(pred, test_y)

@@ -290,12 +290,28 @@ class _Incidence:
 
 
 _ROW_BLOCK = 256  # rows of B^T C^{-1} held at once by diag_inverse
+# Rows of S assembled at once: one block's sparse product is held beside
+# S's buffer.  Build plus factor of a MovieLens-shaped 50k-response fold
+# (n = 943; one LAPACK thread, 2-vCPU VM), blocks of 64/128/256/512 rows:
+# 34.2/33.5/33.6/36.8 ms CPU at 1.33/1.43/1.62/2.02 n^2 doubles of
+# tracemalloc peak.
+_SCHUR_ROW_BLOCK = 128
 
 
 def _squared_row_norms(A):
     # As a call's argument, diag_inverse's block of B^T C^{-1} is freed
     # before the next block is formed.
     return np.einsum("ij,ij->i", A, A)
+
+
+def _transpose_from(B, lo):
+    """B[lo:]^T, as a CSR matrix of B^T's shape whose first lo columns are
+    empty; B's own data and indices, read as CSC, are transposed once."""
+    start = B.indptr[lo]
+    return scipy.sparse.csc_matrix(
+        (B.data[start:], B.indices[start:], np.maximum(B.indptr, start) - start),
+        shape=B.shape[::-1],
+    ).tocsr()
 
 
 class _BipartiteSchur:
@@ -305,13 +321,19 @@ class _BipartiteSchur:
     of the incidence `inc`.  The kept side s is the observed users or
     items (by `inc.degree`), whichever are fewer; all other parameters are
     eliminated, which leaves S = diag(h_s) - B diag(h_b)^{-1} B^T = C^T C
-    (C upper triangular), of size n = min(U, Q).  S is factored as L L^T,
-    L = C^T, and then inverted, in one n x n buffer.  `solve` (MAP Newton
-    steps and their PCG preconditioner, the L-MMSE estimate) runs on the
-    Cholesky factor; `diag_inverse`
-    (the exact MSE) and `_BipartiteSampler` (the Gibbs x | z draw) run on
-    the inverse C^{-1}, since S^{-1} = C^{-1} C^{-T}.  The inverse is formed
-    in the factor's buffer, so a `solve` after it raises.
+    (C upper triangular), of size n = min(U, Q).  S is assembled, factored
+    as L L^T (L = C^T) and inverted in one n x n buffer.  The sparse
+    product fills it `_SCHUR_ROW_BLOCK` rows at a time, each block from
+    its first row's column on: that covers S's upper triangle, all the
+    factorization reads.  No other copy of S, sparse or dense, is made,
+    and each entry is summed in the order of one product over all rows, so
+    the factor is bitwise that of S formed whole.  B^T is built once
+    (`_Bt`), for the assembly, `diag_inverse` and `_BipartiteSampler`.
+    `solve` (MAP Newton steps and their PCG preconditioner, the L-MMSE
+    estimate) runs on the Cholesky factor; `diag_inverse` (the exact MSE)
+    and `_BipartiteSampler` (the Gibbs x | z draw) run on the inverse
+    C^{-1}, since S^{-1} = C^{-1} C^{-T}.  The inverse is formed in the
+    factor's buffer, so a `solve` after it raises.
     """
 
     def __init__(self, h, inc: _Incidence, weights):
@@ -325,12 +347,23 @@ class _BipartiteSchur:
         self._h, self._B = h, scipy.sparse.csr_matrix(
             (weights, (rows, elim_of)), shape=(self.kept.size, h.size)
         )
-        B_scaled = self._B.copy()
-        B_scaled.data /= -h[B_scaled.indices]
-        schur = (B_scaled @ self._B.T).toarray()  # -B diag(h_b)^{-1} B^T
+        n = self.kept.size
+        schur = np.empty((n, n))
+
+        def fill(lo, right):  # rows lo.. of -B diag(h_b)^{-1} B^T, one block
+            B_scaled = self._B[lo : lo + _SCHUR_ROW_BLOCK]  # a copy
+            B_scaled.data /= -h[B_scaled.indices]
+            (B_scaled @ right).toarray(out=schur[lo : lo + _SCHUR_ROW_BLOCK])
+
+        # Each later block needs columns lo.. alone; the first takes B^T
+        # itself, built last so that no other transpose is held beside it.
+        for lo in range(_SCHUR_ROW_BLOCK, n, _SCHUR_ROW_BLOCK):
+            fill(lo, _transpose_from(self._B, lo))
+        self._Bt = _transpose_from(self._B, 0)
+        fill(0, self._Bt)
         schur[np.diag_indices_from(schur)] += h[self.kept]
-        # toarray's buffer is C-ordered: its F-ordered transpose holds S's
-        # upper triangle as a lower one, which LAPACK factors in place.
+        # The buffer is C-ordered: its F-ordered transpose holds S's upper
+        # triangle as a lower one, which LAPACK factors in place.
         self._factor = scipy.linalg.cho_factor(
             schur.T, lower=True, overwrite_a=True, check_finite=False
         )
@@ -345,7 +378,8 @@ class _BipartiteSchur:
         l_inv, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dtrtri failed (info={info})")
-        # cho_factor and dtrtri leave S's entries in the unused triangle.
+        # cho_factor and dtrtri leave S's entries or zeros in the unused
+        # triangle.
         c_inv = l_inv.T
         for i in range(1, c_inv.shape[0]):
             c_inv[i, :i] = 0.0
@@ -370,10 +404,10 @@ class _BipartiteSchur:
         rows of B^T C^{-1}.  Uses up the factor (`_inverse_factor`).
         """
         c_inv = self._inverse_factor()
-        out, Bt = 1.0 / self._h, self._B.T.tocsr()
+        out = 1.0 / self._h
         for start in range(0, out.size, _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
-            out[block] += _squared_row_norms(Bt[block] @ c_inv) / self._h[block] ** 2
+            out[block] += _squared_row_norms(self._Bt[block] @ c_inv) / self._h[block] ** 2
         out[self.kept] = _squared_row_norms(c_inv)
         return out
 
@@ -389,8 +423,7 @@ class _BipartiteSampler:
 
     def __init__(self, runs):
         schurs, counts = zip(*runs)
-        self.kept, self._B = schurs[0].kept, schurs[0]._B
-        self._Bt = self._B.T.tocsr()
+        self.kept, self._B, self._Bt = schurs[0].kept, schurs[0]._B, schurs[0]._Bt
         self._h = np.repeat([schur._h for schur in schurs], counts, axis=0)
         self._inv_sqrt_h = 1.0 / np.sqrt(self._h)
         ends = np.cumsum(counts)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr
@@ -22,6 +23,7 @@ from rasch_lmmse.baselines import (
 from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
+    _SCHUR_ROW_BLOCK,
     KnownDifficultyModel,
     RaschDesign,
     _BipartiteSampler,
@@ -413,8 +415,9 @@ def test_rasch_lmmse_fit_memory_below_dense_k():
 def test_diag_inverse_inverts_the_factor_in_its_own_buffer():
     # n^2 >> M: 1000 observed users (the kept side) answer about 10 of 4000
     # items each, so the Schur factor takes 8 MB and everything else
-    # diag_inverse holds (B^T, one 256-row block of B^T C^{-1}) about a
-    # quarter of that.  A copy of the factor alone would reach n^2 doubles.
+    # diag_inverse holds (one 256-row block of B^T C^{-1}; B^T comes with
+    # the factor) about a quarter of that.  A copy of the factor alone
+    # would reach n^2 doubles.
     U, Q, M = 1000, 4000, 10_000
     rng = np.random.default_rng(12)
     pairs = rng.choice(U * Q, size=M, replace=False)
@@ -430,6 +433,97 @@ def test_diag_inverse_inverts_the_factor_in_its_own_buffer():
     assert peak < 0.5 * n * n * 8
     with pytest.raises(RuntimeError, match="inverted"):
         schur.solve(np.ones(U + Q))
+
+
+def schur_factor_formed_whole(h, users, items, U, weights, side):
+    """The lower triangle of cho_factor(S) with S = diag(h_s) -
+    B diag(h_b)^{-1} B^T formed by one sparse product, as LAPACK reads it:
+    S's upper triangle, row i summed over row i of B."""
+    kept_of, elim_of = (users, U + items) if side == "users" else (U + items, users)
+    kept = np.unique(kept_of)
+    B = scipy.sparse.csr_matrix(
+        (weights, (np.searchsorted(kept, kept_of), elim_of)), shape=(kept.size, h.size)
+    )
+    B_scaled = B.copy()
+    B_scaled.data /= -h[B_scaled.indices]
+    S = (B_scaled @ B.T).toarray()
+    S[np.diag_indices_from(S)] += h[kept]
+    return np.tril(scipy.linalg.cho_factor(S.T, lower=True, check_finite=False)[0])
+
+
+@pytest.mark.parametrize("n", [1, _SCHUR_ROW_BLOCK, 2 * _SCHUR_ROW_BLOCK + 3])
+@pytest.mark.parametrize("side", ["users", "items"])
+@pytest.mark.parametrize("unit_weights", [True, False])
+def test_schur_factor_is_bitwise_that_of_s_formed_whole(n, side, unit_weights):
+    # Skewed masks with n observed rows on the kept side (one more row
+    # unobserved) and 2 n + 5 observed columns on the other, pairs in random
+    # order: S assembled a block of rows at a time, each block from its own
+    # first column on, factors bitwise as S formed whole.  Non-unit weights
+    # (MAP's omega) make S's two triangles round differently.
+    rng = np.random.default_rng(1000 * n + 2 * (side == "items") + unit_weights)
+    rows, cols = n + 1, 2 * n + 5
+    mask = rng.random((rows, cols)) < np.outer(
+        np.linspace(0.9, 0.2, rows), np.linspace(1.0, 0.3, cols)
+    )
+    empty = rng.integers(rows)
+    full = np.delete(np.arange(rows), empty)
+    mask[full, rng.integers(cols, size=n)] = True
+    mask[rng.choice(full, size=cols), np.arange(cols)] = True
+    mask[empty] = False
+    kept_of, elim_of = np.nonzero(mask)
+    order = rng.permutation(kept_of.size)
+    kept_of, elim_of = kept_of[order], elim_of[order]
+    users, items, U, Q = kept_of, elim_of, rows, cols
+    if side == "items":
+        users, items, U, Q = elim_of, kept_of, cols, rows
+    M = users.size
+    weights = np.ones(M) if unit_weights else rng.uniform(0.1, 2.0, size=M)
+    data = ResponseSet(users, items, np.ones(M), num_users=U, num_items=Q)
+    inc = _Incidence(RaschDesign(U=U, Q=Q, sigma2_a=0.7, sigma2_d=1.8), data)
+    h = inc.adjoint(weights) + 1.0 / inc.prior
+    schur = _BipartiteSchur(h, inc, weights)
+    assert schur.side == side and schur.kept.size == n
+    assert np.array_equal(
+        np.tril(schur._factor[0]),
+        schur_factor_formed_whole(h, users, items, U, weights, side),
+    )
+
+
+def one_build_peak(U, Q, users, items):
+    """tracemalloc peak of one `_BipartiteSchur` build, unit weights."""
+    data = ResponseSet(users, items, np.ones(users.size), num_users=U, num_items=Q)
+    inc = _Incidence(RaschDesign(U=U, Q=Q, sigma2_a=1.0, sigma2_d=1.0), data)
+    h, weights = inc.degree + 1.0, np.ones(users.size)
+    tracemalloc.start()
+    schur = _BipartiteSchur(h, inc, weights)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert schur.side == "users" and schur.kept.size == U
+    return peak
+
+
+def test_schur_build_of_a_dense_s_from_sparse_responses_peaks_below_2_n2():
+    # 1000 kept users all answer the same 20 items, so S is dense, and
+    # 20k more pairs fall on 2980 other items: M = 40k << n^2.  S formed
+    # as one sparse product (12 bytes an entry) and then copied dense peaked
+    # at 2.7 n^2 doubles; assembled in its own buffer a block of rows at a
+    # time, one build stays near 1.4 n^2.
+    U, Q, n = 1000, 3000, 1000
+    rng = np.random.default_rng(31)
+    pairs = rng.choice(U * (Q - 20), size=20_000, replace=False)
+    users = np.concatenate([np.repeat(np.arange(U), 20), pairs % U])
+    items = np.concatenate([np.tile(np.arange(20), U), 20 + pairs // U])
+    assert one_build_peak(U, Q, users, items) < 2.0 * n * n * 8
+
+
+def test_schur_build_on_a_dense_design_peaks_below_the_whole_product():
+    # 1000 x 1500 at 30 % observed (M = 450k): B and its transpose are
+    # each near 0.7 n^2 doubles, so a copy of B per block would show.  S
+    # formed as one sparse product peaked at 4.3 n^2 here; assembled a block
+    # at a time, one build stays near 3.1 n^2.
+    U, Q, n = 1000, 1500, 1000
+    users, items = np.nonzero(np.random.default_rng(32).random((U, Q)) < 0.3)
+    assert one_build_peak(U, Q, users, items) < 4.0 * n * n * 8
 
 
 def skewed_mask(rng, U, Q):
@@ -684,7 +778,7 @@ def test_map_frees_the_held_factor_before_building_another():
     # 1000 observed users (the kept side) x 4000 items, 40k responses, at a
     # weak prior: the weights move enough between Newton steps that PCG runs
     # out of budget and the fit builds a second factor.  One build peaks
-    # near 1.8 n^2 doubles; holding the stale factor through it adds n^2.
+    # near 1.25 n^2 doubles; holding the stale factor through it adds n^2.
     U, Q, M = 1000, 4000, 40_000
     rng = np.random.default_rng(12)
     pairs = rng.choice(U * Q, size=M, replace=False)
