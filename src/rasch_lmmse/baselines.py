@@ -45,6 +45,9 @@ _MAP_GRADIENT_TOLERANCE = 1e-8
 # and 0.44/0.58/0.63/0.87x at sigma2 = 100; a 100 x 200 one 1.09/1.30/
 # 1.24/1.39x at sigma2 = 100 (67 ms a fit).
 _KEPT_ROWS_PER_PCG_ITERATION = 32
+# Latents per step of one Gibbs block, T chains x M responses: bounds each
+# (T, M) array of `_rasch_gibbs_block` at 8 MB.
+_GIBBS_BLOCK_LATENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -453,10 +456,18 @@ def _rasch_gibbs_block(data: ResponseSet, chains):
     `rasch._Incidence`'s D x and D^T z, so a step costs a fixed number of
     array operations whatever T; each run of consecutive chains with one
     prior has one incidence and one Schur factor (`rasch._BipartiteSampler`).
-    Every operation on a row is the one a lone chain would run, so row t
-    is bitwise `rasch_pm_gibbs(design_t, data with responses_t, config_t)`.
-    Returns the (T, U + Q) posterior means.
+    The chains run in consecutive blocks of at most `_GIBBS_BLOCK_LATENTS`
+    latents per step (T M), at least one chain each.  Every operation on a
+    row is the one a lone chain would run, so row t is bitwise
+    `rasch_pm_gibbs(design_t, data with responses_t, config_t)` in any
+    block.  Returns the (T, U + Q) posterior means.
     """
+    n = max(1, _GIBBS_BLOCK_LATENTS // max(1, len(data)))
+    if len(chains) > n:
+        return np.concatenate([
+            _rasch_gibbs_block(data, chains[s : s + n])
+            for s in range(0, len(chains), n)
+        ])
     runs = []
     for design, run in groupby(c[0] for c in chains):
         inc = _Incidence(design, data)
@@ -587,15 +598,18 @@ def fisher_rasch_ability_bound(U, Q, sigma2_x) -> float:
 
     The information matrix at x = 0 is (2/pi) D^T D + I/sigma2_x; its ability
     block inverts in closed form through the Schur complement of the
-    difficulty block, so the bound costs O(1) at any size.
+    difficulty block, so the bound costs O(1) at any size.  That complement,
+    alpha - lambda^2 U Q / beta, is taken as its cancellation-free form
+    (lambda (U + Q) + 1/sigma2_x) / (sigma2_x beta), exact at any prior.
     """
     U, Q = _as_count(U, "U"), _as_count(Q, "Q")
     sigma2_x = _as_variance(sigma2_x, "sigma2_x")
     lam0 = 2.0 / np.pi
     alpha = lam0 * Q + 1.0 / sigma2_x
-    beta = lam0 * U + 1.0 / sigma2_x
-    g = lam0 * lam0 * Q / beta
-    return float(1.0 / alpha + g / (alpha * (alpha - U * g)))
+    return float(
+        1.0 / alpha
+        + (lam0 * lam0 * Q / alpha) * (sigma2_x / (lam0 * (U + Q) + 1.0 / sigma2_x))
+    )
 
 
 def fisher_known_difficulty_bound(d, sigma2_x) -> float:

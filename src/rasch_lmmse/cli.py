@@ -68,25 +68,6 @@ ANALYZE_COLUMNS = [
     "fisher_bound",
 ]
 
-# Per-step cost of one Gibbs block (`baselines._rasch_gibbs_block`) for the
-# runtime warning: seconds/step = base + per_prior * G + T * (per_chain +
-# per_obs * M + per_kept2 * min(U, Q)^2) for T chains of G priors on M
-# responses: the fixed array calls, one factor's products per prior, two
-# generator calls per chain, the M truncated-normal draws and the two
-# mat-vecs with the min(U, Q) inverse Cholesky factor per chain.  Fitted
-# (non-negative relative least squares, worst error 34 %, median 12 %) to
-# CPU times of blocks with one BLAS thread on full designs: 2 x 2 to
-# 200 x 200 with 1 or 3 priors and 1, 5 or 20 chains per prior (300
-# steps), and 20 x 20, 20 x 50 and 50 x 50 with 3 priors and 50 or 150
-# chains per prior (100 steps), on a 2-vCPU Intel Xeon VM (Python 3.11,
-# NumPy 2.4, OpenBLAS 0.3.31).
-_GIBBS_ITER_BASE = 3.2e-5
-_GIBBS_ITER_PER_PRIOR = 1.0e-5
-_GIBBS_ITER_PER_CHAIN = 2.2e-6
-_GIBBS_ITER_PER_OBS = 5.9e-8
-_GIBBS_ITER_PER_KEPT2 = 8.6e-9
-_GIBBS_WARN_SECONDS = 60.0
-
 logger = logging.getLogger(__name__)
 
 
@@ -310,26 +291,6 @@ def _cmd_analyze(args):
     return 0
 
 
-def _projected_gibbs_seconds(cfg):
-    """CPU seconds of a simulate's pm_gibbs chains, as one block per (U, Q)
-    on one thread; their wall time is about this divided by the workers."""
-    priors = len(cfg.snr_db_grid)
-    total = 0.0
-    for U in cfg.users_grid:
-        for Q in cfg.items_grid:
-            per_chain = (
-                _GIBBS_ITER_PER_CHAIN
-                + _GIBBS_ITER_PER_OBS * U * Q
-                + _GIBBS_ITER_PER_KEPT2 * min(U, Q) ** 2
-            )
-            total += (
-                _GIBBS_ITER_BASE
-                + _GIBBS_ITER_PER_PRIOR * priors
-                + per_chain * priors * cfg.trials
-            )
-    return (cfg.gibbs_burn_in + cfg.gibbs_samples) * total
-
-
 def _write_result(args, result):
     """Write a simulate or crossval result in `--format` to `--output`,
     which defaults to `<command>.<format>`."""
@@ -377,17 +338,6 @@ def _study_config(args, cls):
 
 def _cmd_simulate(args):
     cfg = _study_config(args, SyntheticConfig)
-
-    if "pm_gibbs" in cfg.estimators:
-        projected = _projected_gibbs_seconds(cfg)
-        if projected > _GIBBS_WARN_SECONDS:
-            print(
-                f"warning: pm_gibbs with burn-in {cfg.gibbs_burn_in} and "
-                f"{cfg.gibbs_samples} samples projects to roughly "
-                f"{projected / 60:.1f} minutes of sampling",
-                file=sys.stderr,
-            )
-
     result = run_synthetic(cfg, threads=args.threads)
     print(result.summary_table())
     _write_result(args, result)

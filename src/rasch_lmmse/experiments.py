@@ -244,9 +244,14 @@ def _json_text(payload):
     )
 
 
-# Latents per step of one Gibbs block, T chains x M responses: bounds each
-# (T, M) array of a simulate block at 8 MB.
-_GIBBS_BLOCK_LATENTS = 1 << 20
+# CPU seconds of a Gibbs step per (U, Q) pattern (a block's fixed array
+# calls) and per latent, for `run_synthetic`'s runtime warning.  Measured
+# with one LAPACK thread and 300 steps on a 2-vCPU Intel Xeon VM (Python
+# 3.11, NumPy 2.4, OpenBLAS 0.3.31): within 25 % of the CPU of full designs
+# from 2 x 2 to 200 x 200 (8 to 40k latents per step).
+_GIBBS_STEP_SECONDS = 4.0e-5
+_GIBBS_LATENT_SECONDS = 5.5e-8
+_GIBBS_WARN_SECONDS = 60.0
 # Array entries that a simulate or crossval run's concurrent calls must
 # hold per worker thread (`_workers`).  Below this the calls are too short
 # for two threads to overlap: they pass the interpreter lock back and
@@ -342,10 +347,10 @@ def _run_standard_slice(config, cells, lo, hi):
     lmmse and map fit through `fit_response_set`, and collects its pm_gibbs
     chain: its cell's prior and its own seed (`_gibbs_config`).  A fit
     failure stops its cell's trials in the slice and drops the cell's
-    chains.  The chains then run in blocks of at most `_GIBBS_BLOCK_LATENTS`
-    latents (`baselines._rasch_gibbs_block`); a chain's draws do not depend
-    on its block or slice.  A cell's pm_gibbs wall time is its chains'
-    share of the blocks' wall time.
+    chains.  The slice's chains then run in one call of
+    `baselines._rasch_gibbs_block`, which cuts them into blocks; a chain's
+    draws do not depend on its block or slice.  A cell's pm_gibbs wall
+    time is its chains' share of the call's wall time.
 
     Returns (parts, gibbs_err): parts maps each cell of the slice to the
     failure that aborted it or to (errs, times), its per-trial ability
@@ -388,14 +393,10 @@ def _run_standard_slice(config, cells, lo, hi):
             chains += own
             reached.append((errs, times, truth))
     if chains:
-        # Every trial's ResponseSet has the pattern; the last one drawn serves.
-        n = max(1, _GIBBS_BLOCK_LATENTS // len(data))
         t0 = time.perf_counter()
         try:
-            means = np.concatenate([
-                _rasch_gibbs_block(data, chains[s : s + n])
-                for s in range(0, len(chains), n)
-            ])
+            # Every trial's ResponseSet has the pattern; the last one drawn serves.
+            means = _rasch_gibbs_block(data, chains)
         except Exception as err:  # recorded, not raised: other patterns continue
             return parts, err
         per_chain = (time.perf_counter() - t0) / len(chains)
@@ -487,10 +488,14 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     cut into w near-equal contiguous slices, and each slice is one task
     that fits and samples its pairs (`_run_standard_slice`).  Either way
     the tasks run on w = `_workers(threads, entries)` threads, entries
-    summed over the run.  An estimator failure aborts its cell (recorded in
-    the cell's `error` field) without stopping the run.  Deterministic for
-    a given config, whatever the thread count; `threads` defaults to the
-    CPU count.
+    summed over the run.  The same count of latents projects the run's
+    Gibbs CPU, (burn-in + samples) x (patterns x `_GIBBS_STEP_SECONDS` +
+    latents x `_GIBBS_LATENT_SECONDS`); its wall time is about that over
+    w.  A projection above `_GIBBS_WARN_SECONDS` is logged at WARNING
+    before any task runs.  An estimator failure aborts its cell (recorded
+    in the cell's `error` field) without stopping the run.  Deterministic
+    for a given config, whatever the thread count; `threads` defaults to
+    the CPU count.
     """
     indexed = [
         (cell_idx, *spec)
@@ -517,6 +522,15 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
         if "pm_gibbs" in config.estimators:
             latents += len(pattern) * config.trials * U * Q
     workers = _workers(threads, entries + latents)
+    projected = (config.gibbs_burn_in + config.gibbs_samples) * (
+        len(patterns) * _GIBBS_STEP_SECONDS + latents * _GIBBS_LATENT_SECONDS
+    )
+    if latents and projected > _GIBBS_WARN_SECONDS:
+        logger.warning(
+            "pm_gibbs with burn-in %d and %d samples projects to roughly "
+            "%.1f minutes of sampling",
+            config.gibbs_burn_in, config.gibbs_samples, projected / 60,
+        )
     tasks = []
     for pattern in patterns:
         # Slice k of a pattern with n pairs is pairs [k n // w, (k + 1) n // w).

@@ -14,6 +14,7 @@ model with one column, D = 1_Q, and offset m = -d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,13 +183,23 @@ def rasch_closed_form_mse(design: RaschDesign):
     )
 
 
+# (-1)^(k+1) / (2k+1)!, k = 11..1: (t - sin t) / t^3 as a polynomial in t^2,
+# whose first omitted term is below 1e-27 of the first at t = pi/6.
+_T_MINUS_SIN_T = tuple(
+    (-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(11, 0, -1)
+)
+
+
 def rasch_asymptotic_mse(sigma2_x) -> float:
-    """Large-problem limit of the ability MSE as U, Q -> infinity."""
+    """Large-problem limit of the ability MSE as U, Q -> infinity,
+    sigma2_x (1 - x / asin(x)) with x = sigma2_x / (2 sigma2_x + 1).  With
+    t = asin(x), 1 - x / t = (t - sin t) / t is summed as its series, which
+    keeps full precision where the difference cancels (small sigma2_x)."""
     sigma2_x = _as_variance(sigma2_x, "sigma2_x", zero_ok=True)
     if sigma2_x == 0.0:
         return 0.0
-    arg = sigma2_x / (2.0 * sigma2_x + 1.0)
-    return sigma2_x * (1.0 - arg / np.arcsin(arg))
+    t = math.asin(sigma2_x / (2.0 * sigma2_x + 1.0))
+    return float(sigma2_x * t * t * np.polyval(_T_MINUS_SIN_T, t * t))
 
 
 def structured_cy_inverse(design: RaschDesign) -> StructuredCyInverse:
@@ -328,7 +339,8 @@ class _BipartiteSchur:
     factorization reads.  No other copy of S, sparse or dense, is made,
     and each entry is summed in the order of one product over all rows, so
     the factor is bitwise that of S formed whole.  B^T is built once
-    (`_Bt`), for the assembly, `diag_inverse` and `_BipartiteSampler`.
+    (`_Bt`), for the assembly, `solve`, `diag_inverse` and
+    `_BipartiteSampler`.
     `solve` (MAP Newton steps and their PCG preconditioner, the L-MMSE
     estimate) runs on the Cholesky factor; `diag_inverse` (the exact MSE)
     and `_BipartiteSampler` (the Gibbs x | z draw) run on the inverse
@@ -392,7 +404,7 @@ class _BipartiteSchur:
         x_kept = scipy.linalg.cho_solve(
             self._factor, r[self.kept] - self._B @ (r / self._h), check_finite=False
         )
-        x = (r - self._B.T @ x_kept) / self._h
+        x = (r - self._Bt @ x_kept) / self._h
         x[self.kept] = x_kept
         return x
 

@@ -1,5 +1,9 @@
 """MAP, Gibbs, exact posterior mean, and Fisher bound baselines."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -467,6 +471,22 @@ def test_fisher_rasch_closed_form_matches_dense():
         dense = fisher_lower_bound(model, np.zeros(U + Q))
         closed = fisher_rasch_ability_bound(U, Q, s2)
         np.testing.assert_allclose(dense[:U], closed, atol=1e-12)
+
+
+def test_fisher_rasch_closed_form_is_exact_at_extreme_priors():
+    # The same bound in exact rational arithmetic, from the float lambda:
+    # the closed form keeps full precision from sigma2 = 1e-300 to 1e300,
+    # where alpha - U g cancels to nothing in floating point.
+    lam = Fraction(2.0 / np.pi)
+    for s2 in 10.0 ** np.arange(-300, 301, 20):
+        for U, Q in itertools.product((1, 5, 20, 50, 943, 1682), repeat=2):
+            s = Fraction(s2)
+            alpha, beta = lam * Q + 1 / s, lam * U + 1 / s
+            g = lam * lam * Q / beta
+            exact = 1 / alpha + g / (alpha * (alpha - U * g))
+            bound = fisher_rasch_ability_bound(U, Q, s2)
+            assert math.isfinite(bound) and bound > 0.0
+            assert abs(Fraction(bound) / exact - 1) < Fraction(1, 10**15)
 
 
 def test_fisher_bound_below_lmmse_mse():

@@ -4,6 +4,8 @@ import csv
 import ctypes
 import dataclasses
 import json
+import logging
+import math
 import os
 import re
 import subprocess
@@ -18,13 +20,7 @@ import rasch_lmmse
 from rasch_lmmse import cli
 from rasch_lmmse.baselines import GibbsConfig, probit_information
 from rasch_lmmse import experiments
-from rasch_lmmse.cli import (
-    ANALYZE_COLUMNS,
-    _GIBBS_WARN_SECONDS,
-    _projected_gibbs_seconds,
-    build_parser,
-    main,
-)
+from rasch_lmmse.cli import ANALYZE_COLUMNS, build_parser, main
 from rasch_lmmse.data import load_triplets
 from rasch_lmmse.experiments import CvConfig, SyntheticConfig
 
@@ -82,6 +78,19 @@ def test_analyze_sigma2_zero(tmp_path):
     assert zero["snr_db"] == ""  # sigma2 was given directly
     assert float(dict(zip(ANALYZE_COLUMNS, rows[1].split(",")))
                  ["mse_ability_closed_form"]) > 0
+
+
+def test_analyze_extreme_priors_give_finite_columns(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["analyze", "--users", "1,5", "--items", "1",
+                 "--sigma2", "1e-300,1e300", "--output", str(out)]) == 0
+    with open(out) as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 4
+    for row in rows:
+        for column in ANALYZE_COLUMNS[3:]:
+            assert math.isfinite(float(row[column]))
+        assert float(row["fisher_bound"]) > 0.0
 
 
 def test_analyze_usage_errors(tmp_path, capsys):
@@ -563,16 +572,65 @@ def test_simulate_reports_failed_cells(tmp_path, capsys, monkeypatch):
     assert "failed: LinAlgError" in capsys.readouterr().out
 
 
-def test_gibbs_runtime_projection():
-    slow = SyntheticConfig(users_grid=(20,), items_grid=(20,),
-                           snr_db_grid=(0.0,), trials=100,
-                           estimators=("pm_gibbs",))
-    assert _projected_gibbs_seconds(slow) > _GIBBS_WARN_SECONDS
-    quick = SyntheticConfig(users_grid=(2,), items_grid=(2,),
-                            snr_db_grid=(0.0,), trials=2,
-                            estimators=("pm_gibbs",),
-                            gibbs_burn_in=50, gibbs_samples=100)
-    assert _projected_gibbs_seconds(quick) < _GIBBS_WARN_SECONDS
+class _Stopped(RuntimeError):
+    """Raised in place of a run's tasks, so a slow config costs nothing."""
+
+
+def _stop_tasks(*args):
+    raise _Stopped("stopped before any task")
+
+
+# 20 x 20, 100 trials, the default 30k Gibbs steps: 40k latents per step,
+# about 1.1 minutes of sampling.
+SLOW_GIBBS = SyntheticConfig(users_grid=(20,), items_grid=(20,), snr_db_grid=(0.0,),
+                             trials=100, estimators=("pm_gibbs",))
+
+
+def test_gibbs_runtime_projection(caplog, monkeypatch):
+    # run_synthetic logs the projection once, before any task runs, and only
+    # for a pm_gibbs run whose projection passes the threshold.
+    monkeypatch.setattr(experiments, "_thread_map", _stop_tasks)
+    configs = {
+        "slow": SLOW_GIBBS,
+        "quick": dataclasses.replace(SLOW_GIBBS, users_grid=(2,), items_grid=(2,),
+                                     trials=2, gibbs_burn_in=50, gibbs_samples=100),
+        "no pm_gibbs": dataclasses.replace(SLOW_GIBBS, estimators=("lmmse", "map")),
+        "known difficulties": dataclasses.replace(
+            SLOW_GIBBS, estimators=("lmmse",), known_difficulties=True),
+    }
+    logged = {}
+    for name, config in configs.items():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rasch_lmmse"):
+            with pytest.raises(_Stopped):
+                experiments.run_synthetic(config)
+        logged[name] = [(r.levelname, r.getMessage()) for r in caplog.records
+                        if r.levelno >= logging.WARNING]
+    assert logged["quick"] == logged["no pm_gibbs"] == logged["known difficulties"] == []
+    ((level, message),) = logged["slow"]
+    match = re.fullmatch(
+        r"pm_gibbs with burn-in 10000 and 20000 samples projects to roughly "
+        r"(\d+\.\d) minutes of sampling", message,
+    )
+    assert level == "WARNING" and match and float(match[1]) >= 1.0
+
+
+@pytest.mark.parametrize("level, shown", [(None, True), ("ERROR", False)])
+def test_gibbs_runtime_warning_reaches_stderr_at_the_default_level(
+    tmp_path, capsys, monkeypatch, level, shown
+):
+    monkeypatch.setattr(experiments, "_thread_map", _stop_tasks)
+    argv = ["simulate", "--users", "20", "--items", "20", "--snr-db", "0",
+            "--trials", "100", "--estimators", "pm_gibbs",
+            "--output", str(tmp_path / "sim.csv")]
+    if level is not None:
+        argv += ["--log-level", level]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    line = ("WARNING rasch_lmmse.experiments: pm_gibbs with burn-in 10000 and "
+            "20000 samples projects to roughly ")
+    assert (line in err) is shown
+    assert "error: stopped before any task" in err
 
 
 def test_fit_outputs_and_sign_convention(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rasch_lmmse import experiments, linear_probit, rasch
+from rasch_lmmse import baselines, experiments, linear_probit, rasch
 from rasch_lmmse.baselines import pm_gibbs
 from rasch_lmmse.data import ResponseSet, load_triplets
 from rasch_lmmse.experiments import (
@@ -302,7 +302,7 @@ def test_gibbs_block_size_leaves_results_unchanged(monkeypatch):
         estimators=("pm_gibbs",), gibbs_burn_in=10, gibbs_samples=20, seed=2,
     )
     one_block = run_synthetic(config).cells
-    monkeypatch.setattr(experiments, "_GIBBS_BLOCK_LATENTS", 25)  # 2 chains
+    monkeypatch.setattr(baselines, "_GIBBS_BLOCK_LATENTS", 25)  # 2 chains
     blocks = run_synthetic(config).cells
     for cell in one_block + blocks:
         del cell["wall_time_seconds"]

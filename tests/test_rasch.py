@@ -184,6 +184,22 @@ def test_asymptotic_values():
         assert abs(big - rasch_asymptotic_mse(1.0)) < 4.0 / U
 
 
+def test_asymptotic_mse_keeps_precision_at_extreme_priors():
+    # sigma2 (1 - x / asin(x)), x = sigma2 / (2 sigma2 + 1): below 1e-6 the
+    # leading term sigma2 x^2 / 6 agrees to O(x^2); 1 - x / asin(x) itself
+    # cancels to 0.0 there.
+    for s2 in (1e-6, 1e-8, 1e-20, 1e-60, 1e-100):
+        x = s2 / (2.0 * s2 + 1.0)
+        assert rasch_asymptotic_mse(s2) == pytest.approx(s2 * x * x / 6.0, rel=1e-11)
+    x = 0.5 / 2.0
+    assert rasch_asymptotic_mse(0.5) == pytest.approx(
+        0.5 * (1.0 - x / np.arcsin(x)), rel=1e-14
+    )
+    for s2 in 10.0 ** np.arange(-100, 301, 25):
+        value = rasch_asymptotic_mse(s2)
+        assert np.isfinite(value) and 0.0 < value < s2
+
+
 def test_structured_inverse_equations_and_product():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -410,6 +426,27 @@ def test_rasch_lmmse_fit_memory_below_dense_k():
     tracemalloc.stop()
     assert peak < (U + Q) ** 2 * 8
     assert sol.metadata["schur_side"] == "users"
+
+
+@pytest.mark.parametrize("U, Q, M", [(40, 70, 1500), (300, 120, 20000)])
+def test_schur_solve_reads_the_one_transpose_bitwise(U, Q, M):
+    # `solve` multiplies by the B^T built with the factor (`_Bt`): bitwise
+    # the product with B.T, random weights on random pairs.
+    rng = np.random.default_rng(U + Q)
+    pairs = rng.choice(U * Q, size=M, replace=False)
+    users, items = pairs % U, pairs // U
+    data = ResponseSet(users, items, np.ones(M), num_users=U, num_items=Q)
+    inc = _Incidence(RaschDesign(U=U, Q=Q, sigma2_a=0.7, sigma2_d=1.8), data)
+    weights = rng.uniform(0.1, 2.0, size=M)
+    schur = _BipartiteSchur(inc.adjoint(weights) + 1.0 / inc.prior, inc, weights)
+    r = rng.standard_normal(U + Q)
+    x_kept = scipy.linalg.cho_solve(
+        schur._factor, r[schur.kept] - schur._B @ (r / schur._h), check_finite=False
+    )
+    assert np.array_equal(schur._Bt @ x_kept, schur._B.T @ x_kept)
+    expected = (r - schur._B.T @ x_kept) / schur._h
+    expected[schur.kept] = x_kept
+    assert np.array_equal(schur.solve(r), expected)
 
 
 def test_diag_inverse_inverts_the_factor_in_its_own_buffer():
