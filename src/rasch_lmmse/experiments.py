@@ -283,6 +283,23 @@ def _thread_map(func, tasks, workers):
         return list(pool.map(func, tasks))
 
 
+def _warn_gibbs_runtime(config, calls, latents):
+    """Log at WARNING when a study's pm_gibbs chains project past
+    `_GIBBS_WARN_SECONDS` of CPU: (burn-in + samples) x (calls x
+    `_GIBBS_STEP_SECONDS` + latents x `_GIBBS_LATENT_SECONDS`), for `calls`
+    sampler calls that step `latents` latents per step in all (none when
+    latents is 0)."""
+    projected = (config.gibbs_burn_in + config.gibbs_samples) * (
+        calls * _GIBBS_STEP_SECONDS + latents * _GIBBS_LATENT_SECONDS
+    )
+    if latents and projected > _GIBBS_WARN_SECONDS:
+        logger.warning(
+            "pm_gibbs with burn-in %d and %d samples projects to roughly "
+            "%.1f minutes of sampling",
+            config.gibbs_burn_in, config.gibbs_samples, projected / 60,
+        )
+
+
 def _trial_rng(seed, cell_idx, trial_idx):
     return np.random.default_rng(np.random.SeedSequence((seed, cell_idx, trial_idx)))
 
@@ -439,14 +456,16 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     even when only the Fisher bound is selected.  The record carries the
     errors and wall times of the selected estimators only, as a standard
     cell's does.  `lmmse_jitter` is the largest jitter those fits added to
-    C_y's diagonal, as a multiple of its mean (0.0 when none was needed).
+    C_y's diagonal, as a multiple of its mean (0.0 when none was needed),
+    and `lmmse_saturated` the largest count of responses a fit took as
+    deterministic (`metadata["saturated"]`).
     """
     sigma2 = snr_to_sigma2(snr_db)
     errs = np.empty(config.trials)
     predicted = np.empty(config.trials)
     fisher = np.empty(config.trials)
     times = dict.fromkeys(("lmmse", "fisher_bound"), 0.0)
-    jitter = 0.0
+    jitter, saturated = 0.0, 0
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, cell_idx, trial)
         d = rng.standard_normal(Q)
@@ -462,6 +481,7 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         times["lmmse"] += t1 - t0
         times["fisher_bound"] += time.perf_counter() - t1
         jitter = max(jitter, sol.jitter)
+        saturated = max(saturated, sol.metadata["saturated"])
         errs[trial] = float(np.mean((sol.estimate - a) ** 2))
         predicted[trial] = sol.predicted_mse
     selected = [e for e in times if e in config.estimators]
@@ -472,6 +492,7 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         float(np.mean(fisher)) if "fisher_bound" in selected else None,
     )
     cell["lmmse_jitter"] = jitter
+    cell["lmmse_saturated"] = saturated
     return cell
 
 
@@ -488,14 +509,13 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     cut into w near-equal contiguous slices, and each slice is one task
     that fits and samples its pairs (`_run_standard_slice`).  Either way
     the tasks run on w = `_workers(threads, entries)` threads, entries
-    summed over the run.  The same count of latents projects the run's
-    Gibbs CPU, (burn-in + samples) x (patterns x `_GIBBS_STEP_SECONDS` +
-    latents x `_GIBBS_LATENT_SECONDS`); its wall time is about that over
-    w.  A projection above `_GIBBS_WARN_SECONDS` is logged at WARNING
-    before any task runs.  An estimator failure aborts its cell (recorded
-    in the cell's `error` field) without stopping the run.  Deterministic
-    for a given config, whatever the thread count; `threads` defaults to
-    the CPU count.
+    summed over the run.  The same count of latents, with one sampler call
+    per pattern, projects the run's Gibbs CPU (`_warn_gibbs_runtime`, which
+    logs a projection above `_GIBBS_WARN_SECONDS` at WARNING before any
+    task runs); its wall time is about that over w.  An estimator failure
+    aborts its cell (recorded in the cell's `error` field) without
+    stopping the run.  Deterministic for a given config, whatever the
+    thread count; `threads` defaults to the CPU count.
     """
     indexed = [
         (cell_idx, *spec)
@@ -522,15 +542,7 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
         if "pm_gibbs" in config.estimators:
             latents += len(pattern) * config.trials * U * Q
     workers = _workers(threads, entries + latents)
-    projected = (config.gibbs_burn_in + config.gibbs_samples) * (
-        len(patterns) * _GIBBS_STEP_SECONDS + latents * _GIBBS_LATENT_SECONDS
-    )
-    if latents and projected > _GIBBS_WARN_SECONDS:
-        logger.warning(
-            "pm_gibbs with burn-in %d and %d samples projects to roughly "
-            "%.1f minutes of sampling",
-            config.gibbs_burn_in, config.gibbs_samples, projected / 60,
-        )
+    _warn_gibbs_runtime(config, len(patterns), latents)
     tasks = []
     for pattern in patterns:
         # Slice k of a pattern with n pairs is pairs [k n // w, (k + 1) n // w).
@@ -792,13 +804,27 @@ def run_cross_validation(
     difficulties (from its `per_component_mse`).  The folds run on `_workers(threads,
     entries)` threads, each fold holding len(data) + min(num_users,
     num_items)^2 entries: its responses and its Schur complement;
-    `threads` defaults to the CPU count.
+    `threads` defaults to the CPU count.  With pm_gibbs, each fold runs
+    one chain on its training split and, for a grid of several variances,
+    one per variance on its tuning split; each chain steps its split's
+    responses as latents, which project the run's Gibbs CPU before any
+    fold runs (`_warn_gibbs_runtime`).
     """
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(data))
     fold_idx = np.array_split(perm, config.folds)
     if any(len(f) == 0 for f in fold_idx):
         raise ValueError("more folds than observations")
+    if "pm_gibbs" in config.estimators:
+        # Each response lies in folds - 1 training splits and, when a grid
+        # is tuned, in folds - 2 tuning splits.
+        tuning = len(config.prior_variance_grid)
+        tuning = tuning if tuning > 1 else 0
+        _warn_gibbs_runtime(
+            config,
+            config.folds * (1 + tuning),
+            len(data) * (config.folds - 1 + tuning * (config.folds - 2)),
+        )
 
     def run_fold(f):
         test = fold_idx[f]

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .specfun import binorm_cdf, norm_cdf, norm_pdf
+from .specfun import _BLOCK, binorm_cdf, norm_cdf, norm_pdf
 
 # Beyond this, Phi(c) is 1 to double precision and the sign is deterministic.
 _SATURATION_C = 37.0
+
+# Pairs per row block of `linearize`'s C_y: eight of `binorm_cdf`'s blocks.
+_PAIR_BLOCK = 8 * _BLOCK
 
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
@@ -117,35 +120,47 @@ def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
 
     Forms the latent covariance C_z = D C_x D^T + I and the standardized
     means c = (D x_mean + m) / sqrt(diag C_z), and evaluates the bivariate
-    normal CDF once per off-diagonal pair (`sign_covariance`), with the
-    correlation taken on the upper triangle only.  One path serves every
-    model: at c = 0 the bivariate CDF is Sheppard's orthant probability
-    1/4 + asin(rho) / (2 pi), so C_y is the arcsine law (2/pi) asin(rho).
-    C_y is a full M x M matrix; for Rasch designs of any size use
-    rasch.rasch_lmmse_fit, which never forms C_y.
+    normal CDF once per off-diagonal pair (`sign_covariance`).  One path
+    serves every model: at c = 0 the bivariate CDF is Sheppard's orthant
+    probability 1/4 + asin(rho) / (2 pi), so C_y is the arcsine law
+    (2/pi) asin(rho).
+
+    C_y is filled in the buffer of the product P = D C_x D^T, one block of
+    rows at a time (about `_PAIR_BLOCK` pairs): for each pair i < j of the
+    block, C_z's entry is (P_ij + P_ji) / 2, and the pair's covariance goes
+    to both C_y_ij and C_y_ji.  A pair reads and writes only its own two
+    entries, so no block reads what another has written.  Peak memory is
+    C_y plus one block of pairs, and every value is that of the whole
+    symmetrized C_z.  C_y is a full M x M matrix; for Rasch designs of any
+    size use rasch.rasch_lmmse_fit, which never forms C_y.
     """
     D, C_x = model.D, model.C_x
     M = D.shape[0]
     z_mean = D @ model.x_mean + model.m
-    C_z = D @ C_x @ D.T
-    C_z = 0.5 * (C_z + C_z.T)
-    C_z[np.diag_indices_from(C_z)] += 1.0
-    sz = np.sqrt(np.diag(C_z))
+    DC = D @ C_x
+    C_y = DC @ D.T
+    sz = np.sqrt(np.diag(C_y) + 1.0)
     c = z_mean / sz
 
     y_mean = norm_cdf(c) - norm_cdf(-c)
     saturated = np.abs(c) > _SATURATION_C
     y_mean = np.where(saturated, np.sign(c) * (1.0 - 1e-16), y_mean)
 
-    E = 2.0 * (norm_pdf(c) / sz)[:, None] * (D @ C_x)
+    E = 2.0 * (norm_pdf(c) / sz)[:, None] * DC
 
-    C_y = np.empty((M, M))
-    if M > 1:
-        iu, ju = np.triu_indices(M, k=1)
-        rho = np.clip(C_z[iu, ju] / (sz[iu] * sz[ju]), -1.0, 1.0)
+    lo = 0
+    while lo < M - 1:
+        # Row i holds the M - 1 - i pairs (i, j > i).
+        hi = min(M - 1, lo + max(1, _PAIR_BLOCK // (M - 1 - lo)))
+        iu, ju = np.triu_indices(hi - lo, k=1, m=M - lo)
+        iu += lo
+        ju += lo
+        cz = 0.5 * (C_y[iu, ju] + C_y[ju, iu])
+        rho = np.clip(cz / (sz[iu] * sz[ju]), -1.0, 1.0)
         off = sign_covariance(c[iu], c[ju], rho)
         C_y[iu, ju] = off
         C_y[ju, iu] = off
+        lo = hi
     # Saturated entries are near-deterministic: covariance with anything is 0.
     if np.any(saturated):
         C_y[saturated, :] = 0.0

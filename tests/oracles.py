@@ -1,15 +1,20 @@
 """Independent reference implementations and frozen constants for the tests.
 
-Everything here is deliberately implemented without the package under test:
-the bivariate normal probabilities come from adaptive quadrature in rotated
-(principal-axis) coordinates, gradients from central differences, and sign
-moments from plain Monte Carlo.  The frozen constants were precomputed with
-a 40-digit arbitrary-precision integrator.
+Everything here but `linearize_whole_triangle` is deliberately implemented
+without the package under test: the bivariate normal probabilities come from
+adaptive quadrature in rotated (principal-axis) coordinates, gradients from
+central differences, and sign moments from plain Monte Carlo.  The frozen
+constants were precomputed with a 40-digit arbitrary-precision integrator.
+`linearize_whole_triangle` is the earlier whole-triangle form of
+`linear_probit.linearize`, on the package's special functions, which pins
+the blocked form bit for bit.
 """
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
+
+from rasch_lmmse.specfun import binorm_cdf, norm_cdf, norm_pdf
 
 
 def phi2_quad(x, y, rho):
@@ -109,3 +114,42 @@ def mc_sign_moments(D, m, x_mean, C_x, n_draws, seed):
     E = yx_sum / n_draws - np.outer(y_mean, x_sum / n_draws)
     se_mean = np.sqrt(np.maximum(1.0 - y_mean**2, 0.0) / n_draws)
     return y_mean, C_y, E, se_mean
+
+
+def linearize_whole_triangle(model):
+    """(y_mean, C_y, E, saturated) of a GeneralProbitModel, the whole way.
+
+    Forms C_z = (P + P^T) / 2 + I from P = D C_x D^T as its own M x M array
+    and evaluates the sign covariance 4 (Phi2(c_i, c_j; rho) - Phi(c_i)
+    Phi(c_j)) of all M (M - 1) / 2 pairs of the upper triangle at once.
+    Observations with |c| > 37 are saturated: y_mean is sign(c) (1 - 1e-16)
+    and their covariances are 0.
+    """
+    D, C_x = model.D, model.C_x
+    M = D.shape[0]
+    z_mean = D @ model.x_mean + model.m
+    C_z = D @ C_x @ D.T
+    C_z = 0.5 * (C_z + C_z.T)
+    C_z[np.diag_indices_from(C_z)] += 1.0
+    sz = np.sqrt(np.diag(C_z))
+    c = z_mean / sz
+
+    y_mean = norm_cdf(c) - norm_cdf(-c)
+    saturated = np.abs(c) > 37.0
+    y_mean = np.where(saturated, np.sign(c) * (1.0 - 1e-16), y_mean)
+
+    E = 2.0 * (norm_pdf(c) / sz)[:, None] * (D @ C_x)
+
+    C_y = np.empty((M, M))
+    if M > 1:
+        iu, ju = np.triu_indices(M, k=1)
+        rho = np.clip(C_z[iu, ju] / (sz[iu] * sz[ju]), -1.0, 1.0)
+        ci, cj = c[iu], c[ju]
+        off = 4.0 * (binorm_cdf(ci, cj, rho) - norm_cdf(ci) * norm_cdf(cj))
+        C_y[iu, ju] = off
+        C_y[ju, iu] = off
+    if np.any(saturated):
+        C_y[saturated, :] = 0.0
+        C_y[:, saturated] = 0.0
+    np.fill_diagonal(C_y, 1.0 - y_mean**2)
+    return y_mean, C_y, E, int(np.count_nonzero(saturated))

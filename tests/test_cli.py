@@ -633,6 +633,65 @@ def test_gibbs_runtime_warning_reaches_stderr_at_the_default_level(
     assert "error: stopped before any task" in err
 
 
+def test_crossval_gibbs_runtime_projection(tmp_path, caplog, monkeypatch):
+    # run_cross_validation logs the projection once, before any fold runs,
+    # with run_synthetic's formula: each fold samples one chain on its
+    # training split and, for a grid of several variances, one per variance
+    # on its tuning split, each stepping its split's responses as latents.
+    monkeypatch.setattr(experiments, "_thread_map", _stop_tasks)
+    path = tmp_path / "responses.csv"
+    write_rasch_csv(path, 40, 25, seed=3)
+    data = load_triplets(path)
+    n = len(data)  # 10 folds of 100
+    gibbs = ("pm_gibbs",)
+
+    def logged(config):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rasch_lmmse"):
+            with pytest.raises(_Stopped):
+                experiments.run_cross_validation(data, config)
+        return [(r.levelname, r.getMessage()) for r in caplog.records
+                if r.levelno >= logging.WARNING]
+
+    def minutes(calls, latents):
+        return 30_000 * (calls * experiments._GIBBS_STEP_SECONDS
+                         + latents * experiments._GIBBS_LATENT_SECONDS) / 60
+
+    # Defaults, 10 folds and 5 variances: 10 training chains of 9n / 10
+    # latents and 50 tuning chains of 8n / 10.
+    ((level, message),) = logged(CvConfig(estimators=gibbs))
+    assert level == "WARNING" and minutes(60, 49 * n) > 1.0
+    assert message == ("pm_gibbs with burn-in 10000 and 20000 samples projects "
+                       f"to roughly {minutes(60, 49 * n):.1f} minutes of sampling")
+    assert logged(CvConfig(estimators=("lmmse", "map"))) == []
+    assert logged(CvConfig(folds=3, prior_variance_grid=(1.0,), estimators=gibbs)) == []
+    assert logged(CvConfig(estimators=gibbs, gibbs_burn_in=50, gibbs_samples=100)) == []
+
+    # One variance: no tuning chains.
+    monkeypatch.setattr(experiments, "_GIBBS_WARN_SECONDS", 0.0)
+    ((_, message),) = logged(CvConfig(prior_variance_grid=(1.0,), estimators=gibbs))
+    assert message.endswith(f"roughly {minutes(10, 9 * n):.1f} minutes of sampling")
+
+
+@pytest.mark.parametrize("level, shown", [(None, True), ("ERROR", False)])
+def test_crossval_gibbs_runtime_warning_obeys_the_log_level(
+    tmp_path, capsys, monkeypatch, level, shown
+):
+    monkeypatch.setattr(experiments, "_thread_map", _stop_tasks)
+    path = tmp_path / "responses.csv"
+    write_rasch_csv(path, 40, 25, seed=3)
+    argv = ["crossval", "--data", str(path), "--estimators", "pm_gibbs",
+            "--output", str(tmp_path / "cv.json")]
+    if level is not None:
+        argv += ["--log-level", level]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    line = ("WARNING rasch_lmmse.experiments: pm_gibbs with burn-in 10000 and "
+            "20000 samples projects to roughly ")
+    assert (line in err) is shown
+    assert "error: stopped before any task" in err
+
+
 def test_fit_outputs_and_sign_convention(tmp_path):
     # every response correct: abilities must be >= 0 and difficulties <= 0
     data = tmp_path / "allpos.csv"

@@ -219,6 +219,30 @@ def test_known_difficulty_cell_reports_the_largest_lmmse_jitter(monkeypatch):
     assert run_synthetic(config).cells[0]["lmmse_jitter"] == 1e-9
 
 
+def test_known_difficulty_cell_reports_the_largest_saturation_count(monkeypatch):
+    config = SyntheticConfig(
+        users_grid=(3,), items_grid=(4,), snr_db_grid=(0.0,), trials=3,
+        known_difficulties=True,
+    )
+    result = run_synthetic(config)
+    assert result.cells[0]["lmmse_saturated"] == 0
+    assert json.loads(result.to_json())["cells"][0]["lmmse_saturated"] == 0
+    assert "lmmse_saturated" not in result.csv_columns()
+    assert "saturated" not in result.to_csv()
+
+    # The cell keeps the largest count any trial's fit took as deterministic.
+    counts = iter([1, 3, 2])
+
+    def saturating_fit(*args, **kwargs):
+        sol = lmmse_fit(*args, **kwargs)
+        return dataclasses.replace(
+            sol, metadata={**sol.metadata, "saturated": next(counts)}
+        )
+
+    monkeypatch.setattr(rasch, "lmmse_fit", saturating_fit)
+    assert run_synthetic(config).cells[0]["lmmse_saturated"] == 3
+
+
 def test_error_cells_recorded_not_raised(monkeypatch):
     # a failing fit must be recorded in its cell, and the run must continue
     def singular(*args, **kwargs):
@@ -576,8 +600,9 @@ def test_every_cell_carries_the_csv_columns(monkeypatch):
                 assert set(cell["wall_time_seconds"]) == set(config.estimators)
 
     check(standard, {"wall_time_seconds"})
-    check(known, {"wall_time_seconds", "lmmse_jitter"})
-    check(known_fisher, {"wall_time_seconds", "lmmse_jitter"})
+    known_keys = {"wall_time_seconds", "lmmse_jitter", "lmmse_saturated"}
+    check(known, known_keys)
+    check(known_fisher, known_keys)
 
     fit, known_fit = experiments.fit_response_set, experiments.known_difficulty_fit
 
@@ -594,8 +619,8 @@ def test_every_cell_carries_the_csv_columns(monkeypatch):
     monkeypatch.setattr(experiments, "fit_response_set", fit_failing_at_q4)
     monkeypatch.setattr(experiments, "known_difficulty_fit", known_fit_failing_at_q4)
     check(standard, {"wall_time_seconds"}, aborted=(4,))
-    check(known, {"wall_time_seconds", "lmmse_jitter"}, aborted=(4,))
-    check(known_fisher, {"wall_time_seconds", "lmmse_jitter"}, aborted=(4,))
+    check(known, known_keys, aborted=(4,))
+    check(known_fisher, known_keys, aborted=(4,))
 
 
 def test_csv_text_cells():

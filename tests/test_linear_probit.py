@@ -11,7 +11,7 @@ from rasch_lmmse.linear_probit import (
     sign_covariance,
 )
 
-from oracles import mc_sign_moments
+from oracles import linearize_whole_triangle, mc_sign_moments
 
 
 def scalar_model():
@@ -122,20 +122,89 @@ def test_lmmse_weights_and_mse_match_direct_solve():
 
 
 def test_general_linearize_evaluates_one_bivariate_cdf_per_pair(monkeypatch):
+    # Row blocks of at most 20 pairs, or one row where a row has more: a
+    # 7-row C_y in 2 blocks and a 40-row one in 33.  Each block's pairs go
+    # in row-major order, so the calls together see every pair (c_i, c_j),
+    # i < j, once and in order.
     from rasch_lmmse import linear_probit
 
     binorm_cdf = linear_probit.binorm_cdf
-    evals = []
+    calls = []
 
-    def counting(x, y, rho):
-        out = binorm_cdf(x, y, rho)
-        evals.append(np.size(out))
-        return out
+    def recording(x, y, rho):
+        calls.append((np.copy(x), np.copy(y)))
+        return binorm_cdf(x, y, rho)
 
-    monkeypatch.setattr(linear_probit, "binorm_cdf", counting)
-    M = 7
-    linearize(random_model(np.random.default_rng(4), M=M, N=3))
-    assert sum(evals) == M * (M - 1) // 2
+    monkeypatch.setattr(linear_probit, "binorm_cdf", recording)
+    monkeypatch.setattr(linear_probit, "_PAIR_BLOCK", 20)
+    for M, blocks in [(7, 2), (40, 33)]:
+        calls.clear()
+        model = random_model(np.random.default_rng(4), M=M, N=3)
+        linearize(model)
+        P = model.D @ model.C_x @ model.D.T
+        c = (model.D @ model.x_mean + model.m) / np.sqrt(np.diag(P) + 1.0)
+        iu, ju = np.triu_indices(M, k=1)
+        assert len(calls) == blocks
+        assert all(x.size <= max(20, M - 1) for x, _ in calls)
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in calls]), c[iu])
+        np.testing.assert_array_equal(np.concatenate([y for _, y in calls]), c[ju])
+
+
+def assert_linearize_is_the_whole_triangle_bitwise(model):
+    lin = linearize(model)
+    y_mean, C_y, E, saturated = linearize_whole_triangle(model)
+    np.testing.assert_array_equal(lin.y_mean, y_mean)
+    np.testing.assert_array_equal(lin.C_y, C_y)
+    np.testing.assert_array_equal(lin.E, E)
+    assert lin.saturated == saturated
+    return lin
+
+
+@pytest.mark.parametrize("pair_block", [64, 1000, 2**15])
+def test_blocked_linearize_is_the_whole_triangle_bitwise(monkeypatch, pair_block):
+    # C_y filled a row block at a time in the product's buffer has every bit
+    # of C_y from the whole symmetrized C_z.  At 64 pairs a block, each
+    # M >= 20 spans at least 3 blocks.  From M = 2 each model has two
+    # near-opposite rows, a correlation below -0.925 (the bivariate CDF's
+    # near-unit expansion), and from M = 3 one saturated observation,
+    # |c| > 37.
+    from rasch_lmmse import linear_probit
+
+    monkeypatch.setattr(linear_probit, "_PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(17)
+    for M, N in [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (20, 3), (57, 5), (140, 2)]:
+        model = random_model(rng, M=M, N=N)
+        D, m = model.D.copy(), model.m.copy()
+        if M >= 2:
+            D[0] *= 5.0 / np.linalg.norm(D[0])
+            D[-1] = -D[0] + 1e-2 * rng.normal(size=N)
+        if M >= 3:
+            m[1] = 80.0 * np.sqrt(1.0 + D[1] @ model.C_x @ D[1])
+        model = GeneralProbitModel(D=D, m=m, x_mean=model.x_mean, C_x=model.C_x)
+        lin = assert_linearize_is_the_whole_triangle_bitwise(model)
+        assert lin.saturated == (M >= 3)
+        if M >= 2:
+            C_z = D @ model.C_x @ D.T + np.eye(M)
+            assert C_z[0, -1] / np.sqrt(C_z[0, 0] * C_z[-1, -1]) < -0.925
+            assert lin.C_y[0, -1] < 0.0
+
+
+def test_blocked_linearize_is_the_whole_triangle_bitwise_for_known_difficulties(
+    monkeypatch,
+):
+    # The one-column model of known difficulties: every pair shares one
+    # correlation sigma^2 / (sigma^2 + 1), which the bivariate CDF's blocks
+    # evaluate once per node.
+    from rasch_lmmse import linear_probit
+
+    monkeypatch.setattr(linear_probit, "_PAIR_BLOCK", 300)
+    rng = np.random.default_rng(23)
+    for Q, sigma2 in [(60, 0.01), (90, 1.0), (120, 100.0)]:
+        d = rng.normal(size=Q)
+        model = GeneralProbitModel(
+            D=np.ones((Q, 1)), m=-d, x_mean=[0.3], C_x=[[sigma2]]
+        )
+        assert_linearize_is_the_whole_triangle_bitwise(model)
 
 
 def test_saturated_observation_is_handled():

@@ -881,6 +881,22 @@ def test_known_difficulty_matches_general_path():
             )
 
 
+def test_known_difficulty_predicted_mse_peaks_near_two_q2_doubles():
+    # The dense MSE holds C_y, filled a row block of pairs at a time in
+    # its own buffer, and its Cholesky copy: about 2.1 Q^2 doubles.  With
+    # whole-triangle pair arrays and a separate C_z it peaked at 8.4 Q^2.
+    Q = 800
+    km = KnownDifficultyModel(
+        d=np.random.default_rng(6).normal(size=Q), x_bar=0.0, sigma2_x=1.0
+    )
+    tracemalloc.start()
+    mse = known_difficulty_predicted_mse(km)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 2.5 * Q * Q * 8
+    assert 0.0 < mse < 1.0
+
+
 def test_known_difficulty_single_item_value():
     # one observation at the prior mean with unit variance
     km = KnownDifficultyModel(d=np.zeros(1), x_bar=0.0, sigma2_x=1.0)
