@@ -38,6 +38,7 @@ from .data import ResponseSet, _as_count, _as_float, _as_int, _as_variance
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _ability_node_cap,
     _full_response_set,
     known_difficulty_fit,
     rasch_closed_form_mse,
@@ -244,13 +245,19 @@ def _json_text(payload):
     )
 
 
-# CPU seconds of a Gibbs step per (U, Q) pattern (a block's fixed array
-# calls) and per latent, for `run_synthetic`'s runtime warning.  Measured
-# with one LAPACK thread and 300 steps on a 2-vCPU Intel Xeon VM (Python
-# 3.11, NumPy 2.4, OpenBLAS 0.3.31): within 25 % of the CPU of full designs
-# from 2 x 2 to 200 x 200 (8 to 40k latents per step).
+# CPU seconds of a Gibbs step per sampler call (a block's fixed array
+# calls), per latent, and per squared kept Schur side n^2 of each chain
+# (the draw's two products with the n x n inverse factor), for the
+# runtime warning.  The last was measured alone (those two products at
+# n = 943 and 1500); the first two then fit, within 25 %, the CPU of
+# simulate's full designs from 2 x 2 to 200 x 200 (8 to 40k latents per
+# step) and of single chains on 40 x 25, 200 x 100 and MovieLens-shaped
+# 943 x 1682 patterns (904 to 47.5k latents, n from 25 to 943).  One
+# LAPACK thread, 300 steps, a 2-vCPU Intel Xeon VM (Python 3.11, NumPy
+# 2.4, OpenBLAS 0.3.31).
 _GIBBS_STEP_SECONDS = 4.0e-5
-_GIBBS_LATENT_SECONDS = 5.5e-8
+_GIBBS_LATENT_SECONDS = 4.7e-8
+_GIBBS_KEPT_SECONDS = 6.0e-10
 _GIBBS_WARN_SECONDS = 60.0
 # Array entries that a simulate or crossval run's concurrent calls must
 # hold per worker thread (`_workers`).  Below this the calls are too short
@@ -283,14 +290,16 @@ def _thread_map(func, tasks, workers):
         return list(pool.map(func, tasks))
 
 
-def _warn_gibbs_runtime(config, calls, latents):
+def _warn_gibbs_runtime(config, calls, latents, kept):
     """Log at WARNING when a study's pm_gibbs chains project past
     `_GIBBS_WARN_SECONDS` of CPU: (burn-in + samples) x (calls x
-    `_GIBBS_STEP_SECONDS` + latents x `_GIBBS_LATENT_SECONDS`), for `calls`
-    sampler calls that step `latents` latents per step in all (none when
-    latents is 0)."""
+    `_GIBBS_STEP_SECONDS` + latents x `_GIBBS_LATENT_SECONDS` + kept x
+    `_GIBBS_KEPT_SECONDS`), for `calls` sampler calls that step `latents`
+    latents per step in all, and `kept` the sum over chains of n^2, n
+    the chain's kept Schur side (none when latents is 0)."""
     projected = (config.gibbs_burn_in + config.gibbs_samples) * (
         calls * _GIBBS_STEP_SECONDS + latents * _GIBBS_LATENT_SECONDS
+        + kept * _GIBBS_KEPT_SECONDS
     )
     if latents and projected > _GIBBS_WARN_SECONDS:
         logger.warning(
@@ -455,17 +464,15 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
     U x Q responses; that fit also gives the analytical MSE, so it runs
     even when only the Fisher bound is selected.  The record carries the
     errors and wall times of the selected estimators only, as a standard
-    cell's does.  `lmmse_jitter` is the largest jitter those fits added to
-    C_y's diagonal, as a multiple of its mean (0.0 when none was needed),
-    and `lmmse_saturated` the largest count of responses a fit took as
-    deterministic (`metadata["saturated"]`).
+    cell's does.  `lmmse_saturated` is the largest count of responses a
+    fit took as deterministic (`metadata["saturated"]`).
     """
     sigma2 = snr_to_sigma2(snr_db)
     errs = np.empty(config.trials)
     predicted = np.empty(config.trials)
     fisher = np.empty(config.trials)
     times = dict.fromkeys(("lmmse", "fisher_bound"), 0.0)
-    jitter, saturated = 0.0, 0
+    saturated = 0
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, cell_idx, trial)
         d = rng.standard_normal(Q)
@@ -480,7 +487,6 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
             fisher[trial] = fisher_known_difficulty_bound(d, sigma2)
         times["lmmse"] += t1 - t0
         times["fisher_bound"] += time.perf_counter() - t1
-        jitter = max(jitter, sol.jitter)
         saturated = max(saturated, sol.metadata["saturated"])
         errs[trial] = float(np.mean((sol.estimate - a) ** 2))
         predicted[trial] = sol.predicted_mse
@@ -491,7 +497,6 @@ def _run_known_difficulty_cell(config, cell_idx, U, Q, snr_db):
         {e: times[e] for e in selected},
         float(np.mean(fisher)) if "fisher_bound" in selected else None,
     )
-    cell["lmmse_jitter"] = jitter
     cell["lmmse_saturated"] = saturated
     return cell
 
@@ -501,8 +506,10 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
 
     Each (U, Q, snr) cell draws `trials` Rasch instances and accumulates
     per-trial mean squared errors on the ability components.  In
-    known-difficulty mode each cell is its own task, holding its C_y and
-    one trial's responses, U Q + Q^2 array entries.  In the standard mode
+    known-difficulty mode each cell is its own task, holding one trial's
+    responses and its quadrature solve's Q x G arrays, U Q + Q G array
+    entries with G the most ability nodes at the cell's prior variance
+    (`rasch._ability_node_cap`).  In the standard mode
     each (U, Q) pattern holds U Q + min(U, Q)^2 entries, one trial's
     responses and its Schur complement, plus U Q latents per step for each
     of its pm_gibbs chains (cells x trials); its (cell, trial) pairs are
@@ -510,7 +517,8 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     that fits and samples its pairs (`_run_standard_slice`).  Either way
     the tasks run on w = `_workers(threads, entries)` threads, entries
     summed over the run.  The same count of latents, with one sampler call
-    per pattern, projects the run's Gibbs CPU (`_warn_gibbs_runtime`, which
+    per pattern and each chain's kept Schur side min(U, Q), projects the
+    run's Gibbs CPU (`_warn_gibbs_runtime`, which
     logs a projection above `_GIBBS_WARN_SECONDS` at WARNING before any
     task runs); its wall time is about that over w.  An estimator failure
     aborts its cell (recorded in the cell's `error` field) without
@@ -530,19 +538,23 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
             except Exception as err:  # recorded, not raised: other cells continue
                 return _cell_head(*cell[1:], err)
 
-        entries = sum(U * Q + Q * Q for _, U, Q, _ in indexed)
+        entries = sum(
+            U * Q + Q * _ability_node_cap(snr_to_sigma2(snr_db))
+            for _, U, Q, snr_db in indexed
+        )
         cells = _thread_map(run_cell, indexed, _workers(threads, entries))
         return ExperimentResult(config=asdict(config), cells=cells)
 
     patterns = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
-    entries = latents = 0
+    entries = latents = kept = 0
     for pattern in patterns:
         _, U, Q, _ = pattern[0]
         entries += U * Q + min(U, Q) ** 2
         if "pm_gibbs" in config.estimators:
             latents += len(pattern) * config.trials * U * Q
+            kept += len(pattern) * config.trials * min(U, Q) ** 2
     workers = _workers(threads, entries + latents)
-    _warn_gibbs_runtime(config, len(patterns), latents)
+    _warn_gibbs_runtime(config, len(patterns), latents, kept)
     tasks = []
     for pattern in patterns:
         # Slice k of a pattern with n pairs is pairs [k n // w, (k + 1) n // w).
@@ -807,8 +819,9 @@ def run_cross_validation(
     `threads` defaults to the CPU count.  With pm_gibbs, each fold runs
     one chain on its training split and, for a grid of several variances,
     one per variance on its tuning split; each chain steps its split's
-    responses as latents, which project the run's Gibbs CPU before any
-    fold runs (`_warn_gibbs_runtime`).
+    responses as latents, which, with a kept Schur side of min(num_users,
+    num_items) per chain, project the run's Gibbs CPU before any fold runs
+    (`_warn_gibbs_runtime`).
     """
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(data))
@@ -820,10 +833,12 @@ def run_cross_validation(
         # is tuned, in folds - 2 tuning splits.
         tuning = len(config.prior_variance_grid)
         tuning = tuning if tuning > 1 else 0
+        chains = config.folds * (1 + tuning)
         _warn_gibbs_runtime(
             config,
-            config.folds * (1 + tuning),
+            chains,
             len(data) * (config.folds - 1 + tuning * (config.folds - 2)),
+            chains * min(data.num_users, data.num_items) ** 2,
         )
 
     def run_fold(f):

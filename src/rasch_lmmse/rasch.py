@@ -8,27 +8,32 @@ distinct inverse entries, which yields a closed-form MSE.  For any observed
 subset and any prior variances, C_y is a scaled identity plus a low-rank
 term, so one min(U, Q) Cholesky factorization of a Schur complement
 (`_BipartiteSchur`) gives the exact fit and its per-component MSE.  With
-known difficulties, each user's ability is fitted as the general probit
-model with one column, D = 1_Q, and offset m = -d.
+known difficulties, the responses are independent given the ability a, so
+C_y = Lambda + Cov_a(m) with m_i(a) = 2 Phi(a - d_i) - 1 and Lambda =
+diag E_a[1 - m_i^2]: on G quadrature nodes in a it is diagonal plus rank
+G, and Woodbury solves it on a G x G core (`_known_difficulty_solve`).  The
+general probit model with one column, D = 1_Q and offset m = -d, is the
+dense reference for that solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.special import ndtr
 
 from .data import ResponseSet, _as_count, _as_float, _as_variance
 from .linear_probit import (
+    _SATURATION_C,
     GeneralProbitModel,
     LmmseSolution,
     _check_pm_one,
-    lmmse_fit,
-    lmmse_predicted_mse,
 )
+from .specfun import norm_cdf, norm_pdf
 
 
 @dataclass(frozen=True)
@@ -565,37 +570,177 @@ def split_estimate(design: RaschDesign, estimate):
     return estimate[: design.U].copy(), -estimate[design.U :]
 
 
-def _one_column_model(model: KnownDifficultyModel) -> GeneralProbitModel:
-    """The equivalent general model: D = 1_Q, m = -d, x ~ N(x_bar, sigma2_x)."""
-    return GeneralProbitModel(
-        D=np.ones((model.d.size, 1)),
-        m=-model.d,
-        x_mean=np.array([model.x_bar]),
-        C_x=np.array([[model.sigma2_x]]),
-    )
+# The known-difficulty quadrature in the ability a ~ N(x_bar, sigma^2):
+# composite Gauss-Legendre panels of `_PANEL_NODES` nodes, each at most
+# `_PANEL_WIDTH` min(sigma, 1) wide, over the a within `_PRIOR_REACH`
+# prior SDs of x_bar and within `_ITEM_REACH` of some difficulty.  Beyond
+# the latter Phi(a - d_i) is 0 or 1 in double precision for every item
+# (Phi(-8.5) = 9.5e-18), so each m_i is -1 or +1 there; beyond the former
+# lies a prior mass of Phi(-9) = 1.1e-19 per tail.  Each tail is one node,
+# its prior mass at its conditional mean.
+_PANEL_NODES = 16
+_PANEL_WIDTH = 2.0
+_PRIOR_REACH = 9.0
+_ITEM_REACH = 8.5
+# Largest deviation the quadrature may show from its three closed forms
+# (`_known_difficulty_solve`) before a call raises.
+_QUADRATURE_TOLERANCE = 1e-12
+
+
+def _ability_nodes(x_bar, sigma, d_lo, d_hi):
+    """Nodes a_g and probability weights w_g of N(x_bar, sigma^2) for items
+    whose difficulties span [d_lo, d_hi]: panels over [lo, hi] =
+    [max(x_bar - 9 sigma, d_lo - 8.5), min(x_bar + 9 sigma, d_hi + 8.5)]
+    (the prior's +-9 sigma when that is empty), then each tail as one node.
+    """
+    lo = max(x_bar - _PRIOR_REACH * sigma, d_lo - _ITEM_REACH)
+    hi = min(x_bar + _PRIOR_REACH * sigma, d_hi + _ITEM_REACH)
+    if lo >= hi:
+        lo, hi = x_bar - _PRIOR_REACH * sigma, x_bar + _PRIOR_REACH * sigma
+    panels = math.ceil((hi - lo) / (_PANEL_WIDTH * min(sigma, 1.0)))
+    half = 0.5 * (hi - lo) / panels
+    unit, unit_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    centres = lo + half * (2.0 * np.arange(panels) + 1.0)
+    a = (centres[:, None] + half * unit).ravel()
+    w = (half / sigma) * np.tile(unit_weights, panels) * norm_pdf((a - x_bar) / sigma)
+    # A tail beyond z in prior SDs has mass Phi(z) and mean -phi(z) / Phi(z)
+    # (mirrored for the upper tail); one node there misses its variance,
+    # sigma^2 (Phi(z) - z phi(z) - phi(z)^2 / Phi(z)).
+    tails = np.array([x_bar - lo, hi - x_bar]) / -sigma
+    mass, density = norm_cdf(tails), norm_pdf(tails)
+    a_tail = x_bar + sigma * np.array([-1.0, 1.0]) * density / mass
+    missed = sigma**2 * float(np.sum(mass - tails * density - density**2 / mass))
+    return (np.concatenate(([a_tail[0]], a, [a_tail[1]])),
+            np.concatenate(([mass[0]], w, [mass[1]])), missed)
+
+
+def _ability_node_cap(sigma2):
+    """The most nodes `_ability_nodes` gives at prior variance sigma2,
+    whatever the difficulties: its panels span at most 18 sigma."""
+    sigma = math.sqrt(sigma2)
+    width = _PANEL_WIDTH * min(sigma, 1.0)
+    return _PANEL_NODES * math.ceil(2.0 * _PRIOR_REACH * sigma / width) + 2
+
+
+def _known_difficulty_solve(model: KnownDifficultyModel):
+    """The known-difficulty L-MMSE weights w (Q,), offset b and MSE, and
+    the metadata of the solve; C_y is never formed.
+
+    Given a, the responses are independent with means m_i(a) = 2 Phi(a -
+    d_i) - 1, so the law of total covariance gives C_y = Lambda + Cov_a(m)
+    with Lambda = diag E_a[1 - m_i^2], and e = Cov(y, a) = Cov_a(m, a).  On
+    the quadrature nodes (a_g, w_g) of `_ability_nodes`, with F the
+    centred m_i(a_g), Psi = Lambda^{-1/2} F W^{1/2} (Q x G) and v =
+    W^{1/2} (a - x_bar), Woodbury on the G x G core I + Psi^T Psi gives
+
+        C_y^{-1} e = Lambda^{-1/2} Psi (I + Psi^T Psi)^{-1} v,
+        mse = (sigma^2 - v^T v) + v^T (I + Psi^T Psi)^{-1} v.
+
+    sigma^2 - v^T v is the prior variance that the nodes miss, the tails'
+    conditional variances, and is taken in closed form, so the MSE is a
+    sum of two nonnegative terms.  The core's eigenvalues are all >= 1, so
+    its Cholesky factor needs no jitter.  Each item is evaluated through its smaller tail T = Phi(a -
+    d) (Phi(d - a) when d < x_bar), so a near-saturated item keeps its
+    relative precision.  An item with |c| > 37, c = (x_bar - d) /
+    sqrt(sigma^2 + 1), or whose Lambda underflows to 0, has weight 0 and
+    is counted in metadata["saturated"].  On the same nodes the solve
+    reproduces the closed forms E[y_i] = 2 Phi(c_i) - 1, e_i = 2 sigma^2
+    phi(c_i) / sqrt(sigma^2 + 1) and sigma^2 = v^T v plus the tails'
+    conditional variances, in units of 1, sigma and sigma^2; the largest
+    deviation is
+    metadata["closed_form_deviation"], and above `_QUADRATURE_TOLERANCE`
+    the call raises.
+    """
+    d, x_bar, sigma2 = model.d, model.x_bar, model.sigma2_x
+    sigma = math.sqrt(sigma2)
+    c = (x_bar - d) / math.sqrt(sigma2 + 1.0)
+    active = np.abs(c) <= _SATURATION_C
+    weights = np.zeros(d.size)
+    mse, nodes, deviation, saturated = sigma2, 0, 0.0, d.size
+    if np.any(active):
+        d_act, c_act = d[active], c[active]
+        a, w, tail_variance = _ability_nodes(x_bar, sigma, d_act.min(), d_act.max())
+        nodes, da = a.size, a - x_bar
+        # T = Phi(side (a - d)) is the item's smaller tail, E[T] = Phi(-|c|).
+        side = np.where(c_act > 0.0, -1.0, 1.0)
+        arg = side[:, None] * (a[None, :] - d_act[:, None])
+        tail = ndtr(arg)
+        other = ndtr(np.negative(arg, out=arg), out=arg)  # 1 - T
+        lam = 4.0 * np.einsum("ig,ig,g->i", tail, other, w)
+        del arg, other
+        tail_mean = tail @ w
+        centred = tail
+        centred -= tail_mean[:, None]  # m - E m = 2 side (T - E T)
+        e = 2.0 * side * (centred @ (w * da))
+        deviation = max(
+            float(np.max(np.abs(2.0 * (tail_mean - norm_cdf(-np.abs(c_act)))))),
+            float(np.max(np.abs(e - 2.0 * sigma2 * norm_pdf(c_act)
+                                / math.sqrt(sigma2 + 1.0)))) / sigma,
+            abs(float(w @ (da * da)) + tail_variance - sigma2) / sigma2,
+        )
+        if not deviation <= _QUADRATURE_TOLERANCE:
+            raise RuntimeError(
+                f"known-difficulty quadrature ({nodes} nodes) missed its closed "
+                f"forms by {deviation:.3g}"
+            )
+        kept = lam > 0.0
+        scale = np.zeros_like(lam)
+        scale[kept] = 1.0 / np.sqrt(lam[kept])
+        psi = centred
+        psi *= (2.0 * side * scale)[:, None]
+        psi *= np.sqrt(w)
+        v = np.sqrt(w) * da
+        # psi is C-ordered, so psi.T is F-ordered: dsyrk reads it in place.
+        core = scipy.linalg.blas.dsyrk(1.0, psi.T)
+        core[np.diag_indices_from(core)] += 1.0
+        z = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(core, lower=False, overwrite_a=True,
+                                    check_finite=False),
+            v, check_finite=False,
+        )
+        mse = tail_variance + float(v @ z)
+        weights[active] = scale * (psi @ z)
+        saturated = int(np.count_nonzero(~active)) + int(np.count_nonzero(~kept))
+    mean = norm_cdf(c) - norm_cdf(-c)
+    return weights, x_bar - float(weights @ mean), mse, {
+        "path": "quadrature", "nodes": nodes, "saturated": saturated,
+        "closed_form_deviation": deviation,
+    }
 
 
 def known_difficulty_fit(model: KnownDifficultyModel, Y) -> LmmseSolution:
     """L-MMSE ability estimates against known item difficulties.
 
-    Observes y_i = sign(a - d_i + w_i) with a ~ N(x_bar, sigma2_x): the
-    general probit L-MMSE (`lmmse_fit`) on the one-column model D = 1_Q,
-    m = -d.  Y is one user's (Q,) responses or a (U, Q) block, one row
-    per user.  The fit is linear, a_hat = W y + b, and (W, b) depend only
-    on the model, so one `lmmse_fit` gives every row's W y_u + b.
-    Returns that fit with `estimate` holding one ability per row, shape
-    (1,) for one user (as from `lmmse_fit`) and (U,) for a block;
-    `predicted_mse`, each user's MSE, is data-independent.
+    Observes y_i = sign(a - d_i + w_i) with a ~ N(x_bar, sigma2_x).  The
+    fit is linear, a_hat = W y + b, and (W, b) depend only on the model:
+    one quadrature solve (`_known_difficulty_solve`: C_y is diagonal plus
+    rank G on the G quadrature nodes in a, so Woodbury solves it on a
+    G x G core, in O(Q G^2) time and O(Q G) memory) gives every row's
+    W y_u + b.  Y is one user's (Q,) responses or a (U, Q) block, one row
+    per user.  Returns that fit with `estimate` holding one ability per
+    row, shape (1,) for one user and (U,) for a block; `predicted_mse`,
+    each user's MSE, is data-independent.  W is (1, Q) and b (1,), as
+    from the general `lmmse_fit` on the one-column model D = 1_Q, m = -d,
+    which stays the reference; metadata holds the path ("quadrature"),
+    the node count, the saturated items and the closed-form check.
     """
     Y = np.asarray(Y, dtype=np.float64)
     Q = model.d.size
     if Y.ndim not in (1, 2) or Y.shape[-1] != Q or Y.size == 0:
         raise ValueError(f"Y has shape {Y.shape}, expected ({Q},) or (U, {Q})")
     Y = _check_pm_one(Y, Y.size).reshape(-1, Q)
-    sol = lmmse_fit(_one_column_model(model), Y[0])
-    return replace(sol, estimate=Y @ sol.W[0] + sol.b[0])
+    weights, b, mse, metadata = _known_difficulty_solve(model)
+    return LmmseSolution(
+        estimate=Y @ weights + b,
+        predicted_mse=mse,
+        per_component_mse=np.array([mse]),
+        W=weights[None, :],
+        b=np.array([b]),
+        metadata=metadata,
+    )
 
 
 def known_difficulty_predicted_mse(model: KnownDifficultyModel) -> float:
-    """Data-independent MSE of the known-difficulty L-MMSE ability estimate."""
-    return lmmse_predicted_mse(_one_column_model(model))[0]
+    """Data-independent MSE of the known-difficulty L-MMSE ability
+    estimate, from the quadrature solve of `known_difficulty_fit`."""
+    return _known_difficulty_solve(model)[2]

@@ -7,8 +7,9 @@ everywhere on [-1, 1] (measured ~1e-16).  It runs in fixed-size blocks of
 pairs, so memory stays bounded at any size.  A block whose pairs share one
 correlation computes the per-node terms, which depend only on rho, once and
 broadcasts them against the pairs, bitwise as the per-pair terms; the
-known-difficulty C_y, whose pairs all have rho = sigma^2 / (sigma^2 + 1), is
-such a case.
+known-difficulty C_y of the dense reference (`linear_probit.linearize` on
+the one-column model), whose pairs all have rho = sigma^2 / (sigma^2 + 1),
+is such a case.
 """
 
 from __future__ import annotations

@@ -1,19 +1,23 @@
 """Independent reference implementations and frozen constants for the tests.
 
-Everything here but `linearize_whole_triangle` is deliberately implemented
-without the package under test: the bivariate normal probabilities come from
+Everything here but `linearize_whole_triangle` and
+`known_difficulty_reference` is deliberately implemented without the
+package under test: the bivariate normal probabilities come from
 adaptive quadrature in rotated (principal-axis) coordinates, gradients from
 central differences, and sign moments from plain Monte Carlo.  The frozen
 constants were precomputed with a 40-digit arbitrary-precision integrator.
 `linearize_whole_triangle` is the earlier whole-triangle form of
 `linear_probit.linearize`, on the package's special functions, which pins
-the blocked form bit for bit.
+the blocked form bit for bit.  `known_difficulty_reference` is the dense
+path's L-MMSE problem for known difficulties (the package's `linearize` on
+the one-column model), against which the quadrature solver is pinned.
 """
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
+from rasch_lmmse.linear_probit import GeneralProbitModel, linearize
 from rasch_lmmse.specfun import binorm_cdf, norm_cdf, norm_pdf
 
 
@@ -153,3 +157,36 @@ def linearize_whole_triangle(model):
         C_y[:, saturated] = 0.0
     np.fill_diagonal(C_y, 1.0 - y_mean**2)
     return y_mean, C_y, E, int(np.count_nonzero(saturated))
+
+
+def known_difficulty_reference(d, x_bar, sigma2):
+    """(optimum, weight_mse) of the dense known-difficulty problem.
+
+    With e = E and C_y from `linearize` on the one-column model D = 1_Q,
+    m = -d, x ~ N(x_bar, sigma2), weight_mse(w) = sigma2 - 2 w^T e +
+    w^T C_y w is the MSE that weights w reach (with the matching offset),
+    and optimum is its minimum.  C_y's diagonal holds exact zeros where
+    E[y_i] rounds to +-1 (|c| above about 8.3), so the dense Cholesky
+    needs jitter there, and its own MSE moves by up to 6e-9.  So those
+    items are left out, the rest are scaled to unit variance, and the
+    optimum is taken through a symmetric eigendecomposition that drops
+    eigenvalues below 1e-10.  The left-out items and the dropped
+    directions, responses deterministic to within the dense moments'
+    rounding, carry below 1e-12 of MSE.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    lin = linearize(GeneralProbitModel(
+        D=np.ones((d.size, 1)), m=-d, x_mean=[x_bar], C_x=[[sigma2]]
+    ))
+    e, C_y = lin.E[:, 0], lin.C_y
+    live = np.flatnonzero(np.diag(C_y) > 0.0)
+    scale = 1.0 / np.sqrt(np.diag(C_y)[live])
+    lam, vec = np.linalg.eigh(scale[:, None] * C_y[np.ix_(live, live)] * scale)
+    keep = lam > 1e-10
+    proj = vec[:, keep].T @ (scale * e[live])
+    optimum = sigma2 - float(np.sum(proj * proj / lam[keep]))
+
+    def weight_mse(w):
+        return sigma2 - 2.0 * float(w @ e) + float(w @ C_y @ w)
+
+    return optimum, weight_mse

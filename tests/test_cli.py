@@ -580,10 +580,10 @@ def _stop_tasks(*args):
     raise _Stopped("stopped before any task")
 
 
-# 20 x 20, 100 trials, the default 30k Gibbs steps: 40k latents per step,
-# about 1.1 minutes of sampling.
+# 20 x 20, 125 trials, the default 30k Gibbs steps: 50k latents per step,
+# about 1.2 minutes of sampling.
 SLOW_GIBBS = SyntheticConfig(users_grid=(20,), items_grid=(20,), snr_db_grid=(0.0,),
-                             trials=100, estimators=("pm_gibbs",))
+                             trials=125, estimators=("pm_gibbs",))
 
 
 def test_gibbs_runtime_projection(caplog, monkeypatch):
@@ -621,7 +621,7 @@ def test_gibbs_runtime_warning_reaches_stderr_at_the_default_level(
 ):
     monkeypatch.setattr(experiments, "_thread_map", _stop_tasks)
     argv = ["simulate", "--users", "20", "--items", "20", "--snr-db", "0",
-            "--trials", "100", "--estimators", "pm_gibbs",
+            "--trials", "125", "--estimators", "pm_gibbs",
             "--output", str(tmp_path / "sim.csv")]
     if level is not None:
         argv += ["--log-level", level]
@@ -654,8 +654,10 @@ def test_crossval_gibbs_runtime_projection(tmp_path, caplog, monkeypatch):
                 if r.levelno >= logging.WARNING]
 
     def minutes(calls, latents):
+        # Each chain's kept Schur side is min(40, 25) = 25.
         return 30_000 * (calls * experiments._GIBBS_STEP_SECONDS
-                         + latents * experiments._GIBBS_LATENT_SECONDS) / 60
+                         + latents * experiments._GIBBS_LATENT_SECONDS
+                         + calls * 25**2 * experiments._GIBBS_KEPT_SECONDS) / 60
 
     # Defaults, 10 folds and 5 variances: 10 training chains of 9n / 10
     # latents and 50 tuning chains of 8n / 10.
@@ -671,6 +673,36 @@ def test_crossval_gibbs_runtime_projection(tmp_path, caplog, monkeypatch):
     monkeypatch.setattr(experiments, "_GIBBS_WARN_SECONDS", 0.0)
     ((_, message),) = logged(CvConfig(prior_variance_grid=(1.0,), estimators=gibbs))
     assert message.endswith(f"roughly {minutes(10, 9 * n):.1f} minutes of sampling")
+
+
+def test_gibbs_runtime_projection_counts_each_chains_kept_side(tmp_path, caplog, monkeypatch):
+    # With the step and latent terms zeroed, the projection is the kept
+    # term alone: the sum over chains of n^2, n = min(U, Q) per simulate
+    # pattern and min(num_users, num_items) per crossval split.
+    monkeypatch.setattr(experiments, "_thread_map", _stop_tasks)
+    monkeypatch.setattr(experiments, "_GIBBS_STEP_SECONDS", 0.0)
+    monkeypatch.setattr(experiments, "_GIBBS_LATENT_SECONDS", 0.0)
+    monkeypatch.setattr(experiments, "_GIBBS_KEPT_SECONDS", 1e-6)
+    monkeypatch.setattr(experiments, "_GIBBS_WARN_SECONDS", 0.0)
+    path = tmp_path / "responses.csv"
+    write_rasch_csv(path, 40, 25, seed=3)
+    runs = [
+        # 2 SNRs x 3 trials of 20 x 20 and of 20 x 50: 12 chains, n = 20.
+        (lambda: experiments.run_synthetic(dataclasses.replace(
+            SLOW_GIBBS, items_grid=(20, 50), snr_db_grid=(0.0, 10.0), trials=3)),
+         12 * 20**2),
+        # 10 folds x (1 + 5 variances) chains, n = 25.
+        (lambda: experiments.run_cross_validation(
+            load_triplets(path), CvConfig(estimators=("pm_gibbs",))),
+         60 * 25**2),
+    ]
+    for run, kept in runs:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rasch_lmmse"):
+            with pytest.raises(_Stopped):
+                run()
+        ((message,),) = [(r.getMessage(),) for r in caplog.records]
+        assert message.endswith(f"roughly {30_000 * kept * 1e-6 / 60:.1f} minutes of sampling")
 
 
 @pytest.mark.parametrize("level, shown", [(None, True), ("ERROR", False)])

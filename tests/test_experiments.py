@@ -1,6 +1,5 @@
 """Synthetic grid study, scoring metrics, and cross-validation."""
 
-import dataclasses
 import json
 import threading
 import tracemalloc
@@ -10,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rasch_lmmse import baselines, experiments, linear_probit, rasch
+from oracles import known_difficulty_reference
+from rasch_lmmse import baselines, experiments, rasch
 from rasch_lmmse.baselines import pm_gibbs
 from rasch_lmmse.data import ResponseSet, load_triplets
 from rasch_lmmse.experiments import (
@@ -23,7 +23,7 @@ from rasch_lmmse.experiments import (
     run_synthetic,
     snr_to_sigma2,
 )
-from rasch_lmmse.linear_probit import GeneralProbitModel, lmmse_fit
+from rasch_lmmse.linear_probit import lmmse_fit
 from rasch_lmmse.rasch import (
     KnownDifficultyModel,
     RaschDesign,
@@ -199,26 +199,6 @@ def test_known_difficulty_mode():
         )
 
 
-def test_known_difficulty_cell_reports_the_largest_lmmse_jitter(monkeypatch):
-    config = SyntheticConfig(
-        users_grid=(3,), items_grid=(4,), snr_db_grid=(0.0,), trials=3,
-        known_difficulties=True,
-    )
-    result = run_synthetic(config)
-    assert result.cells[0]["lmmse_jitter"] == 0.0
-    assert json.loads(result.to_json())["cells"][0]["lmmse_jitter"] == 0.0
-    assert "lmmse_jitter" not in result.csv_columns()
-
-    # The cell keeps the largest jitter any trial's fit needed.
-    jitters = iter([0.0, 1e-9, 1e-10])
-
-    def jittered_fit(*args, **kwargs):
-        return dataclasses.replace(lmmse_fit(*args, **kwargs), jitter=next(jitters))
-
-    monkeypatch.setattr(rasch, "lmmse_fit", jittered_fit)
-    assert run_synthetic(config).cells[0]["lmmse_jitter"] == 1e-9
-
-
 def test_known_difficulty_cell_reports_the_largest_saturation_count(monkeypatch):
     config = SyntheticConfig(
         users_grid=(3,), items_grid=(4,), snr_db_grid=(0.0,), trials=3,
@@ -232,14 +212,13 @@ def test_known_difficulty_cell_reports_the_largest_saturation_count(monkeypatch)
 
     # The cell keeps the largest count any trial's fit took as deterministic.
     counts = iter([1, 3, 2])
+    solve = rasch._known_difficulty_solve
 
-    def saturating_fit(*args, **kwargs):
-        sol = lmmse_fit(*args, **kwargs)
-        return dataclasses.replace(
-            sol, metadata={**sol.metadata, "saturated": next(counts)}
-        )
+    def saturating_solve(model):
+        weights, b, mse, metadata = solve(model)
+        return weights, b, mse, {**metadata, "saturated": next(counts)}
 
-    monkeypatch.setattr(rasch, "lmmse_fit", saturating_fit)
+    monkeypatch.setattr(rasch, "_known_difficulty_solve", saturating_solve)
     assert run_synthetic(config).cells[0]["lmmse_saturated"] == 3
 
 
@@ -496,20 +475,20 @@ def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped,
     assert len(set(calls)) == 2 and threading.get_ident() not in calls
 
 
-def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
-    linearize = linear_probit.linearize
+def test_known_difficulty_solves_once_per_trial(monkeypatch):
+    solve = rasch._known_difficulty_solve
     fit = experiments.known_difficulty_fit
     calls, fits = [], []
 
     def counting(model):
         calls.append(model)
-        return linearize(model)
+        return solve(model)
 
     def counting_fit(model, Y):
         fits.append((model, Y, fit(model, Y)))
         return fits[-1][2]
 
-    monkeypatch.setattr(linear_probit, "linearize", counting)
+    monkeypatch.setattr(rasch, "_known_difficulty_solve", counting)
     monkeypatch.setattr(experiments, "known_difficulty_fit", counting_fit)
     U, Q, snr_db = 6, 5, 0.0
     config = SyntheticConfig(
@@ -522,17 +501,15 @@ def test_known_difficulty_linearizes_once_per_trial(monkeypatch):
     assert len(fits) == config.trials
     monkeypatch.undo()
 
-    # Each user's estimate is its own dense fit on the one-column model.
+    # Each trial's weights reach the dense optimum under the dense moments
+    # of its one-column model, and each user's estimate is W y_u + b.
     sigma2 = snr_to_sigma2(snr_db)
     for model, Y, sol in fits:
-        dense = GeneralProbitModel(
-            D=np.ones((Q, 1)), m=-model.d, x_mean=[0.0], C_x=[[sigma2]]
-        )
+        optimum, weight_mse = known_difficulty_reference(model.d, 0.0, sigma2)
+        assert weight_mse(sol.W[0]) == pytest.approx(optimum, abs=1e-12)
+        assert sol.predicted_mse == pytest.approx(optimum, abs=1e-12)
         assert Y.shape == (U, Q)
-        for u in range(U):
-            assert sol.estimate[u] == pytest.approx(
-                lmmse_fit(dense, Y[u]).estimate[0], abs=1e-12
-            )
+        np.testing.assert_array_equal(sol.estimate, Y @ sol.W[0] + sol.b[0])
 
     predicted, errs = [], []
     for trial in range(config.trials):
@@ -600,7 +577,7 @@ def test_every_cell_carries_the_csv_columns(monkeypatch):
                 assert set(cell["wall_time_seconds"]) == set(config.estimators)
 
     check(standard, {"wall_time_seconds"})
-    known_keys = {"wall_time_seconds", "lmmse_jitter", "lmmse_saturated"}
+    known_keys = {"wall_time_seconds", "lmmse_saturated"}
     check(known, known_keys)
     check(known_fisher, known_keys)
 

@@ -20,6 +20,8 @@ from rasch_lmmse.baselines import (
     map_fit,
     rasch_map_fit,
 )
+from oracles import known_difficulty_reference
+from rasch_lmmse import rasch
 from rasch_lmmse.data import ResponseSet
 from rasch_lmmse.linear_probit import GeneralProbitModel, linearize, lmmse_fit
 from rasch_lmmse.rasch import (
@@ -881,20 +883,102 @@ def test_known_difficulty_matches_general_path():
             )
 
 
-def test_known_difficulty_predicted_mse_peaks_near_two_q2_doubles():
-    # The dense MSE holds C_y, filled a row block of pairs at a time in
-    # its own buffer, and its Cholesky copy: about 2.1 Q^2 doubles.  With
-    # whole-triangle pair arrays and a separate C_z it peaked at 8.4 Q^2.
+def _known_difficulty_models(seed, count):
+    """Random known-difficulty models: Q from 1 to 60, difficulties of
+    spread 0.5 to 3 about a random centre, in half of them one or two
+    outliers 10 to 60 away, x_bar in [-2, 2] and sigma2 log-uniform in
+    [1e-3, 1e4].  Then three fixed ones: every item saturated (|c| > 37),
+    an item (d = 50 at unit prior) whose Lambda underflows to 0, and an
+    item so far above a narrow prior that the panels cover the prior's
+    +-9 sigma instead of the empty range between it and the prior."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        Q = int(rng.integers(1, 61))
+        d = rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 3.0), size=Q)
+        if rng.random() < 0.5:
+            far = rng.integers(0, Q, size=int(rng.integers(1, 3)))
+            d[far] += rng.choice([-1.0, 1.0], far.size) * rng.uniform(10.0, 60.0, far.size)
+        yield KnownDifficultyModel(
+            d=d, x_bar=float(rng.uniform(-2.0, 2.0)),
+            sigma2_x=float(10.0 ** rng.uniform(-3.0, 4.0)),
+        )
+    yield KnownDifficultyModel(d=[60.0, -70.0], x_bar=0.5, sigma2_x=1e-3)
+    yield KnownDifficultyModel(d=[0.3, -1.2, 50.0], x_bar=0.0, sigma2_x=1.0)
+    yield KnownDifficultyModel(d=[30.0], x_bar=0.0, sigma2_x=1e-2)
+
+
+def test_known_difficulty_solve_matches_the_dense_moments():
+    # The MSE is the dense optimum, and the weights reach it under the
+    # dense moments.  Estimates on arbitrary responses are not compared:
+    # where C_y is ill-conditioned, weights that reach the same MSE differ
+    # widely.  The dense quantities round at about 1e-14 sigma2 near
+    # sigma2 = 1e4 (there the dense fit's own weights reach 2.8e-11 above
+    # the reference optimum).
+    beyond_counts = underflows = 0
+    for km in _known_difficulty_models(41, 150):
+        fit = known_difficulty_fit(km, np.ones(km.d.size))
+        optimum, weight_mse = known_difficulty_reference(km.d, km.x_bar, km.sigma2_x)
+        assert fit.predicted_mse == pytest.approx(optimum, abs=1e-10)
+        assert weight_mse(fit.W[0]) == pytest.approx(
+            optimum, abs=1e-12 + 1e-14 * km.sigma2_x
+        )
+        meta = fit.metadata
+        assert meta["path"] == "quadrature" and meta["closed_form_deviation"] <= 1e-12
+        beyond = np.abs(km.x_bar - km.d) > 37.0 * np.sqrt(km.sigma2_x + 1.0)
+        assert np.all(fit.W[0][beyond] == 0.0)
+        assert meta["saturated"] >= np.count_nonzero(beyond)
+        beyond_counts += meta["saturated"] == km.d.size
+        underflows += meta["saturated"] > np.count_nonzero(beyond)
+    # The sweep reaches an all-saturated model and a Lambda that underflows.
+    assert beyond_counts > 0 and underflows > 0
+
+
+def test_known_difficulty_mse_is_settled_at_the_panel_width(monkeypatch):
+    models = list(_known_difficulty_models(41, 150))
+    coarse = [known_difficulty_fit(km, np.ones(km.d.size)) for km in models]
+    monkeypatch.setattr(rasch, "_PANEL_WIDTH", rasch._PANEL_WIDTH / 2.0)
+    for km, sol in zip(models, coarse):
+        fine = known_difficulty_fit(km, np.ones(km.d.size))
+        assert fine.metadata["nodes"] >= sol.metadata["nodes"]
+        assert fine.predicted_mse == pytest.approx(sol.predicted_mse, rel=1e-13)
+
+
+def test_known_difficulty_quadrature_fails_loudly(monkeypatch):
+    # Too few nodes a panel miss the closed forms, and the call says so.
+    km = KnownDifficultyModel(d=np.linspace(-2.0, 2.0, 9), x_bar=0.3, sigma2_x=2.0)
+    assert known_difficulty_fit(km, np.ones(9)).metadata["closed_form_deviation"] <= 1e-12
+    monkeypatch.setattr(rasch, "_PANEL_NODES", 4)
+    with pytest.raises(RuntimeError, match="missed its closed forms"):
+        known_difficulty_predicted_mse(km)
+
+
+def test_known_difficulty_predicted_mse_peaks_below_eight_q_g_doubles():
+    # The solve holds a few Q x G arrays and never a Q x Q one; the dense
+    # reference peaks near 2 Q^2 doubles (10.9 MB here, against 1.9 MB).
     Q = 800
     km = KnownDifficultyModel(
         d=np.random.default_rng(6).normal(size=Q), x_bar=0.0, sigma2_x=1.0
+    )
+    nodes = known_difficulty_fit(km, np.ones(Q)).metadata["nodes"]
+    tracemalloc.start()
+    mse = known_difficulty_predicted_mse(km)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 8 * Q * nodes * 8
+    assert 0.0 < mse < 1.0
+
+
+def test_known_difficulty_predicted_mse_at_q_20000_stays_far_below_q2():
+    Q = 20_000
+    km = KnownDifficultyModel(
+        d=np.random.default_rng(7).normal(size=Q), x_bar=0.0, sigma2_x=1.0
     )
     tracemalloc.start()
     mse = known_difficulty_predicted_mse(km)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak <= 2.5 * Q * Q * 8
-    assert 0.0 < mse < 1.0
+    assert peak < 0.1 * Q * Q * 8
+    assert 0.0 < mse < 1e-3
 
 
 def test_known_difficulty_single_item_value():
