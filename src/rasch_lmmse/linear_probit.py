@@ -21,9 +21,6 @@ _SATURATION_C = 37.0
 # Pairs per row block of `linearize`'s C_y: eight of `binorm_cdf`'s blocks.
 _PAIR_BLOCK = 8 * _BLOCK
 
-_JITTER_START = 1e-10
-_JITTER_MAX = 1e-6
-
 
 def _as_float_array(x, name, ndim):
     arr = np.asarray(x, dtype=np.float64)
@@ -75,15 +72,17 @@ class LinearizedQuantities:
 
     y_mean = E[y] and C_y = Cov(y) are the moments of the sign vector, and
     E = E[(y - y_mean)(x - x_mean)^T] is its cross-covariance with x.
-    saturated counts the observations taken as deterministic: those whose
-    standardized mean c has |c| > 37, where Phi(|c|) is 1 in double
-    precision.
+    C_y's diagonal is the sign variance 4 Phi(c) Phi(-c) of the
+    standardized mean c.  saturated is True for the observations taken as
+    deterministic: those with |c| > 37, where Phi(|c|) is 1 in double
+    precision; their y_mean is exactly +-1 and their rows and columns of
+    C_y are 0.
     """
 
     y_mean: np.ndarray
     C_y: np.ndarray
     E: np.ndarray
-    saturated: int
+    saturated: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,10 @@ class LmmseSolution:
     predicted_mse (the exact expected squared error summed over
     components) and per_component_mse are data-independent and always
     set.  W and b are None only from rasch.rasch_lmmse_fit, which never
-    forms the N x M weights.  metadata["path"] names the solver.
+    forms the N x M weights; a saturated observation (see
+    `LinearizedQuantities`) gets a column of W that is exactly 0.  A
+    covariance whose factorization fails raises np.linalg.LinAlgError.
+    metadata["path"] names the solver.
     """
 
     estimate: np.ndarray
@@ -101,7 +103,6 @@ class LmmseSolution:
     per_component_mse: np.ndarray
     W: np.ndarray | None
     b: np.ndarray | None
-    jitter: float = 0.0
     metadata: dict = field(default_factory=dict)
 
 
@@ -142,9 +143,9 @@ def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
     sz = np.sqrt(np.diag(C_y) + 1.0)
     c = z_mean / sz
 
-    y_mean = norm_cdf(c) - norm_cdf(-c)
+    upper, lower = norm_cdf(c), norm_cdf(-c)
+    y_mean = upper - lower
     saturated = np.abs(c) > _SATURATION_C
-    y_mean = np.where(saturated, np.sign(c) * (1.0 - 1e-16), y_mean)
 
     E = 2.0 * (norm_pdf(c) / sz)[:, None] * DC
 
@@ -161,39 +162,13 @@ def linearize(model: GeneralProbitModel) -> LinearizedQuantities:
         C_y[iu, ju] = off
         C_y[ju, iu] = off
         lo = hi
-    # Saturated entries are near-deterministic: covariance with anything is 0.
-    if np.any(saturated):
-        C_y[saturated, :] = 0.0
-        C_y[:, saturated] = 0.0
-    np.fill_diagonal(C_y, 1.0 - y_mean**2)
-    return LinearizedQuantities(
-        y_mean=y_mean, C_y=C_y, E=E, saturated=int(np.count_nonzero(saturated))
-    )
-
-
-def _solve_spd(A, B):
-    """Solve A X = B for symmetric positive semidefinite A with jitter escalation.
-
-    Returns (X, jitter_used).  The jitter is a multiple of the mean diagonal,
-    starting at 1e-10 and escalating by 10x up to 1e-6, after which the
-    failure is raised with the attempted level.
-    """
-    scale = float(np.mean(np.diag(A)))
-    if scale <= 0:
-        scale = 1.0
-    jitter, A_jit = 0.0, A
-    while True:
-        try:
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_jit), B), jitter
-        except scipy.linalg.LinAlgError:
-            jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
-            if jitter > _JITTER_MAX:
-                raise np.linalg.LinAlgError(
-                    "covariance factorization failed even with jitter "
-                    f"{_JITTER_MAX:g} * mean(diag)"
-                )
-            A_jit = A.copy()
-            A_jit[np.diag_indices_from(A_jit)] += jitter * scale
+    # The product of the tails keeps its precision where 1 - y_mean^2 would
+    # round to 0 (|c| above about 8.3).
+    np.fill_diagonal(C_y, 4.0 * upper * lower)
+    # A saturated sign is deterministic: its covariance with anything is 0.
+    C_y[saturated, :] = 0.0
+    C_y[:, saturated] = 0.0
+    return LinearizedQuantities(y_mean=y_mean, C_y=C_y, E=E, saturated=saturated)
 
 
 def _check_pm_one(y, M):
@@ -206,13 +181,23 @@ def _check_pm_one(y, M):
 
 
 def _lmmse_solve(model, lin):
-    """One solve C_y X = E: X, the per-component MSE and the jitter used.
+    """One solve C_y X = E: X and the per-component MSE.
 
     The per-component MSE is diag(C_x - E^T C_y^{-1} E) = diag(C_x - E^T X).
+    A saturated observation gets a row of X that is exactly 0; C_y over
+    the others is factored by one Cholesky, and if that fails
+    np.linalg.LinAlgError is raised.
     """
-    X, jitter = _solve_spd(lin.C_y, lin.E)
+    live = np.flatnonzero(~lin.saturated)
+    # The live block is a C-ordered copy of a symmetric matrix, so its
+    # transpose is the same matrix F-ordered, which LAPACK factors in place.
+    X = np.zeros_like(lin.E)
+    X[live] = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(lin.C_y[np.ix_(live, live)].T, overwrite_a=True),
+        lin.E[live],
+    )
     per_component = np.diag(model.C_x) - np.einsum("mk,mk->k", lin.E, X)
-    return X, per_component, jitter
+    return X, per_component
 
 
 def lmmse_fit(model: GeneralProbitModel, y) -> LmmseSolution:
@@ -221,11 +206,12 @@ def lmmse_fit(model: GeneralProbitModel, y) -> LmmseSolution:
     Exact among linear estimators of x from the sign vector y.  One solve
     C_y X = E gives the weights W = X^T and the exact MSE together; W and b
     serve every response vector of the model.  metadata["saturated"] counts
-    the observations `linearize` took as deterministic.
+    the observations `linearize` took as deterministic, whose weights are 0.
+    A failed factorization of C_y raises np.linalg.LinAlgError.
     """
     y = _check_pm_one(y, model.num_observations)
     lin = linearize(model)
-    X, per_component, jitter = _lmmse_solve(model, lin)
+    X, per_component = _lmmse_solve(model, lin)
     W = X.T
     b = model.x_mean - W @ lin.y_mean
     return LmmseSolution(
@@ -234,8 +220,7 @@ def lmmse_fit(model: GeneralProbitModel, y) -> LmmseSolution:
         per_component_mse=per_component,
         W=W,
         b=b,
-        jitter=jitter,
-        metadata={"path": "dense", "saturated": lin.saturated},
+        metadata={"path": "dense", "saturated": int(lin.saturated.sum())},
     )
 
 

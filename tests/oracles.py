@@ -125,9 +125,10 @@ def linearize_whole_triangle(model):
 
     Forms C_z = (P + P^T) / 2 + I from P = D C_x D^T as its own M x M array
     and evaluates the sign covariance 4 (Phi2(c_i, c_j; rho) - Phi(c_i)
-    Phi(c_j)) of all M (M - 1) / 2 pairs of the upper triangle at once.
-    Observations with |c| > 37 are saturated: y_mean is sign(c) (1 - 1e-16)
-    and their covariances are 0.
+    Phi(c_j)) of all M (M - 1) / 2 pairs of the upper triangle at once,
+    and each variance as 4 Phi(c) Phi(-c).  Observations with |c| > 37 are
+    saturated: y_mean is exactly sign(c), and their variances and
+    covariances are 0.
     """
     D, C_x = model.D, model.C_x
     M = D.shape[0]
@@ -140,7 +141,6 @@ def linearize_whole_triangle(model):
 
     y_mean = norm_cdf(c) - norm_cdf(-c)
     saturated = np.abs(c) > 37.0
-    y_mean = np.where(saturated, np.sign(c) * (1.0 - 1e-16), y_mean)
 
     E = 2.0 * (norm_pdf(c) / sz)[:, None] * (D @ C_x)
 
@@ -152,11 +152,11 @@ def linearize_whole_triangle(model):
         off = 4.0 * (binorm_cdf(ci, cj, rho) - norm_cdf(ci) * norm_cdf(cj))
         C_y[iu, ju] = off
         C_y[ju, iu] = off
+    np.fill_diagonal(C_y, 4.0 * norm_cdf(c) * norm_cdf(-c))
     if np.any(saturated):
         C_y[saturated, :] = 0.0
         C_y[:, saturated] = 0.0
-    np.fill_diagonal(C_y, 1.0 - y_mean**2)
-    return y_mean, C_y, E, int(np.count_nonzero(saturated))
+    return y_mean, C_y, E, saturated
 
 
 def known_difficulty_reference(d, x_bar, sigma2):
@@ -165,14 +165,12 @@ def known_difficulty_reference(d, x_bar, sigma2):
     With e = E and C_y from `linearize` on the one-column model D = 1_Q,
     m = -d, x ~ N(x_bar, sigma2), weight_mse(w) = sigma2 - 2 w^T e +
     w^T C_y w is the MSE that weights w reach (with the matching offset),
-    and optimum is its minimum.  C_y's diagonal holds exact zeros where
-    E[y_i] rounds to +-1 (|c| above about 8.3), so the dense Cholesky
-    needs jitter there, and its own MSE moves by up to 6e-9.  So those
-    items are left out, the rest are scaled to unit variance, and the
-    optimum is taken through a symmetric eigendecomposition that drops
-    eigenvalues below 1e-10.  The left-out items and the dropped
-    directions, responses deterministic to within the dense moments'
-    rounding, carry below 1e-12 of MSE.
+    and optimum is its minimum.  Saturated items (|c| > 37), whose
+    variance is 0, are left out, the rest are scaled to unit variance,
+    and the optimum is taken through a symmetric eigendecomposition that
+    drops eigenvalues below 1e-10, independently of the dense path's
+    Cholesky solve.  The dropped directions, responses deterministic to
+    within the dense moments' rounding, carry below 1e-12 of MSE.
     """
     d = np.asarray(d, dtype=np.float64)
     lin = linearize(GeneralProbitModel(

@@ -1,7 +1,11 @@
 """Linear MMSE estimator: scalar facts and moment oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import ndtr
 
 from rasch_lmmse.linear_probit import (
     GeneralProbitModel,
@@ -156,7 +160,7 @@ def assert_linearize_is_the_whole_triangle_bitwise(model):
     np.testing.assert_array_equal(lin.y_mean, y_mean)
     np.testing.assert_array_equal(lin.C_y, C_y)
     np.testing.assert_array_equal(lin.E, E)
-    assert lin.saturated == saturated
+    np.testing.assert_array_equal(lin.saturated, saturated)
     return lin
 
 
@@ -182,7 +186,7 @@ def test_blocked_linearize_is_the_whole_triangle_bitwise(monkeypatch, pair_block
             m[1] = 80.0 * np.sqrt(1.0 + D[1] @ model.C_x @ D[1])
         model = GeneralProbitModel(D=D, m=m, x_mean=model.x_mean, C_x=model.C_x)
         lin = assert_linearize_is_the_whole_triangle_bitwise(model)
-        assert lin.saturated == (M >= 3)
+        assert np.count_nonzero(lin.saturated) == (M >= 3)
         if M >= 2:
             C_z = D @ model.C_x @ D.T + np.eye(M)
             assert C_z[0, -1] / np.sqrt(C_z[0, 0] * C_z[-1, -1]) < -0.925
@@ -213,14 +217,51 @@ def test_saturated_observation_is_handled():
         D=np.eye(2), m=[60.0, 0.0], x_mean=[0.0, 0.0], C_x=np.eye(2)
     )
     lin = linearize(model)
-    assert lin.saturated == 1
-    assert lin.y_mean[0] == pytest.approx(1.0, abs=1e-15)
-    assert abs(lin.C_y[0, 1]) == 0.0
+    np.testing.assert_array_equal(lin.saturated, [True, False])
+    assert lin.y_mean[0] == 1.0
+    np.testing.assert_array_equal(lin.C_y[0], 0.0)
+    np.testing.assert_array_equal(lin.C_y[:, 0], 0.0)
     sol = lmmse_fit(model, [1.0, -1.0])
     assert sol.metadata["saturated"] == 1
     assert np.all(np.isfinite(sol.estimate))
     # the saturated entry carries no information, the other one does
+    np.testing.assert_array_equal(sol.W[:, 0], 0.0)
     assert abs(sol.estimate[1]) > 0.1
+
+
+def test_variance_is_the_product_of_the_tails():
+    # At c = 12 / sqrt(2) = 8.5, E[y] rounds to 1 and 1 - E[y]^2 to 0; the
+    # variance 4 Phi(c) Phi(-c) stays positive and the item keeps a weight.
+    model = GeneralProbitModel(
+        D=np.ones((2, 1)), m=[12.0, 0.0], x_mean=[0.0], C_x=[[1.0]]
+    )
+    lin = linearize(model)
+    c = 12.0 / np.sqrt(2.0)
+    assert lin.y_mean[0] == 1.0 and not np.any(lin.saturated)
+    assert lin.C_y[0, 0] == pytest.approx(4.0 * ndtr(-c), rel=1e-14)
+    assert lmmse_fit(model, [1.0, 1.0]).W[0, 0] > 0.0
+
+
+def test_failed_factorization_raises_after_one_cholesky(monkeypatch):
+    from rasch_lmmse import linear_probit
+
+    model = random_model(np.random.default_rng(3), M=2, N=1)
+    lin = linearize(model)
+    indefinite = replace(lin, C_y=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    monkeypatch.setattr(linear_probit, "linearize", lambda _: indefinite)
+    cho_factor, calls = scipy.linalg.cho_factor, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    with pytest.raises(np.linalg.LinAlgError):
+        lmmse_fit(model, [1.0, -1.0])
+    assert len(calls) == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        lmmse_predicted_mse(model)
+    assert len(calls) == 2
 
 
 def test_zero_design_returns_prior():
