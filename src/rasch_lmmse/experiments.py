@@ -38,6 +38,7 @@ from .data import ResponseSet, _as_count, _as_float, _as_int, _as_variance
 from .rasch import (
     KnownDifficultyModel,
     RaschDesign,
+    _ability_node_cap,
     _full_response_set,
     known_difficulty_fit,
     rasch_closed_form_mse,
@@ -506,10 +507,12 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
     Each (U, Q, snr) cell draws `trials` Rasch instances and accumulates
     per-trial mean squared errors on the ability components.  In
     known-difficulty mode each cell is its own task, holding one trial's
-    U Q responses.  In the standard mode each (U, Q) pattern holds
-    U Q + min(U, Q)^2 entries, one trial's responses and its Schur
-    complement, plus U Q latents per step for each of its pm_gibbs
-    chains (cells x trials); its (cell, trial) pairs are
+    responses and its quadrature solve's Q x G arrays, U Q + Q G array
+    entries with G the most ability nodes at the cell's prior variance
+    (`rasch._ability_node_cap`).  In the standard mode
+    each (U, Q) pattern holds U Q + min(U, Q)^2 entries, one trial's
+    responses and its Schur complement, plus U Q latents per step for each
+    of its pm_gibbs chains (cells x trials); its (cell, trial) pairs are
     cut into w near-equal contiguous slices, and each slice is one task
     that fits and samples its pairs (`_run_standard_slice`).  Either way
     the tasks run on w = `_workers(threads, entries)` threads, entries
@@ -535,7 +538,10 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
             except Exception as err:  # recorded, not raised: other cells continue
                 return _cell_head(*cell[1:], err)
 
-        entries = sum(U * Q for _, U, Q, _ in indexed)
+        entries = sum(
+            U * Q + Q * _ability_node_cap(snr_to_sigma2(snr_db))
+            for _, U, Q, snr_db in indexed
+        )
         cells = _thread_map(run_cell, indexed, _workers(threads, entries))
         return ExperimentResult(config=asdict(config), cells=cells)
 

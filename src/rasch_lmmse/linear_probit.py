@@ -110,10 +110,17 @@ def sign_covariance(c_i, c_j, rho):
     """Covariance of sign(z_i), sign(z_j) for standardized means c and corr rho.
 
     4 * (Phi2(c_i, c_j; rho) - Phi(c_i) Phi(c_j)): the sign is 2 1{z > 0} - 1
-    and P(z_i > 0, z_j > 0) = Phi2(c_i, c_j; rho).  One bivariate CDF
-    evaluation per entry, vectorized over broadcast inputs.
+    and P(z_i > 0, z_j > 0) = Phi2(c_i, c_j; rho).  Each sign is taken on
+    its smaller tail: for c > 0 the sign is negated, which negates c, the
+    correlations and the covariance, so both CDF terms stay small and their
+    difference keeps its precision where Phi(c) rounds towards 1 (at
+    c <= 0 the values are bitwise those of the formula above).  One
+    bivariate CDF evaluation per entry, vectorized over broadcast inputs.
     """
-    return 4.0 * (binorm_cdf(c_i, c_j, rho) - norm_cdf(c_i) * norm_cdf(c_j))
+    g_i = np.where(np.asarray(c_i) > 0, -1.0, 1.0)
+    g_j = np.where(np.asarray(c_j) > 0, -1.0, 1.0)
+    a_i, a_j, g = g_i * c_i, g_j * c_j, g_i * g_j
+    return 4.0 * g * (binorm_cdf(a_i, a_j, g * rho) - norm_cdf(a_i) * norm_cdf(a_j))
 
 
 def linearize(model: GeneralProbitModel) -> LinearizedQuantities:

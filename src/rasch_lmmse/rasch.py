@@ -614,6 +614,14 @@ def _ability_nodes(x_bar, sigma, d_lo, d_hi):
             np.concatenate(([mass[0]], w, [mass[1]])), missed)
 
 
+def _ability_node_cap(sigma2):
+    """The most nodes `_ability_nodes` gives at prior variance sigma2,
+    whatever the difficulties: its panels span at most 18 sigma."""
+    sigma = math.sqrt(sigma2)
+    width = _PANEL_WIDTH * min(sigma, 1.0)
+    return _PANEL_NODES * math.ceil(2.0 * _PRIOR_REACH * sigma / width) + 2
+
+
 def _known_difficulty_solve(model: KnownDifficultyModel):
     """The known-difficulty L-MMSE weights w (Q,), offset b and MSE, and
     the metadata of the solve; C_y is never formed.

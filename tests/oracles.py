@@ -125,10 +125,10 @@ def linearize_whole_triangle(model):
 
     Forms C_z = (P + P^T) / 2 + I from P = D C_x D^T as its own M x M array
     and evaluates the sign covariance 4 (Phi2(c_i, c_j; rho) - Phi(c_i)
-    Phi(c_j)) of all M (M - 1) / 2 pairs of the upper triangle at once,
-    and each variance as 4 Phi(c) Phi(-c).  Observations with |c| > 37 are
-    saturated: y_mean is exactly sign(c), and their variances and
-    covariances are 0.
+    Phi(c_j)), on each sign's smaller tail, of all M (M - 1) / 2 pairs of
+    the upper triangle at once, and each variance as 4 Phi(c) Phi(-c).
+    Observations with |c| > 37 are saturated: y_mean is exactly sign(c),
+    and their variances and covariances are 0.
     """
     D, C_x = model.D, model.C_x
     M = D.shape[0]
@@ -148,8 +148,12 @@ def linearize_whole_triangle(model):
     if M > 1:
         iu, ju = np.triu_indices(M, k=1)
         rho = np.clip(C_z[iu, ju] / (sz[iu] * sz[ju]), -1.0, 1.0)
-        ci, cj = c[iu], c[ju]
-        off = 4.0 * (binorm_cdf(ci, cj, rho) - norm_cdf(ci) * norm_cdf(cj))
+        # Each sign on its smaller tail: negating a sign with c > 0 negates
+        # its c, its correlations and its covariances.
+        g = np.where(c > 0, -1.0, 1.0)
+        gi, gj = g[iu], g[ju]
+        ai, aj, gg = gi * c[iu], gj * c[ju], gi * gj
+        off = 4.0 * gg * (binorm_cdf(ai, aj, gg * rho) - norm_cdf(ai) * norm_cdf(aj))
         C_y[iu, ju] = off
         C_y[ju, iu] = off
     np.fill_diagonal(C_y, 4.0 * norm_cdf(c) * norm_cdf(-c))

@@ -449,7 +449,7 @@ def _crossval_outputs(threads):
 ], ids=["fit_phase", "known_difficulty", "crossval"])
 def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped, run):
     # The pattern tasks hold 2.2k array entries, the known-difficulty cells
-    # 4.2k and the folds 1.3k: far below one worker's share, so
+    # 12.9k and the folds 1.3k: far below one worker's share, so
     # threads=2 runs every fit on the calling thread.  With the share
     # forced down to 1 entry, the fits run on two pool threads.
     serial = run(1)

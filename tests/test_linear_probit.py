@@ -129,7 +129,7 @@ def test_general_linearize_evaluates_one_bivariate_cdf_per_pair(monkeypatch):
     # Row blocks of at most 20 pairs, or one row where a row has more: a
     # 7-row C_y in 2 blocks and a 40-row one in 33.  Each block's pairs go
     # in row-major order, so the calls together see every pair (c_i, c_j),
-    # i < j, once and in order.
+    # i < j, once and in order, each c on its smaller tail, -|c|.
     from rasch_lmmse import linear_probit
 
     binorm_cdf = linear_probit.binorm_cdf
@@ -147,6 +147,7 @@ def test_general_linearize_evaluates_one_bivariate_cdf_per_pair(monkeypatch):
         linearize(model)
         P = model.D @ model.C_x @ model.D.T
         c = (model.D @ model.x_mean + model.m) / np.sqrt(np.diag(P) + 1.0)
+        c = np.where(c > 0, -c, c)
         iu, ju = np.triu_indices(M, k=1)
         assert len(calls) == blocks
         assert all(x.size <= max(20, M - 1) for x, _ in calls)
@@ -240,6 +241,30 @@ def test_variance_is_the_product_of_the_tails():
     assert lin.y_mean[0] == 1.0 and not np.any(lin.saturated)
     assert lin.C_y[0, 0] == pytest.approx(4.0 * ndtr(-c), rel=1e-14)
     assert lmmse_fit(model, [1.0, 1.0]).W[0, 0] > 0.0
+
+
+def test_near_duplicate_observations_keep_a_positive_definite_covariance():
+    # Identical items at |c| near 8 with latent variance up to 1e6, so
+    # correlation 1 - 1e-6: each variance is about 1e-15, and a covariance
+    # taken as the difference of two numbers near 1 rounds past it.  On the
+    # smaller tails it does not, and the dense MSE is the quadrature one.
+    from rasch_lmmse.rasch import KnownDifficultyModel, known_difficulty_predicted_mse
+
+    for sigma2 in (1e4, 1e5, 1e6):
+        for c in (7.8, 7.9, 8.0, -8.0):
+            for items in (2, 3):
+                x_bar = c * np.sqrt(sigma2 + 1.0)
+                model = GeneralProbitModel(
+                    D=np.ones((items, 1)), m=np.zeros(items), x_mean=[x_bar],
+                    C_x=[[sigma2]],
+                )
+                lin = linearize(model)
+                assert np.all(np.abs(lin.C_y[0, 1:]) < lin.C_y[0, 0])
+                quadrature = known_difficulty_predicted_mse(
+                    KnownDifficultyModel(d=np.zeros(items), x_bar=x_bar, sigma2_x=sigma2)
+                )
+                fit = lmmse_fit(model, np.ones(items))
+                assert fit.predicted_mse == pytest.approx(quadrature, rel=1e-14)
 
 
 def test_failed_factorization_raises_after_one_cholesky(monkeypatch):

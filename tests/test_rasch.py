@@ -917,13 +917,21 @@ def test_known_difficulty_solve_matches_the_dense_moments():
     # dense moments.  Estimates on arbitrary responses are not compared:
     # where C_y is ill-conditioned, weights that reach the same MSE differ
     # widely.  The dense quantities round at about 1e-14 sigma2 near
-    # sigma2 = 1e4 (there the dense fit's own weights reach 6.4e-12 above
-    # the reference optimum).
+    # sigma2 = 1e4 (there the dense fit's own weights reach 4.6e-12 above
+    # the reference optimum).  The dense path itself solves every model
+    # with one Cholesky and reaches the same MSE: C_y's diagonal is the
+    # product of the tails, which stays positive for items beyond
+    # |c| = 8.3, where 1 - E[y_i]^2 rounds to 0.
     beyond_counts = underflows = 0
     for km in _known_difficulty_models(41, 150):
         fit = known_difficulty_fit(km, np.ones(km.d.size))
         optimum, weight_mse = known_difficulty_reference(km.d, km.x_bar, km.sigma2_x)
         assert fit.predicted_mse == pytest.approx(optimum, abs=1e-10)
+        dense, _ = lmmse_predicted_mse(GeneralProbitModel(
+            D=np.ones((km.d.size, 1)), m=-km.d, x_mean=[km.x_bar],
+            C_x=[[km.sigma2_x]],
+        ))
+        assert dense == pytest.approx(fit.predicted_mse, abs=1e-10)
         assert weight_mse(fit.W[0]) == pytest.approx(
             optimum, abs=1e-12 + 1e-14 * km.sigma2_x
         )
@@ -936,19 +944,6 @@ def test_known_difficulty_solve_matches_the_dense_moments():
         underflows += meta["saturated"] > np.count_nonzero(beyond)
     # The sweep reaches an all-saturated model and a Lambda that underflows.
     assert beyond_counts > 0 and underflows > 0
-
-
-def test_dense_mse_of_the_one_column_model_is_the_quadrature_one():
-    # The dense path solves every model of the sweep with one Cholesky:
-    # C_y's diagonal is the product of the tails, which stays positive for
-    # items beyond |c| = 8.3 where 1 - E[y_i]^2 rounds to 0.
-    for km in _known_difficulty_models(41, 150):
-        model = GeneralProbitModel(
-            D=np.ones((km.d.size, 1)), m=-km.d, x_mean=[km.x_bar],
-            C_x=[[km.sigma2_x]],
-        )
-        dense, _ = lmmse_predicted_mse(model)
-        assert dense == pytest.approx(known_difficulty_predicted_mse(km), abs=1e-10)
 
 
 def test_known_difficulty_mse_is_settled_at_the_panel_width(monkeypatch):
