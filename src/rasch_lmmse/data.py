@@ -13,6 +13,7 @@ import math
 import numbers
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +164,14 @@ def load_triplets(path, label_convention: str = "pm_one") -> ResponseSet:
     arbitrary strings, densified in first-appearance order.  Malformed rows
     and duplicate pairs raise ValueError naming the line; rows are checked
     in file order before any pair is compared.  A leading UTF-8 byte-order
-    mark, as Excel's "CSV UTF-8" writes, is skipped.
+    mark, as Excel's "CSV UTF-8" writes, is skipped.  While it reads, the
+    loader holds one string per distinct user ID and item ID (each row's
+    token maps to the first instance read) and the rows' line numbers in
+    a typed array, so no row keeps Python objects of its own.
     """
     labels = _label_table(label_convention)
-    uids, iids, responses, lines = [], [], [], []
+    uids, iids, responses, lines = [], [], [], array("q")
+    intern = {}.setdefault
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -195,8 +200,9 @@ def load_triplets(path, label_convention: str = "pm_one") -> ResponseSet:
                     f"{path}, line {line_no}: unknown response value {token!r} "
                     f"for convention {label_convention!r}"
                 )
-            uids.append(row[0].strip())
-            iids.append(row[1].strip())
+            uid, iid = row[0].strip(), row[1].strip()
+            uids.append(intern(uid, uid))
+            iids.append(intern(iid, iid))
             responses.append(value)
             lines.append(line_no)
     try:

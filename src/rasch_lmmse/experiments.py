@@ -18,8 +18,8 @@ import json
 import logging
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import groupby, product
 
@@ -282,12 +282,43 @@ def _workers(threads, entries):
 
 
 def _thread_map(func, tasks, workers):
-    """[func(t) for t in tasks], on the calling thread for one worker and on
-    a pool of `workers` threads otherwise."""
-    if workers == 1:
-        return [func(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks))
+    """[func(t) for t in tasks] on `workers` threads: the calling thread and
+    workers - 1 pool threads (fewer when there are fewer tasks), each taking
+    the next task index from one shared counter.  The calling thread's
+    tasks reuse the memory its allocator already holds, where a pool
+    thread's tasks start a fresh arena.  Results come back in task order.
+    Once a task fails no task starts; the running ones finish, and the
+    error of the lowest-index failing task is raised (every task before it
+    has run).
+    """
+    tasks = list(tasks)
+    results, errors = [None] * len(tasks), {}
+    lock, order = threading.Lock(), iter(range(len(tasks)))
+
+    def work():
+        while True:
+            with lock:
+                k = None if errors else next(order, None)
+            if k is None:
+                return
+            try:
+                results[k] = func(tasks[k])
+            except BaseException as err:  # re-raised below, lowest index first
+                with lock:
+                    errors[k] = err
+
+    pool = [threading.Thread(target=work)
+            for _ in range(min(workers, len(tasks)) - 1)]
+    for thread in pool:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in pool:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _warn_gibbs_runtime(config, calls, latents, kept):
@@ -542,7 +573,12 @@ def run_synthetic(config: SyntheticConfig, threads: int | None = None) -> Experi
             U * Q + Q * _ability_node_cap(snr_to_sigma2(snr_db))
             for _, U, Q, snr_db in indexed
         )
-        cells = _thread_map(run_cell, indexed, _workers(threads, entries))
+        workers = _workers(threads, entries)
+        logger.info(
+            "simulate --known-difficulties: %d cell(s) on %d worker(s), %d entries",
+            len(indexed), workers, entries,
+        )
+        cells = _thread_map(run_cell, indexed, workers)
         return ExperimentResult(config=asdict(config), cells=cells)
 
     patterns = [list(run) for _, run in groupby(indexed, key=lambda c: c[1:3])]
@@ -893,7 +929,12 @@ def run_cross_validation(
         return fold_out, fallback
 
     entries = config.folds * (len(data) + min(data.num_users, data.num_items) ** 2)
-    results = _thread_map(run_fold, range(config.folds), _workers(threads, entries))
+    workers = _workers(threads, entries)
+    logger.info(
+        "crossval: %d fold(s) on %d worker(s), %d entries",
+        config.folds, workers, entries,
+    )
+    results = _thread_map(run_fold, range(config.folds), workers)
 
     fallback_counts = [r[1] for r in results]
     per_estimator = {}

@@ -290,7 +290,7 @@ class _Incidence:
 
     def forward(self, X):
         """D x per row of X: x[user] + x[U + item] for each response."""
-        return X[..., self.user_cols] + X[..., self.item_cols]
+        return np.add(X.take(self.user_cols, axis=-1), X.take(self.item_cols, axis=-1))
 
     def adjoint(self, R):
         """D^T r per row of R, by one bincount over `cols`: row t's sums land

@@ -1,6 +1,7 @@
 """Triplet and ratings I/O: parsing, validation, binarization."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,30 @@ def test_errors_name_the_physical_line_after_a_multiline_id(tmp_path):
     path.write_text('user,item,response\n"u\n1",i1,1\n\nu3,i1\n')
     with pytest.raises(ValueError, match=r"line 5: expected 3 fields, got 2"):
         load_triplets(path)
+
+
+def test_load_triplets_keeps_no_objects_per_row(tmp_path):
+    # 20k rows over 200 users x 300 items.  Holding one string per distinct
+    # ID and the line numbers in a typed array, a load peaks near its lists
+    # of references and the dense arrays (about 110 traced bytes a row); a
+    # string per row and token and an int per line number take it past 240.
+    rows = 20_000
+    rng = np.random.default_rng(11)
+    pairs = rng.choice(200 * 300, size=rows, replace=False).tolist()
+    signs = rng.choice(["1", "-1"], size=rows).tolist()
+    path = tmp_path / "d.csv"
+    path.write_text("user,item,response\n" + "".join(
+        f"u{p // 300},i{p % 300},{s}\n" for p, s in zip(pairs, signs)
+    ))
+    load_triplets(path)  # one-time allocations (caches, lazy imports) first
+    tracemalloc.start()
+    try:
+        data = load_triplets(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == rows and data.num_users == 200
+    assert peak <= 150 * rows, peak / rows
 
 
 def _reference_load_triplets(path, label_convention="pm_one"):

@@ -1,8 +1,11 @@
 """Synthetic grid study, scoring metrics, and cross-validation."""
 
 import json
+import logging
+import sys
 import threading
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +319,8 @@ def test_gibbs_phase_sizes_its_workers_to_the_latents(monkeypatch):
     # 9 chains per (U, Q) pattern, 126 latents per step in all: far below
     # one worker's share, so threads=2 runs every block on the calling
     # thread.  With the share forced down to 1 latent, each pattern's
-    # chains are cut into two slices (4 and 5 chains), one per pool thread.
+    # chains are cut into two slices (4 and 5 chains) on two threads, one
+    # of them the calling thread.
     config = SyntheticConfig(
         users_grid=(3,), items_grid=(2, 5), snr_db_grid=(-5.0, 0.0, 10.0),
         trials=3, estimators=("lmmse", "pm_gibbs"), gibbs_burn_in=10,
@@ -350,7 +354,7 @@ def test_gibbs_phase_sizes_its_workers_to_the_latents(monkeypatch):
     monkeypatch.setattr(experiments, "_WORKER_ENTRIES", 1)
     assert outputs(run_synthetic(config, threads=2)) == serial
     threads = {c[0] for c in calls}
-    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert len(threads) == 2 and threading.get_ident() in threads
     for Q in (2, 5):
         slices = sorted(n for _, q, n in calls if q == Q)
         assert slices == [4, 5]
@@ -451,7 +455,8 @@ def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped,
     # The pattern tasks hold 2.2k array entries, the known-difficulty cells
     # 12.9k and the folds 1.3k: far below one worker's share, so
     # threads=2 runs every fit on the calling thread.  With the share
-    # forced down to 1 entry, the fits run on two pool threads.
+    # forced down to 1 entry, the fits run on two threads, one of them the
+    # calling thread.
     serial = run(1)
     fit = getattr(experiments, wrapped)
     calls, meet_first = [], False
@@ -472,7 +477,101 @@ def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped,
     meet_first = True
     monkeypatch.setattr(experiments, "_WORKER_ENTRIES", 1)
     assert run(2) == serial
-    assert len(set(calls)) == 2 and threading.get_ident() not in calls
+    assert len(set(calls)) == 2 and threading.get_ident() in calls
+
+
+def test_thread_map_runs_each_task_once_in_task_order():
+    # 7 tasks on 3 workers: each thread's first task waits until all three
+    # hold one, so the calling thread and both pool threads run tasks.
+    ran, lock = [], threading.Lock()
+    meet = threading.Barrier(3, timeout=30)
+
+    def square(k):
+        ident = threading.get_ident()
+        with lock:
+            first = all(ident != t for _, t in ran)
+            ran.append((k, ident))
+        if first:
+            meet.wait()
+        return k * k
+
+    assert experiments._thread_map(square, range(7), 3) == [k * k for k in range(7)]
+    assert sorted(k for k, _ in ran) == list(range(7))
+    threads = {t for _, t in ran}
+    assert len(threads) == 3 and threading.get_ident() in threads
+
+    # Tasks 2 and 5 fail, 5 first: task 2's error is raised, after it ran.
+    failed = threading.Event()
+    ran.clear()
+
+    def failing(k):
+        ran.append(k)
+        if k == 2:
+            assert failed.wait(timeout=30)
+            raise ValueError("task 2")
+        if k == 5:
+            failed.set()
+            raise ValueError("task 5")
+        return k
+
+    with pytest.raises(ValueError, match="task 2"):
+        experiments._thread_map(failing, range(7), 3)
+    assert set(range(6)) <= set(ran)
+
+
+def test_thread_map_counter_loses_no_task_under_contention():
+    # More workers than cores and a short switch interval: a lost update
+    # of the shared counter would run a task twice or skip one.
+    runs = [0] * 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def task(k):
+            runs[k] += 1
+            return k
+        assert experiments._thread_map(task, range(2000), 4) == list(range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [1] * 2000
+
+
+class _Stopped(Exception):
+    pass
+
+
+@pytest.mark.parametrize("run", ["known_difficulty", "crossval"])
+def test_pool_runs_log_their_workers(caplog, monkeypatch, run):
+    # Logged at INFO before any task runs, with the count the pool gets.
+    pools = []
+
+    def stop(func, tasks, workers):
+        pools.append(workers)
+        raise _Stopped
+
+    monkeypatch.setattr(experiments, "_thread_map", stop)
+    monkeypatch.setattr(experiments, "_WORKER_ENTRIES", 1)
+    if run == "crossval":
+        data = load_triplets(SAMPLE_DATA / "responses.csv")
+        entries = 3 * (len(data) + min(data.num_users, data.num_items) ** 2)
+        want = f"crossval: 3 fold(s) on 2 worker(s), {entries} entries"
+        call = partial(run_cross_validation, data,
+                       CvConfig(folds=3, estimators=("lmmse",)), threads=2)
+    else:
+        config = SyntheticConfig(
+            users_grid=(2,), items_grid=(3,), snr_db_grid=(0.0, 10.0), trials=1,
+            estimators=("lmmse",), known_difficulties=True,
+        )
+        entries = sum(6 + 3 * rasch._ability_node_cap(snr_to_sigma2(snr))
+                      for snr in (0.0, 10.0))
+        want = (f"simulate --known-difficulties: 2 cell(s) on 2 worker(s), "
+                f"{entries} entries")
+        call = partial(run_synthetic, config, threads=2)
+    with caplog.at_level(logging.INFO, logger="rasch_lmmse"), pytest.raises(_Stopped):
+        call()
+    assert pools == [2]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("rasch_lmmse.experiments", "INFO", want)
+    ]
 
 
 def test_known_difficulty_solves_once_per_trial(monkeypatch):
