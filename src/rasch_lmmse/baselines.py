@@ -184,7 +184,7 @@ def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
         # gradient norm falls at a real rate, and accept the best iterate
         # once it stalls (sub-ulp rounding noise can leave the norm
         # creeping in its tenth digit forever) or the step rounds away.
-        at_floor = -slope <= np.finfo(np.float64).eps * (1.0 + abs(f))
+        at_floor = flat = -slope <= np.finfo(np.float64).eps * (1.0 + abs(f))
         if not at_floor:
             # Armijo backtracking on the Newton direction.
             alpha = 1.0
@@ -198,11 +198,16 @@ def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
             # passes the test; the objective is flat to rounding, as at the
             # floor, and backtracking would repeat the same step forever.
             at_floor = np.array_equal(x_new, x)
+            # A step shrunk until its sufficient decrease rounds away also
+            # passes on rounding alone.  f sums many terms, so it can be
+            # flat to rounding while the test above, one ulp of f, says it
+            # is not; such a step counts toward the stall.
+            flat = at_floor or f + 1e-4 * alpha * slope == f
         if at_floor:
             x_new = x + step
             f_new = objective(x_new)
-        stalled = stalled + 1 if at_floor and not made_progress else 0
-        if at_floor and (stalled >= 3 or np.array_equal(x_new, x)):
+        stalled = stalled + 1 if flat and not made_progress else 0
+        if flat and (stalled >= 3 or np.array_equal(x_new, x)):
             return MapSolution(best_x, it + 1, best_gnorm, True)
         x, f = x_new, f_new
     grad, _ = gradient(x)

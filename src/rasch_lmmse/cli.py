@@ -198,6 +198,19 @@ def _load_difficulties(path):
     return np.array(values)
 
 
+def _known_difficulty_fields(d, sigma2):
+    """The known-difficulty analyze fields of difficulties d at prior
+    variance sigma2."""
+    return dict(
+        mse_ability_closed_form=known_difficulty_predicted_mse(
+            KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
+        ),
+        mse_difficulty_closed_form=None,
+        mse_asymptotic=None,
+        fisher_bound=fisher_known_difficulty_bound(d, sigma2),
+    )
+
+
 def _cmd_analyze(args):
     if args.known_difficulties:
         if (args.difficulty_file is None) == (args.difficulty_sigma2 is None):
@@ -232,7 +245,7 @@ def _cmd_analyze(args):
         else None
     )
 
-    rows = []
+    rows, from_file = [], {}
     row_idx = 0
     for U in users:
         for Q in items:
@@ -247,27 +260,26 @@ def _cmd_analyze(args):
                         fisher_bound=0.0,
                     )
                 elif args.known_difficulties:
-                    if file_d is not None:
+                    if file_d is None:
+                        rng = np.random.default_rng(
+                            np.random.SeedSequence((seed, row_idx))
+                        )
+                        fields = _known_difficulty_fields(
+                            rng.normal(scale=np.sqrt(args.difficulty_sigma2), size=Q),
+                            sigma2,
+                        )
+                    else:
                         if file_d.size != Q:
                             raise ValueError(
                                 f"difficulty file has {file_d.size} entries, "
                                 f"but Q={Q} was requested"
                             )
-                        d = file_d
-                    else:
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence((seed, row_idx))
-                        )
-                        d = rng.normal(
-                            scale=np.sqrt(args.difficulty_sigma2), size=Q
-                        )
-                    km = KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
-                    row.update(
-                        mse_ability_closed_form=known_difficulty_predicted_mse(km),
-                        mse_difficulty_closed_form=None,
-                        mse_asymptotic=None,
-                        fisher_bound=fisher_known_difficulty_bound(d, sigma2),
-                    )
+                        # The file fixes d and Q, so the fields depend on
+                        # sigma2 alone, whatever U.
+                        if sigma2 not in from_file:
+                            from_file[sigma2] = _known_difficulty_fields(file_d, sigma2)
+                        fields = from_file[sigma2]
+                    row.update(fields)
                 else:
                     design = RaschDesign(
                         U=U, Q=Q, sigma2_a=sigma2, sigma2_d=sigma2

@@ -130,6 +130,36 @@ def test_analyze_known_difficulty_file(tmp_path):
     ]) == 1
 
 
+def test_analyze_difficulty_file_solves_once_per_prior(tmp_path, monkeypatch):
+    # With a difficulty file the known-difficulty fields do not depend on
+    # U: three --users values and two variances take two solves, and each
+    # variance's rows agree.
+    from rasch_lmmse import rasch
+
+    solve, calls = rasch._known_difficulty_solve, []
+
+    def counting(model):
+        calls.append(model.sigma2_x)
+        return solve(model)
+
+    monkeypatch.setattr(rasch, "_known_difficulty_solve", counting)
+    diff_file = tmp_path / "d.txt"
+    diff_file.write_text("0.3\n-1.2\n0.8\n0.0\n")
+    out = tmp_path / "kd.csv"
+    assert main([
+        "analyze", "--users", "1,2,3", "--items", "4", "--sigma2", "1,4",
+        "--known-difficulties", "--difficulty-file", str(diff_file),
+        "--output", str(out),
+    ]) == 0
+    assert calls == [1.0, 4.0]
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["U"] for row in rows] == ["1", "1", "2", "2", "3", "3"]
+    for row in rows:
+        want = rows[0] if row["sigma2_x"] == rows[0]["sigma2_x"] else rows[1]
+        assert row["mse_ability_closed_form"] == want["mse_ability_closed_form"]
+        assert row["fisher_bound"] == want["fisher_bound"]
+
+
 def test_analyze_difficulty_file_parse_error(tmp_path, capsys):
     diff_file = tmp_path / "bad.txt"
     diff_file.write_text("0.5\nabc\n")

@@ -453,7 +453,7 @@ def _crossval_outputs(threads):
 ], ids=["fit_phase", "known_difficulty", "crossval"])
 def test_fits_and_folds_size_their_workers_to_their_arrays(monkeypatch, wrapped, run):
     # The pattern tasks hold 2.2k array entries, the known-difficulty cells
-    # 12.9k and the folds 1.3k: far below one worker's share, so
+    # 28.1k and the folds 1.3k: far below one worker's share, so
     # threads=2 runs every fit on the calling thread.  With the share
     # forced down to 1 entry, the fits run on two threads, one of them the
     # calling thread.
@@ -572,6 +572,26 @@ def test_pool_runs_log_their_workers(caplog, monkeypatch, run):
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
         ("rasch_lmmse.experiments", "INFO", want)
     ]
+
+
+def test_small_known_difficulty_run_takes_one_worker(monkeypatch):
+    # 50 users x 200 items at -10, 0 and 10 dB: 30k responses plus 200 x
+    # (82 + 82 + 178) quadrature entries, 98.4k in all, one worker's share
+    # (2^16) but not two, so threads=2 runs one worker.
+    pools = []
+
+    def stop(func, tasks, workers):
+        pools.append(workers)
+        raise _Stopped
+
+    monkeypatch.setattr(experiments, "_thread_map", stop)
+    config = SyntheticConfig(
+        users_grid=(50,), items_grid=(200,), snr_db_grid=(-10.0, 0.0, 10.0),
+        trials=2, estimators=("lmmse",), known_difficulties=True,
+    )
+    with pytest.raises(_Stopped):
+        run_synthetic(config, threads=2)
+    assert pools == [1]
 
 
 def test_known_difficulty_solves_once_per_trial(monkeypatch):

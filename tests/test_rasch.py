@@ -23,6 +23,7 @@ from rasch_lmmse.baselines import (
 from oracles import known_difficulty_reference
 from rasch_lmmse import rasch
 from rasch_lmmse.data import ResponseSet
+from rasch_lmmse.experiments import _trial_rng, snr_to_sigma2
 from rasch_lmmse.linear_probit import (
     GeneralProbitModel,
     linearize,
@@ -36,6 +37,7 @@ from rasch_lmmse.rasch import (
     _BipartiteSampler,
     _BipartiteSchur,
     _decoupled_lmmse_estimate,
+    _full_response_set,
     _Incidence,
     known_difficulty_fit,
     known_difficulty_predicted_mse,
@@ -736,6 +738,26 @@ def test_structured_map_converges_past_the_precision_floor(seed, link):
     assert sol.iterations <= 10
 
 
+def test_map_stops_when_armijo_passes_on_rounding_alone():
+    # simulate's 20 x 20, 10 dB cell at seed 1, trial 173 (`_trial_rng(1,
+    # 0, 173)`): Newton reaches the objective's rounding floor at gradient
+    # norm 2.7e-7 with a slope of -3.0e-14, just above one ulp of f = 97.9,
+    # so the floor test misses it; Armijo then passes only once its
+    # sufficient decrease rounds away (alpha near 1e-9), and the same
+    # sub-ulp step repeated until the iteration cap raised.  It counts as a
+    # stall now, and the fit returns its best iterate at the floor.
+    sigma2 = snr_to_sigma2(10.0)
+    rng = _trial_rng(1, 0, 173)
+    a = rng.normal(scale=np.sqrt(sigma2), size=20)
+    d = rng.normal(scale=np.sqrt(sigma2), size=20)
+    Y = np.where(a[:, None] - d[None, :] + rng.standard_normal((20, 20)) >= 0, 1.0, -1.0)
+    design = RaschDesign(U=20, Q=20, sigma2_a=sigma2, sigma2_d=sigma2)
+    sol = rasch_map_fit(design, _full_response_set(design, Y))
+    assert sol.at_floor
+    assert sol.iterations < 10
+    assert sol.gradient_norm < 1e-6
+
+
 def per_step_factor_map(design, data, config, decoupled_start=True):
     """`rasch_map_fit`'s Newton loop with a Schur factor built and solved
     directly in every Newton step, started at the decoupled L-MMSE estimate
@@ -954,6 +976,51 @@ def test_known_difficulty_mse_is_settled_at_the_panel_width(monkeypatch):
         fine = known_difficulty_fit(km, np.ones(km.d.size))
         assert fine.metadata["nodes"] >= sol.metadata["nodes"]
         assert fine.predicted_mse == pytest.approx(sol.predicted_mse, rel=1e-13)
+
+
+def _assert_matches_the_dense_moments(km):
+    fit = known_difficulty_fit(km, np.ones(km.d.size))
+    optimum, weight_mse = known_difficulty_reference(km.d, km.x_bar, km.sigma2_x)
+    assert fit.predicted_mse == pytest.approx(optimum, abs=1e-10)
+    assert weight_mse(fit.W[0]) == pytest.approx(
+        optimum, abs=1e-12 + 1e-14 * km.sigma2_x
+    )
+    return fit.metadata["nodes"]
+
+
+def test_known_difficulty_gap_between_difficulties_is_one_node():
+    # Every m_i is -1 or +1 in double precision across a gap wider than 17
+    # between consecutive difficulties, so the gap takes one node, as a tail
+    # does: the model's nodes are its two windows' panels, two tails and
+    # the gap, one node fewer than the two windows solved apart.  Both
+    # windows lie within 9 prior SDs of x_bar.
+    cluster = np.random.default_rng(12).normal(size=40)
+    for sigma2 in (100.0, 1e4):
+        nodes = [
+            _assert_matches_the_dense_moments(
+                KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
+            )
+            for d in (np.append(cluster, 60.0), cluster, [60.0])
+        ]
+        assert nodes[0] == nodes[1] + nodes[2] - 1
+
+
+def test_ability_node_cap_bounds_the_nodes():
+    # Worker sizing counts Q _ability_node_cap(sigma2) quadrature entries a
+    # cell, so no model may take more nodes than the cap.
+    for km in _known_difficulty_models(41, 150):
+        nodes = known_difficulty_fit(km, np.ones(km.d.size)).metadata["nodes"]
+        assert nodes <= rasch._ability_node_cap(km.sigma2_x)
+
+
+@pytest.mark.parametrize("sigma2", [0.05, 0.5, 5.0])
+def test_known_difficulty_nodes_on_the_benchmark_shape(sigma2):
+    # N(0, 1) difficulties, Q = 800, at -10, 0 and 10 dB: 82, 82 and 98
+    # nodes with 4-wide panels (146, 146 and 194 with 2-wide ones).
+    km = KnownDifficultyModel(
+        d=np.random.default_rng(6).normal(size=800), x_bar=0.0, sigma2_x=sigma2
+    )
+    assert known_difficulty_fit(km, np.ones(800)).metadata["nodes"] <= 98
 
 
 def test_known_difficulty_quadrature_fails_loudly(monkeypatch):
