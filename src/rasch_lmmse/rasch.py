@@ -575,83 +575,54 @@ def split_estimate(design: RaschDesign, estimate):
 # `_PANEL_WIDTH` min(sigma, 1) wide, over the a within `_PRIOR_REACH`
 # prior SDs of x_bar and within `_ITEM_REACH` of some difficulty.  Beyond
 # the latter Phi(a - d_i) is 0 or 1 in double precision for every item
-# (Phi(-8.5) = 9.5e-18), so each m_i is -1 or +1 there: in both tails and
-# in each gap wider than 2 `_ITEM_REACH` between consecutive difficulties.
-# Beyond the former lies a prior mass of Phi(-9) = 1.1e-19 per tail.  Each
-# tail and each such gap is one node, its prior mass at its conditional
-# mean.  4 is the widest panel width at which the MSE of every model of
-# the tests' sweep moves by at most 1e-13 relative (or 1e-12) when the
-# width is halved; at 5 one moves by 1.3e-11.
+# (Phi(-8.5) = 9.5e-18), so each m_i is -1 or +1 there; beyond the former
+# lies a prior mass of Phi(-9) = 1.1e-19 per tail.  Each tail is one node,
+# its prior mass at its conditional mean.  4 is the widest panel width at
+# which the MSE of every model of the tests' sweep moves by at most 1e-13
+# relative (or 1e-12) when the width is halved; at 5 one moves by 1.3e-11.
 _PANEL_NODES = 16
 _PANEL_WIDTH = 4.0
 _PRIOR_REACH = 9.0
 _ITEM_REACH = 8.5
-# The open end of a tail in prior SDs: Phi(-40) and 40 phi(40) are 0 in
-# double precision.
-_TAIL_END = 40.0
 # Largest deviation the quadrature may show from its three closed forms
 # (`_known_difficulty_solve`) before a call raises.
 _QUADRATURE_TOLERANCE = 1e-12
 
 
-def _ability_nodes(x_bar, sigma, d):
+def _ability_nodes(x_bar, sigma, d_lo, d_hi):
     """Nodes a_g and probability weights w_g of N(x_bar, sigma^2) for items
-    of difficulties d, and the prior variance the nodes miss.
-
-    The live intervals are the a within 8.5 of some difficulty and within
-    9 sigma of x_bar, one interval per run of difficulties whose
-    consecutive gaps are at most 17 (the prior's +-9 sigma when none is
-    left); panels cover each.  Every dead interval, each tail and each gap
-    between live intervals, is one node at its conditional mean, and the
-    variance it misses, sum over them of P Var(a | interval), is returned
-    in closed form.
+    whose difficulties span [d_lo, d_hi], and the prior variance the nodes
+    miss: panels over [lo, hi] = [max(x_bar - 9 sigma, d_lo - 8.5),
+    min(x_bar + 9 sigma, d_hi + 8.5)] (the prior's +-9 sigma when that is
+    empty), then each tail as one node.
     """
-    d = np.sort(d)
-    breaks = np.flatnonzero(np.diff(d) > 2.0 * _ITEM_REACH)
-    lo = np.maximum(np.append(d[0], d[breaks + 1]) - _ITEM_REACH,
-                    x_bar - _PRIOR_REACH * sigma)
-    hi = np.minimum(np.append(d[breaks], d[-1]) + _ITEM_REACH,
-                    x_bar + _PRIOR_REACH * sigma)
-    live = lo < hi
-    lo, hi = lo[live], hi[live]
-    if lo.size == 0:
-        lo = np.array([x_bar - _PRIOR_REACH * sigma])
-        hi = np.array([x_bar + _PRIOR_REACH * sigma])
+    lo = max(x_bar - _PRIOR_REACH * sigma, d_lo - _ITEM_REACH)
+    hi = min(x_bar + _PRIOR_REACH * sigma, d_hi + _ITEM_REACH)
+    if lo >= hi:
+        lo, hi = x_bar - _PRIOR_REACH * sigma, x_bar + _PRIOR_REACH * sigma
     # Rounding can put hi - lo a hair above 18 sigma; the clip keeps the
     # panel count within `_ability_node_cap`.
-    span = np.minimum(hi - lo, 2.0 * _PRIOR_REACH * sigma)
-    panels = np.ceil(span / (_PANEL_WIDTH * min(sigma, 1.0))).astype(np.int64)
-    half = np.repeat(0.5 * (hi - lo) / panels, panels)
-    index = np.arange(half.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    centres = np.repeat(lo, panels) + half * (2.0 * index + 1.0)
+    span = min(hi - lo, 2.0 * _PRIOR_REACH * sigma)
+    panels = math.ceil(span / (_PANEL_WIDTH * min(sigma, 1.0)))
+    half = 0.5 * (hi - lo) / panels
     unit, unit_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    a = (centres[:, None] + half[:, None] * unit).ravel()
-    w = ((half / sigma)[:, None] * unit_weights).ravel() * norm_pdf((a - x_bar) / sigma)
-    # Dead interval (z_lo, z_hi) in prior SDs, mirrored onto the side below
-    # x_bar so that its mass keeps its relative precision: mass P = Phi(z_hi)
-    # - Phi(z_lo), mean (phi(z_lo) - phi(z_hi)) / P and P Var = P + z_lo
-    # phi(z_lo) - z_hi phi(z_hi) - (phi(z_lo) - phi(z_hi))^2 / P.
-    start = np.append(-_TAIL_END, (hi - x_bar) / sigma)
-    stop = np.append((lo - x_bar) / sigma, _TAIL_END)
-    side = np.where(start + stop > 0.0, -1.0, 1.0)
-    z_lo = np.where(side > 0.0, start, -stop)
-    z_hi = np.where(side > 0.0, stop, -start)
-    mass = norm_cdf(z_hi) - norm_cdf(z_lo)
-    p_lo, p_hi = norm_pdf(z_lo), norm_pdf(z_hi)
-    a_dead = x_bar + sigma * side * (p_lo - p_hi) / mass
-    missed = sigma**2 * float(np.sum(
-        mass + z_lo * p_lo - z_hi * p_hi - (p_lo - p_hi) ** 2 / mass
-    ))
-    a, w = np.concatenate((a_dead, a)), np.concatenate((mass, w))
-    order = np.argsort(a, kind="stable")
-    return a[order], w[order], missed
+    centres = lo + half * (2.0 * np.arange(panels) + 1.0)
+    a = (centres[:, None] + half * unit).ravel()
+    w = (half / sigma) * np.tile(unit_weights, panels) * norm_pdf((a - x_bar) / sigma)
+    # A tail beyond z in prior SDs has mass Phi(z) and mean -phi(z) / Phi(z)
+    # (mirrored for the upper tail); one node there misses its variance,
+    # sigma^2 (Phi(z) - z phi(z) - phi(z)^2 / Phi(z)).
+    tails = np.array([x_bar - lo, hi - x_bar]) / -sigma
+    mass, density = norm_cdf(tails), norm_pdf(tails)
+    a_tail = x_bar + sigma * np.array([-1.0, 1.0]) * density / mass
+    missed = sigma**2 * float(np.sum(mass - tails * density - density**2 / mass))
+    return (np.concatenate(([a_tail[0]], a, [a_tail[1]])),
+            np.concatenate(([mass[0]], w, [mass[1]])), missed)
 
 
 def _ability_node_cap(sigma2):
     """The most nodes `_ability_nodes` gives at prior variance sigma2,
-    whatever the difficulties: its panels span at most 18 sigma, and each
-    gap that splits them takes over 17 / (4 min(sigma, 1)) >= 4.25 panels'
-    span for one node and at most one panel more from rounding."""
+    whatever the difficulties: its panels span at most 18 sigma."""
     sigma = math.sqrt(sigma2)
     width = _PANEL_WIDTH * min(sigma, 1.0)
     return _PANEL_NODES * math.ceil(2.0 * _PRIOR_REACH * sigma / width) + 2
@@ -671,19 +642,18 @@ def _known_difficulty_solve(model: KnownDifficultyModel):
         C_y^{-1} e = Lambda^{-1/2} Psi (I + Psi^T Psi)^{-1} v,
         mse = (sigma^2 - v^T v) + v^T (I + Psi^T Psi)^{-1} v.
 
-    sigma^2 - v^T v is the prior variance that the nodes miss, the
-    conditional variances of the tails and of the gaps between
-    difficulties that take one node each, and is taken in closed form, so
-    the MSE is a sum of two nonnegative terms.  The core's eigenvalues are
-    all >= 1, so its Cholesky factor needs no jitter.  Each item is
-    evaluated through its smaller tail T = Phi(a - d) (Phi(d - a) when d <
-    x_bar), so a near-saturated item keeps its relative precision; one
-    ndtr a (item, node) pair gives T and 1 - T.  An item with |c| > 37,
-    c = (x_bar - d) / sqrt(sigma^2 + 1), or whose Lambda underflows to 0,
-    has weight 0 and is counted in metadata["saturated"].  On the same
-    nodes the solve reproduces the closed forms E[y_i] = 2 Phi(c_i) - 1,
-    e_i = 2 sigma^2 phi(c_i) / sqrt(sigma^2 + 1) and sigma^2 = v^T v plus
-    the missed variance, in units of 1, sigma and sigma^2; the largest
+    sigma^2 - v^T v is the prior variance that the nodes miss, the tails'
+    conditional variances, and is taken in closed form, so the MSE is a
+    sum of two nonnegative terms.  The core's eigenvalues are all >= 1, so
+    its Cholesky factor needs no jitter.  Each item is evaluated through
+    its smaller tail T = Phi(a - d) (Phi(d - a) when d < x_bar), so a
+    near-saturated item keeps its relative precision; one ndtr a (item,
+    node) pair gives T and 1 - T.  An item with |c| > 37, c = (x_bar - d)
+    / sqrt(sigma^2 + 1), or whose Lambda underflows to 0, has weight 0 and
+    is counted in metadata["saturated"].  On the same nodes the solve
+    reproduces the closed forms E[y_i] = 2 Phi(c_i) - 1, e_i = 2 sigma^2
+    phi(c_i) / sqrt(sigma^2 + 1) and sigma^2 = v^T v plus the tails'
+    conditional variances, in units of 1, sigma and sigma^2; the largest
     deviation is metadata["closed_form_deviation"], and above
     `_QUADRATURE_TOLERANCE` the call raises.  G is at most
     `_ability_node_cap(sigma^2)`: 82 nodes for N(0, 1) difficulties up to
@@ -697,7 +667,7 @@ def _known_difficulty_solve(model: KnownDifficultyModel):
     mse, nodes, deviation, saturated = sigma2, 0, 0.0, d.size
     if np.any(active):
         d_act, c_act = d[active], c[active]
-        a, w, missed = _ability_nodes(x_bar, sigma, d_act)
+        a, w, tail_variance = _ability_nodes(x_bar, sigma, d_act.min(), d_act.max())
         nodes, da = a.size, a - x_bar
         # T = Phi(side (a - d)) is the item's smaller tail, E[T] = Phi(-|c|).
         # One ndtr a pair: the smaller of T and 1 - T is Phi(-|arg|), the
@@ -719,7 +689,7 @@ def _known_difficulty_solve(model: KnownDifficultyModel):
             float(np.max(np.abs(2.0 * (tail_mean - norm_cdf(-np.abs(c_act)))))),
             float(np.max(np.abs(e - 2.0 * sigma2 * norm_pdf(c_act)
                                 / math.sqrt(sigma2 + 1.0)))) / sigma,
-            abs(float(w @ (da * da)) + missed - sigma2) / sigma2,
+            abs(float(w @ (da * da)) + tail_variance - sigma2) / sigma2,
         )
         if not deviation <= _QUADRATURE_TOLERANCE:
             raise RuntimeError(
@@ -741,7 +711,7 @@ def _known_difficulty_solve(model: KnownDifficultyModel):
                                     check_finite=False),
             v, check_finite=False,
         )
-        mse = missed + float(v @ z)
+        mse = tail_variance + float(v @ z)
         weights[active] = scale * (psi @ z)
         saturated = int(np.count_nonzero(~active)) + int(np.count_nonzero(~kept))
     mean = norm_cdf(c) - norm_cdf(-c)

@@ -978,37 +978,18 @@ def test_known_difficulty_mse_is_settled_at_the_panel_width(monkeypatch):
         assert fine.predicted_mse == pytest.approx(sol.predicted_mse, rel=1e-13)
 
 
-def _assert_matches_the_dense_moments(km):
-    fit = known_difficulty_fit(km, np.ones(km.d.size))
-    optimum, weight_mse = known_difficulty_reference(km.d, km.x_bar, km.sigma2_x)
-    assert fit.predicted_mse == pytest.approx(optimum, abs=1e-10)
-    assert weight_mse(fit.W[0]) == pytest.approx(
-        optimum, abs=1e-12 + 1e-14 * km.sigma2_x
-    )
-    return fit.metadata["nodes"]
-
-
-def test_known_difficulty_gap_between_difficulties_is_one_node():
-    # Every m_i is -1 or +1 in double precision across a gap wider than 17
-    # between consecutive difficulties, so the gap takes one node, as a tail
-    # does: the model's nodes are its two windows' panels, two tails and
-    # the gap, one node fewer than the two windows solved apart.  Both
-    # windows lie within 9 prior SDs of x_bar.
-    cluster = np.random.default_rng(12).normal(size=40)
-    for sigma2 in (100.0, 1e4):
-        nodes = [
-            _assert_matches_the_dense_moments(
-                KnownDifficultyModel(d=d, x_bar=0.0, sigma2_x=sigma2)
-            )
-            for d in (np.append(cluster, 60.0), cluster, [60.0])
-        ]
-        assert nodes[0] == nodes[1] + nodes[2] - 1
-
-
 def test_ability_node_cap_bounds_the_nodes():
     # Worker sizing counts Q _ability_node_cap(sigma2) quadrature entries a
-    # cell, so no model may take more nodes than the cap.
-    for km in _known_difficulty_models(41, 150):
+    # cell, so no model may take more nodes than the cap.  Besides the
+    # sweep: two difficulties whose windows leave a sliver between them
+    # (sigma^2 = 1), and a grid 17.0001 apart across the prior's +-9 sigma
+    # (sigma^2 = 1e4); a quadrature split at such gaps would exceed the cap.
+    extremes = [
+        KnownDifficultyModel(d=np.array([-8.6, 8.6]), x_bar=0.0, sigma2_x=1.0),
+        KnownDifficultyModel(d=np.arange(-900.0, 900.0, 17.0001), x_bar=0.0,
+                             sigma2_x=1e4),
+    ]
+    for km in [*_known_difficulty_models(41, 150), *extremes]:
         nodes = known_difficulty_fit(km, np.ones(km.d.size)).metadata["nodes"]
         assert nodes <= rasch._ability_node_cap(km.sigma2_x)
 
