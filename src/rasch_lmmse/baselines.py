@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .data import ResponseSet, _as_count, _as_int, _as_variance
+from .data import ResponseSet, _as_count, _as_variance
 from .linear_probit import GeneralProbitModel, _check_pm_one
 from .rasch import (
     RaschDesign,
@@ -70,13 +70,9 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("burn_in", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        object.__setattr__(self, "samples", _as_count(self.samples, "samples"))
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, zero_ok in (("burn_in", True), ("samples", False), ("seed", True)):
+            value = _as_count(getattr(self, name), name, zero_ok=zero_ok)
+            object.__setattr__(self, name, value)
 
 
 def _weighted_gram(D, weights):
@@ -166,11 +162,16 @@ def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
     f = objective(x)
     best_x, best_gnorm = x, np.inf
     stalled = 0
-    for it in range(_MAP_MAX_ITERATIONS):
+    for it in range(_MAP_MAX_ITERATIONS + 1):
         grad, omega = gradient(x)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= _MAP_GRADIENT_TOLERANCE:
             return MapSolution(x, it, gnorm, False)
+        if it == _MAP_MAX_ITERATIONS:
+            raise RuntimeError(
+                f"MAP did not converge in {_MAP_MAX_ITERATIONS} iterations "
+                f"(gradient norm {gnorm:.3e})"
+            )
         made_progress = gnorm < 0.9 * best_gnorm
         if gnorm < best_gnorm:
             best_x, best_gnorm = x, gnorm
@@ -210,14 +211,6 @@ def _damped_newton(x0, x_mean, y, m, forward, adjoint, precision, newton_step,
         if flat and (stalled >= 3 or np.array_equal(x_new, x)):
             return MapSolution(best_x, it + 1, best_gnorm, True)
         x, f = x_new, f_new
-    grad, _ = gradient(x)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm <= _MAP_GRADIENT_TOLERANCE:
-        return MapSolution(x, _MAP_MAX_ITERATIONS, gnorm, False)
-    raise RuntimeError(
-        f"MAP did not converge in {_MAP_MAX_ITERATIONS} iterations "
-        f"(gradient norm {gnorm:.3e})"
-    )
 
 
 def map_fit(model: GeneralProbitModel, y, config: MapConfig | None = None):

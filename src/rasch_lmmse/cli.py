@@ -226,9 +226,7 @@ def _cmd_analyze(args):
                          ("--snr-db", args.snr_db), ("--sigma2", args.sigma2)):
         if values is not None and not values:
             raise ValueError(f"{flag} must list at least one value")
-    seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {seed}")
+    seed = _as_count(0 if args.seed is None else args.seed, "--seed", zero_ok=True)
     if args.difficulty_sigma2 is not None:
         _as_variance(args.difficulty_sigma2, "--difficulty-sigma2", zero_ok=True)
     if args.snr_db is not None:

@@ -589,21 +589,28 @@ _ITEM_REACH = 8.5
 _QUADRATURE_TOLERANCE = 1e-12
 
 
-def _ability_nodes(x_bar, sigma, d_lo, d_hi):
-    """Nodes a_g and probability weights w_g of N(x_bar, sigma^2) for items
-    whose difficulties span [d_lo, d_hi], and the prior variance the nodes
-    miss: panels over [lo, hi] = [max(x_bar - 9 sigma, d_lo - 8.5),
-    min(x_bar + 9 sigma, d_hi + 8.5)] (the prior's +-9 sigma when that is
-    empty), then each tail as one node.
-    """
+def _ability_window(x_bar, sigma, d_lo, d_hi):
+    """The window [lo, hi] = [max(x_bar - 9 sigma, d_lo - 8.5), min(x_bar +
+    9 sigma, d_hi + 8.5)] of `_ability_nodes` (the prior's +-9 sigma when
+    that is empty) and its count of panels."""
     lo = max(x_bar - _PRIOR_REACH * sigma, d_lo - _ITEM_REACH)
     hi = min(x_bar + _PRIOR_REACH * sigma, d_hi + _ITEM_REACH)
     if lo >= hi:
         lo, hi = x_bar - _PRIOR_REACH * sigma, x_bar + _PRIOR_REACH * sigma
-    # Rounding can put hi - lo a hair above 18 sigma; the clip keeps the
-    # panel count within `_ability_node_cap`.
+    # Rounding can put hi - lo a hair above 18 sigma; the clip keeps every
+    # window's panel count within that of the prior's whole +-9 sigma,
+    # which `_ability_node_cap` counts.
     span = min(hi - lo, 2.0 * _PRIOR_REACH * sigma)
-    panels = math.ceil(span / (_PANEL_WIDTH * min(sigma, 1.0)))
+    return lo, hi, math.ceil(span / (_PANEL_WIDTH * min(sigma, 1.0)))
+
+
+def _ability_nodes(x_bar, sigma, d_lo, d_hi):
+    """Nodes a_g and probability weights w_g of N(x_bar, sigma^2) for items
+    whose difficulties span [d_lo, d_hi], and the prior variance the nodes
+    miss: panels over the window of `_ability_window`, then each tail as
+    one node.
+    """
+    lo, hi, panels = _ability_window(x_bar, sigma, d_lo, d_hi)
     half = 0.5 * (hi - lo) / panels
     unit, unit_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
     centres = lo + half * (2.0 * np.arange(panels) + 1.0)
@@ -622,10 +629,12 @@ def _ability_nodes(x_bar, sigma, d_lo, d_hi):
 
 def _ability_node_cap(sigma2):
     """The most nodes `_ability_nodes` gives at prior variance sigma2,
-    whatever the difficulties: its panels span at most 18 sigma."""
-    sigma = math.sqrt(sigma2)
-    width = _PANEL_WIDTH * min(sigma, 1.0)
-    return _PANEL_NODES * math.ceil(2.0 * _PRIOR_REACH * sigma / width) + 2
+    whatever the difficulties: those of its widest window, the prior's
+    whole +-9 sigma, which no difficulty span narrows.  Counted, not built:
+    it holds 51 million nodes at sigma^2 = 5e11 (120 dB), where the windows
+    the difficulties leave hold about a hundred."""
+    panels = _ability_window(0.0, math.sqrt(sigma2), -math.inf, math.inf)[2]
+    return _PANEL_NODES * panels + 2
 
 
 def _known_difficulty_solve(model: KnownDifficultyModel):

@@ -4,12 +4,7 @@ The univariate CDF is scipy.special.ndtr.  The bivariate CDF is a
 vectorized port of the classic Gauss-Legendre scheme (Genz 2004) with a
 separate expansion for |rho| > 0.925; absolute error is below 1e-12
 everywhere on [-1, 1] (measured ~1e-16).  It runs in fixed-size blocks of
-pairs, so memory stays bounded at any size.  A block whose pairs share one
-correlation computes the per-node terms, which depend only on rho, once and
-broadcasts them against the pairs, bitwise as the per-pair terms; the
-known-difficulty C_y of the dense reference (`linear_probit.linearize` on
-the one-column model), whose pairs all have rho = sigma^2 / (sigma^2 + 1),
-is such a case.
+pairs, so memory stays bounded at any size.
 """
 
 from __future__ import annotations
@@ -106,24 +101,12 @@ def _bvn_upper_finite(h, k, rho):
     return val
 
 
-def _node_rows(v):
-    """v as a column against the nodes; one row when every pair shares v.
-
-    The per-node terms then are computed once and broadcast against the
-    pairs, with the same operations on every element, so the values are
-    bitwise those of the per-pair rows.
-    """
-    if v.min() == v.max():
-        return v[:1, None]
-    return v[:, None]
-
-
 def _bvn_moderate(h, k, rho):
     # integrate the density over theta in (0, asin rho); exact anchor at rho=0
     hk = h * k
     hs = (h * h + k * k) / 2.0
     asr = np.arcsin(rho) / 2.0
-    sn = np.sin(_node_rows(asr) * (1.0 + _GL_NODES[None, :]))
+    sn = np.sin(asr[:, None] * (1.0 + _GL_NODES[None, :]))
     quad = np.sum(
         _GL_WEIGHTS[None, :]
         * np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)),
@@ -162,7 +145,7 @@ def _bvn_near_unit(h, k, rho):
     )
 
     a2 = a / 2.0
-    xs = (_node_rows(a2) * (1.0 + _GL_NODES[None, :])) ** 2
+    xs = (a2[:, None] * (1.0 + _GL_NODES[None, :])) ** 2
     rs = np.sqrt(1.0 - xs)
     asr_q = -(bs[:, None] / xs + hk[:, None]) / 2.0
     sp_q = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)

@@ -24,6 +24,7 @@ from rasch_lmmse.baselines import (
     pm_exact_mse,
     pm_gibbs,
     probit_information,
+    rasch_map_fit,
     rasch_pm_gibbs,
 )
 from rasch_lmmse.data import ResponseSet
@@ -111,6 +112,26 @@ def test_map_nonconvergence_is_reported(monkeypatch):
     y = np.where(rng.random(8) < 0.5, 1.0, -1.0)
     with pytest.raises(RuntimeError, match="did not converge"):
         map_fit(model, y)
+
+
+def test_map_converging_at_the_iteration_cap_returns(monkeypatch):
+    # A fit whose gradient passes the tolerance at its k-th check returns
+    # at a cap of k iterations, bit for bit as below the cap, and raises at
+    # a cap of k - 1.
+    rng = np.random.default_rng(3)
+    design = RaschDesign(U=12, Q=9, sigma2_a=2.0, sigma2_d=2.0)
+    data = random_rasch_responses(rng, 12, 9, 0.7)
+    free = rasch_map_fit(design, data)
+    k = free.iterations
+    assert not free.at_floor and k >= 2
+    monkeypatch.setattr(baselines, "_MAP_MAX_ITERATIONS", k)
+    capped = rasch_map_fit(design, data)
+    assert (capped.iterations, capped.at_floor) == (k, False)
+    assert capped.gradient_norm == free.gradient_norm
+    assert np.array_equal(capped.estimate, free.estimate)
+    monkeypatch.setattr(baselines, "_MAP_MAX_ITERATIONS", k - 1)
+    with pytest.raises(RuntimeError, match=f"did not converge in {k - 1} iterations"):
+        rasch_map_fit(design, data)
 
 
 def test_map_accepts_machine_precision_plateau():

@@ -22,7 +22,7 @@ from rasch_lmmse.baselines import GibbsConfig, probit_information
 from rasch_lmmse import experiments
 from rasch_lmmse.cli import ANALYZE_COLUMNS, build_parser, main
 from rasch_lmmse.data import load_triplets
-from rasch_lmmse.experiments import CvConfig, SyntheticConfig
+from rasch_lmmse.experiments import CV_ESTIMATORS, CvConfig, SyntheticConfig
 
 
 def write_rasch_csv(path, U, Q, seed):
@@ -830,6 +830,36 @@ def test_fit_sidecar_reports_solver(tmp_path):
             # 12 items kept: below 32 rows every Newton step factors.
             assert solver["factorizations"] == solver["iterations"]
             assert solver["cg_iterations"] == 0
+
+
+def test_no_command_evaluates_the_bivariate_cdf(tmp_path, capsys, monkeypatch):
+    # Every command takes the structured solvers; the dense bivariate-normal
+    # moments serve only as the tests' reference.
+    from rasch_lmmse import linear_probit, specfun
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("binorm_cdf called")
+
+    monkeypatch.setattr(specfun, "binorm_cdf", forbidden)
+    monkeypatch.setattr(linear_probit, "binorm_cdf", forbidden)
+    responses = str(Path(__file__).parent.parent / "sample_data" / "responses.csv")
+    gibbs = ["--gibbs-burnin", "20", "--gibbs-samples", "50"]
+    runs = [
+        ["analyze", "--users", "2,3", "--items", "4", "--snr-db", "-10,0,10"],
+        ["analyze", "--users", "1", "--items", "50", "--snr-db", "-10,0,10",
+         "--known-difficulties", "--difficulty-sigma2", "4"],
+        ["simulate", "--users", "3", "--items", "4", "--snr-db", "0", "--trials", "2",
+         "--estimators", "lmmse,map,pm_gibbs,fisher_bound", *gibbs],
+        ["simulate", "--known-difficulties", "--users", "3", "--items", "20",
+         "--snr-db", "0", "--trials", "2", "--estimators", "lmmse,fisher_bound"],
+        *(["fit", "--data", responses, "--estimator", estimator, *gibbs]
+          for estimator in CV_ESTIMATORS),
+        ["crossval", "--data", responses, "--folds", "3", "--estimators",
+         "lmmse,map,logit_map"],
+    ]
+    for argv in runs:
+        assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 0, argv
+        assert "failed" not in capsys.readouterr().out, argv
 
 
 def test_fit_csv_carries_each_parameters_predicted_mse(tmp_path):

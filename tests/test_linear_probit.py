@@ -198,8 +198,7 @@ def test_blocked_linearize_is_the_whole_triangle_bitwise_for_known_difficulties(
     monkeypatch,
 ):
     # The one-column model of known difficulties: every pair shares one
-    # correlation sigma^2 / (sigma^2 + 1), which the bivariate CDF's blocks
-    # evaluate once per node.
+    # correlation sigma^2 / (sigma^2 + 1).
     from rasch_lmmse import linear_probit
 
     monkeypatch.setattr(linear_probit, "_PAIR_BLOCK", 300)

@@ -994,6 +994,19 @@ def test_ability_node_cap_bounds_the_nodes():
         assert nodes <= rasch._ability_node_cap(km.sigma2_x)
 
 
+def test_ability_node_cap_counts_without_building_the_nodes():
+    # simulate sizes its workers by the cap at each cell's prior variance.
+    # At sigma^2 = 1e20 (203 dB) the prior's +-9 sigma holds 7.2e11 nodes,
+    # while the window the difficulties leave holds about a hundred.
+    km = KnownDifficultyModel(d=np.linspace(-2.0, 2.0, 30), x_bar=0.0, sigma2_x=1e20)
+    tracemalloc.start()
+    cap = rasch._ability_node_cap(km.sigma2_x)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 100_000
+    assert known_difficulty_fit(km, np.ones(30)).metadata["nodes"] < 200 < cap
+
+
 @pytest.mark.parametrize("sigma2", [0.05, 0.5, 5.0])
 def test_known_difficulty_nodes_on_the_benchmark_shape(sigma2):
     # N(0, 1) difficulties, Q = 800, at -10, 0 and 10 dB: 82, 82 and 98

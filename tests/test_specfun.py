@@ -140,9 +140,9 @@ def test_binorm_blocks_do_not_change_values():
     assert np.isin(rho, [-1.0, 1.0]).any() and np.isinf(x).any()
     assert ((np.abs(rho) > 0.925) & (np.abs(rho) < 1.0)).any()
 
-    # A block whose pairs share one correlation computes its node terms
-    # once; each value must equal the same pair evaluated among pairs of
-    # other correlations (interleaved, so no block there has one rho).
+    # Pairs that share one correlation: each value must equal the same pair
+    # evaluated among pairs of other correlations (interleaved, so no block
+    # there has one rho).
     m = 2 * specfun._BLOCK + 5
     for seed, r in enumerate((0.3, -0.6, 0.96, -0.97, 1.0, -1.0)):
         xo, yo, _ = mixed_binorm_inputs(m, 20 + seed)
